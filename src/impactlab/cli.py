@@ -2,8 +2,9 @@
 
 Configs are flat INI-style key-value files with sections; unknown sections
 or keys are rejected with the offending name.  Results append to a CSV
-store keyed by a digest of the canonicalized config plus the seed, and
-re-runs with the same digest are served from the store unless --no-cache.
+store keyed by a digest of the canonicalized config, the seed, the code
+version and the solver revision; re-runs with the same digest are served
+from the store unless --no-cache.
 Numerical flags raised by the solvers (grid coarseness, position-bound
 hits, variance-cap binding) turn into WARN rows and exit status 2.
 """
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import SOLVER_REVISION, __version__
 from .dual import constant_profile, kusuoka_lower_bound
 from .limits import (
     HJBGrid,
@@ -167,7 +169,7 @@ class ExperimentConfig:
         blob = "\n".join(
             f"{s}.{k}={self.values[(s, k)]!r}" for (s, k) in sorted(self.values)
         )
-        blob += f"\nseed={self.seed}"
+        blob += f"\nseed={self.seed}\nversion={__version__}\nsolver={SOLVER_REVISION}"
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def market(self, n_steps: int = 1) -> MarketParams:
@@ -218,7 +220,8 @@ class ExperimentConfig:
 
 @dataclass
 class ResultRow:
-    """One persisted record; wall time is informational only."""
+    """One persisted record; wall time (since the previous row, or since the
+    run started for the first) is informational only."""
 
     digest: str
     study_id: str
@@ -492,6 +495,8 @@ def run_experiment(config_path, mode=None, seed=None, no_cache=False, out_dir=".
     rows = []
 
     def emit(kind, n, label, value, err, flagged):
+        nonlocal t_prev
+        now = time.perf_counter()
         row = ResultRow(
             digest=digest,
             study_id=str(cfg.get("run", "study_id")),
@@ -501,12 +506,13 @@ def run_experiment(config_path, mode=None, seed=None, no_cache=False, out_dir=".
             value=float(value),
             err=float(err),
             flag="WARN" if flagged else "",
-            wall_ms=(time.perf_counter() - t0) * 1e3,
+            wall_ms=(now - t_prev) * 1e3,
         )
+        t_prev = now
         rows.append(row)
         return row
 
-    t0 = time.perf_counter()
+    t_prev = time.perf_counter()
     _BODIES[mode](cfg, emit)
     with _StoreLock(store):
         _store_append(store, rows)

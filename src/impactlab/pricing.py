@@ -224,7 +224,6 @@ class DPGrids:
     x_grid: Optional[np.ndarray] = None
     augmentation: str = "auto"
     refine: bool = True
-    refine_iters: int = 30
     tie_eps: float = 1e-9
     # spread-axis residual (payoff currency units) above which the run is
     # flagged; calibrated so that visibly coarse spread grids trip it while
@@ -275,6 +274,12 @@ class DPPolicy:
     frictionless: bool
 
 
+# Golden-section steps per one-step minimization: the bracket shrinks by at
+# least as much as 30 ternary steps, ceil(30 ln(2/3) / ln(1/phi)) = 26.
+GOLDEN_STEPS = 26
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
 def _interp_weights(grid: np.ndarray, x: np.ndarray):
     """Lower index and weight for piecewise-linear lookup on a sorted grid."""
     if len(grid) < 2:
@@ -306,8 +311,8 @@ def superreplication_cost(
 
     State per depth: (augmented price node, position, spread), with the
     spread handled by piecewise-linear interpolation.  Each minimization
-    scans the position grid and optionally refines by ternary search
-    (the one-step objective is convex in the new position).
+    scans the position grid and optionally refines by golden-section
+    search (the one-step objective is convex in the new position).
     """
     grids = grids or DPGrids()
     lattice = _build_lattice(spec, params, grids.augmentation)
@@ -343,9 +348,7 @@ def superreplication_cost(
     order = np.argsort(np.abs(xg), kind="stable")
 
     for depth in range(n - 1, -1, -1):
-        vup = v[lattice.up[depth]]
-        vdn = v[lattice.dn[depth]]
-        pairmax = np.maximum(vup, vdn)
+        pairmax = np.maximum(v[lattice.up[depth]], v[lattice.dn[depth]])
         m = len(lattice.prices[depth])
         prices = lattice.prices[depth][:, None]
 
@@ -379,7 +382,7 @@ def superreplication_cost(
 
         if grids.refine and n_x >= 3:
             refined = _refine_layer(
-                best_j, vup, vdn, prices, xg, zg, params, frictionless, grids.refine_iters
+                best_j, v, lattice.up[depth], lattice.dn[depth], prices, xg, zg, params, frictionless
             )
             np.minimum(best, refined, out=best)
 
@@ -412,47 +415,88 @@ def superreplication_cost(
     return PriceResult(cost=cost, report=report, policy=policy)
 
 
-def _bilinear(pairmax, xg, zg, xp, zp):
-    """Continuation value at off-grid (position, spread) points."""
-    m = pairmax.shape[0]
-    rows = np.arange(m)[:, None, None]
+def _branch_max(vnext, up_rows, dn_rows, xg, zg, xp, zp):
+    """Worse of the up and down continuations at off-grid (position, spread).
+
+    Each branch is the bilinear interpolant of its row of `vnext`; the
+    weights and the flat cell index are computed once for both branches.
+    `up_rows`/`dn_rows` broadcast against `xp`, which has the shape of
+    `zp` and of the result.
+    """
+    n_z = vnext.shape[2]
+    flat = vnext.reshape(-1)
     jx, wx = _interp_weights(xg, xp)
     kz, wz = _interp_weights(zg, zp)
-    c00 = pairmax[rows, jx, kz]
-    c01 = pairmax[rows, jx, kz + 1] if pairmax.shape[2] > 1 else c00
-    c10 = pairmax[rows, jx + 1, kz]
-    c11 = pairmax[rows, jx + 1, kz + 1] if pairmax.shape[2] > 1 else c10
-    lo = c00 * (1.0 - wz) + c01 * wz
-    hi = c10 * (1.0 - wz) + c11 * wz
-    return lo * (1.0 - wx) + hi * wx
+    cell = jx * n_z  # the one int64 index array kept per evaluation
+    cell += kz
+    del jx, kz
+    wx1, wz1 = 1.0 - wx, 1.0 - wz
+
+    def branch():
+        c00, c10 = flat[cell], flat[n_z:][cell]
+        if n_z > 1:
+            c00 = c00 * wz1 + flat[1:][cell] * wz
+            c10 = c10 * wz1 + flat[n_z + 1 :][cell] * wz
+        return c00 * wx1 + c10 * wx
+
+    stride = vnext.shape[1] * n_z
+    cell += up_rows * stride
+    up = branch()
+    cell += (dn_rows - up_rows) * stride
+    return np.maximum(up, branch(), out=up)
 
 
-def _refine_layer(best_j, vup, vdn, prices, xg, zg, params, frictionless, iters):
-    """Vectorized ternary search around the grid argmin, one cell each side.
-
-    The up/down continuations are interpolated separately before taking the
-    adversarial max, so kinks between the branches survive refinement.
-    """
-    m, n_x, n_z = best_j.shape
-    x_old = xg[None, :, None]
-    zeta = zg[None, None, :]
+def _one_step_objective(vnext, up_rows, dn_rows, price, x_old, zeta, xg, zg, params, frictionless):
+    """Cost of moving x_old -> xp plus the worse branch's continuation, as a
+    function of xp: the objective every one-step minimization shares."""
     decay = 1.0 - params.resilience
 
     def objective(xp):
         zp = decay * zeta + np.abs(xp - x_old) / params.depth
-        cost = _trade_cost_grid(prices[:, :, None], x_old, xp, zeta, params, frictionless)
-        cont = np.maximum(_bilinear(vup, xg, zg, xp, zp), _bilinear(vdn, xg, zg, xp, zp))
-        return cost + cont
+        cost = _trade_cost_grid(price, x_old, xp, zeta, params, frictionless)
+        return cost + _branch_max(vnext, up_rows, dn_rows, xg, zg, xp, zp)
 
+    return objective
+
+
+def _golden_min(objective, lo, hi):
+    """Elementwise golden-section search of a convex objective on [lo, hi].
+
+    One new evaluation per step, GOLDEN_STEPS steps; returns the objective
+    at the final bracket midpoint and that midpoint.
+    """
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
+    fc, fd = objective(c), objective(d)
+    for step in range(GOLDEN_STEPS):
+        left = fc <= fd
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+        if step == GOLDEN_STEPS - 1:
+            break
+        # the surviving interior point keeps its value; one new point
+        x = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
+        fx = objective(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    mid = 0.5 * (lo + hi)
+    return objective(mid), mid
+
+
+def _refine_layer(best_j, v, up, dn, prices, xg, zg, params, frictionless):
+    """Vectorized golden-section search around the grid argmin, one cell
+    each side.
+
+    The up/down continuations are interpolated separately before taking the
+    adversarial max, so kinks between the branches survive refinement.
+    """
+    n_x = best_j.shape[1]
+    objective = _one_step_objective(
+        v, up[:, None, None], dn[:, None, None], prices[:, :, None],
+        xg[None, :, None], zg[None, None, :], xg, zg, params, frictionless,
+    )
     lo = xg[np.maximum(best_j - 1, 0)]
     hi = xg[np.minimum(best_j + 1, n_x - 1)]
-    for _ in range(iters):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        take = objective(m1) <= objective(m2)
-        hi = np.where(take, m2, hi)
-        lo = np.where(take, lo, m1)
-    return objective(0.5 * (lo + hi))
+    return _golden_min(objective, lo, hi)[0]
 
 
 def _interp_residual(v, xg, zg) -> tuple[float, float]:
@@ -577,7 +621,6 @@ def certificate_check(
     xg, zg = pol.x_axis, pol.zeta_axis
     decay = 1.0 - params.resilience
     s = params.step_vol
-    iota = params.perm_impact
     frictionless = pol.frictionless
 
     node = np.zeros(count, dtype=int)
@@ -586,27 +629,13 @@ def certificate_check(
     cash = np.full(count, result.cost)
     price = np.full(count, params.p0)
 
-    n_x, n_z = len(xg), len(zg)
+    n_x = len(xg)
     for depth in range(n):
-        vnext = pol.tables[depth + 1]
         up_idx = pol.lattice.up[depth][node]
         dn_idx = pol.lattice.dn[depth][node]
-
-        def objective(xp):
-            dx = xp - x
-            cost = (price + 0.5 * iota * (xp + x)) * dx
-            zp = decay * zeta + np.abs(dx) / params.depth
-            if not frictionless:
-                cost = cost + (decay * zeta + np.abs(dx) / (2.0 * params.depth)) * np.abs(dx)
-            jx, wx = _interp_weights(xg, xp)
-            kz, wz = _interp_weights(zg, zp)
-            kz1 = np.minimum(kz + 1, n_z - 1)
-            vals = []
-            for rows in (up_idx, dn_idx):
-                lo_v = vnext[rows, jx, kz] * (1 - wz) + vnext[rows, jx, kz1] * wz
-                hi_v = vnext[rows, jx + 1, kz] * (1 - wz) + vnext[rows, jx + 1, kz1] * wz
-                vals.append(lo_v * (1 - wx) + hi_v * wx)
-            return cost + np.maximum(vals[0], vals[1])
+        objective = _one_step_objective(
+            pol.tables[depth + 1], up_idx, dn_idx, price, x, zeta, xg, zg, params, frictionless
+        )
 
         best = np.full(count, np.inf)
         best_jx = np.zeros(count, dtype=int)
@@ -619,29 +648,16 @@ def certificate_check(
         if n_x >= 3:
             lo = xg[np.maximum(best_jx - 1, 0)]
             hi = xg[np.minimum(best_jx + 1, n_x - 1)]
-            for _ in range(40):
-                m1 = lo + (hi - lo) / 3.0
-                m2 = hi - (hi - lo) / 3.0
-                take = objective(m1) <= objective(m2)
-                hi = np.where(take, m2, hi)
-                lo = np.where(take, lo, m1)
-            mid = 0.5 * (lo + hi)
-            best_x = np.where(objective(mid) < objective(best_x), mid, best_x)
-        dx = best_x - x
-        trade_cost = (price + 0.5 * iota * (best_x + x)) * dx
-        if not frictionless:
-            trade_cost = trade_cost + (decay * zeta + np.abs(dx) / (2.0 * params.depth)) * np.abs(dx)
-        cash -= trade_cost
-        zeta = decay * zeta + np.abs(dx) / params.depth
+            f_mid, mid = _golden_min(objective, lo, hi)
+            best_x = np.where(f_mid < objective(best_x), mid, best_x)
+        cash -= _trade_cost_grid(price, x, best_x, zeta, params, frictionless)
+        zeta = decay * zeta + np.abs(best_x - x) / params.depth
         x = best_x
         price = price + s * shocks[:, depth]
         node = np.where(shocks[:, depth] == 1, up_idx, dn_idx)
 
     # liquidation at the terminal price
-    liq = (price + 0.5 * iota * x) * (-x)
-    if not frictionless:
-        liq = liq + (decay * zeta + np.abs(x) / (2.0 * params.depth)) * np.abs(x)
-    cash -= liq
+    cash -= _trade_cost_grid(price, x, 0.0, zeta, params, frictionless)
     payoff = pol.lattice.payoff[node]
     margin = cash - payoff
     return {

@@ -1,10 +1,12 @@
 """Config parsing, experiment dispatch, caching and reproducibility."""
 
 import os
+import time
 
 import numpy as np
 import pytest
 
+from impactlab import cli
 from impactlab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -125,6 +127,27 @@ def test_cache_serves_identical_rows(tmp_path):
     code3, rows3 = run_experiment(cfg, mode="primal_dp", out_dir=out, no_cache=True)
     assert [r.key_fields() for r in rows3] == [r.key_fields() for r in rows1]
     assert len(open(store).read().splitlines()) == 2 * n_lines - 1  # re-appended
+
+
+def test_cache_recomputes_rows_of_another_solver_revision(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, BASE.replace("n_list = 2 3", "n_list = 2"))
+    out = str(tmp_path / "out")
+    _, old = run_experiment(cfg, mode="primal_dp", out_dir=out)
+    monkeypatch.setattr(cli, "SOLVER_REVISION", cli.SOLVER_REVISION + 1)
+    _, new = run_experiment(cfg, mode="primal_dp", out_dir=out)
+    assert new[0].digest != old[0].digest
+    # recomputed and appended, not served from the old revision's rows
+    digests = [r.digest for r in cli._store_read(os.path.join(out, "results.csv"))]
+    assert digests == [old[0].digest, new[0].digest]
+
+
+def test_wall_ms_is_per_row(tmp_path):
+    cfg = write_cfg(tmp_path, BASE)
+    t0 = time.perf_counter()
+    _, rows = run_experiment(cfg, mode="convergence_study", out_dir=str(tmp_path / "out"), no_cache=True)
+    elapsed_ms = (time.perf_counter() - t0) * 1e3
+    assert len(rows) > 1
+    assert sum(r.wall_ms for r in rows) <= elapsed_ms
 
 
 def test_reproducibility_bit_for_bit(tmp_path):

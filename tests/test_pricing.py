@@ -11,6 +11,7 @@ from impactlab.market import MarketParams, fundamental_path, stopping_grid, term
 from impactlab.payoffs import PayoffSpec, quadratic_claim
 from impactlab.pricing import (
     DOOB_LAMBDA_MAX,
+    GOLDEN_STEPS,
     DPGrids,
     Strategy,
     affine_constrained_strategy,
@@ -22,6 +23,7 @@ from impactlab.pricing import (
     wealth_with_liquidation,
     zero_strategy,
 )
+from impactlab.pricing import _golden_min
 
 
 def mk(n=2, **kw):
@@ -83,13 +85,42 @@ def test_dp_matches_bruteforce_small_instances(delta, r, iota):
 
 
 def test_refinement_never_increases_cost():
-    p = mk(n=4)
-    spec = PayoffSpec("call", strike=0.0)
-    coarse = superreplication_cost(p, spec, DPGrids(refine=False))
-    fine = superreplication_cost(p, spec, DPGrids(refine=True))
-    assert fine.cost <= coarse.cost + 1e-12
-    # the continuous minimizer lives within one grid cell of the scan's
-    assert coarse.cost - fine.cost <= 0.25
+    # resilience 1 collapses the spread axis to a single node
+    cases = [
+        (mk(n=4), PayoffSpec("call", strike=0.0)),
+        (mk(n=4), PayoffSpec("lookback_max")),
+        (mk(n=4, resilience=1.0), PayoffSpec("call", strike=0.0)),
+    ]
+    for p, spec in cases:
+        coarse = superreplication_cost(p, spec, DPGrids(refine=False))
+        fine = superreplication_cost(p, spec, DPGrids(refine=True))
+        assert fine.cost <= coarse.cost + 1e-12
+        # the continuous minimizer lives within one grid cell of the scan's
+        assert coarse.cost - fine.cost <= 0.25
+
+
+def test_headline_prices_default_grids():
+    call = PayoffSpec("call", strike=0.0)
+    for n, spec, ref in ((4, call, 1.107174), (8, call, 1.075058), (8, PayoffSpec("lookback_max"), 1.306322)):
+        res = superreplication_cost(mk(n=n), spec)
+        assert round(res.cost, 6) == ref
+        assert res.report["boundary_hits"] == 0
+
+
+def test_golden_min_one_evaluation_per_step():
+    targets = np.array([-0.7, 0.0, 0.3, 0.999])
+    calls = []
+
+    def objective(x):
+        calls.append(1)
+        return (x - targets) ** 2
+
+    lo, hi = np.full(4, -1.0), np.full(4, 1.0)
+    value, mid = _golden_min(objective, lo, hi)
+    assert len(calls) == GOLDEN_STEPS + 2
+    # the final bracket is no wider than after 30 ternary steps
+    assert np.all(np.abs(mid - targets) <= 0.5 * (2.0 / 3.0) ** 30 * (hi - lo))
+    assert np.array_equal(value, (mid - targets) ** 2)
 
 
 def test_one_step_objective_convex_along_controls():
@@ -101,7 +132,7 @@ def test_one_step_objective_convex_along_controls():
     vals = np.array([brute_force_cost(p, spec, [x]) for x in xs])
     second = np.diff(vals, 2)
     assert np.all(second >= -1e-9)
-    # ternary-search style minimizer within one cell of the grid minimizer
+    # golden-section style minimizer within one cell of the grid minimizer
     j = int(np.argmin(vals))
     assert vals[max(j - 1, 0)] >= vals[j] <= vals[min(j + 1, len(xs) - 1)]
 
