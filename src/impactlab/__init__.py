@@ -14,7 +14,15 @@ from .market import (
     stopping_grid,
     terminal_wealth,
 )
-from .payoffs import ClaimPair, PayoffSpec, claims, evaluate_payoff, quadratic_claim, skorohod_distance_upper
+from .payoffs import (
+    ClaimPair,
+    PayoffSpec,
+    claims,
+    evaluate_payoff,
+    payoff_on_paths,
+    quadratic_claim,
+    skorohod_distance_upper,
+)
 from .pricing import (
     DPGrids,
     PriceResult,
@@ -40,7 +48,6 @@ from .limits import (
     HJBGrid,
     LimitProblem,
     bachelier_reference,
-    f_of_z,
     hjb_value,
     limit_from_market,
     limit_value_mc,
@@ -51,4 +58,4 @@ __version__ = "0.1.0"
 # Part of the results-store digest.  Bump it whenever a solver change moves
 # any computed number, so rows stored by an older solver are recomputed
 # rather than served.
-SOLVER_REVISION = 2
+SOLVER_REVISION = 3

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import fcntl
 import hashlib
 import os
 import sys
@@ -286,23 +287,27 @@ def _store_read(store_path):
 
 
 class _StoreLock:
-    """Advisory one-writer lock next to the results store."""
+    """Advisory one-writer lock: `flock` on a file next to the results store.
+
+    The lock belongs to the open file, so it is released when the holding
+    process exits, killed or not; a lock file left behind blocks nobody.
+    """
 
     def __init__(self, store_path):
         self.path = str(store_path) + ".lock"
         self.fd = None
 
     def __enter__(self):
+        self.fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
         try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+            fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(self.fd)
             raise ConfigError(f"results store is locked by another run: {self.path}")
         return self
 
     def __exit__(self, *exc):
-        if self.fd is not None:
-            os.close(self.fd)
-            os.unlink(self.path)
+        os.close(self.fd)  # closing the last descriptor releases the lock
         return False
 
 
@@ -523,17 +528,25 @@ def _sub_modes(mode):
     return ("primal_dp", "dual_bound", "limit_hjb") if mode == "convergence_study" else ()
 
 
-def convergence_table(store_path, study_id) -> tuple[str, list[dict]]:
-    """Tabulate a study: price, best lower bound, limit value and gap per N."""
-    rows = _store_read(store_path)
-    primal = {r.n: r.value for r in rows if r.study_id == study_id and r.mode == "primal_dp"}
+def convergence_table(store_path, study_id, digest=None) -> tuple[str, list[dict]]:
+    """Tabulate a study: price, best lower bound, limit value and gap per N.
+
+    Only the rows of one config are used: those with `digest`, by default
+    the digest of the study's most recently stored row.  Configs that share
+    a study_id never mix.
+    """
+    rows = [r for r in _store_read(store_path) if r.study_id == study_id]
+    if rows:
+        digest = digest or rows[-1].digest
+        rows = [r for r in rows if r.digest == digest]
+    primal = {r.n: r.value for r in rows if r.mode == "primal_dp"}
     if not primal:
         raise ConfigError(f"no primal rows for study {study_id!r} in {store_path}")
     duals: dict[int, float] = {}
     for r in rows:
-        if r.study_id == study_id and r.mode == "dual_bound":
+        if r.mode == "dual_bound":
             duals[r.n] = max(duals.get(r.n, -np.inf), r.value)
-    limits = [r.value for r in rows if r.study_id == study_id and r.mode == "limit_hjb"]
+    limits = [r.value for r in rows if r.mode == "limit_hjb"]
     limit = limits[-1] if limits else float("nan")
 
     records = []
@@ -603,7 +616,7 @@ def main(argv=None) -> int:
         study_id = rows[0].study_id if rows else "default"
         store = os.path.join(args.out, ExperimentConfig.load(args.config).get("output", "results"))
         try:
-            text, records = convergence_table(store, study_id)
+            text, records = convergence_table(store, study_id, rows[0].digest if rows else None)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1

@@ -22,8 +22,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .market import MarketParams, fundamental_path
-from .payoffs import PayoffSpec, evaluate_payoff
+# evaluate_payoff and fundamental_path are unused here but stay importable
+# as module attributes: perfbench/boundaries.py wraps them in this namespace.
+from .market import MarketParams, fundamental_path  # noqa: F401
+from .payoffs import PayoffSpec, evaluate_payoff, payoff_on_paths  # noqa: F401
 
 __all__ = [
     "MuWeights",
@@ -129,6 +131,25 @@ def _all_shocks(n: int) -> np.ndarray:
     return np.where(bits == 1, 1, -1).astype(np.int64)
 
 
+def _tree_payoffs(spec: PayoffSpec, shocks: np.ndarray, params: MarketParams) -> np.ndarray:
+    """Payoff of the fundamental path of every shock row, in one batch."""
+    steps = np.hstack([np.zeros((len(shocks), 1)), np.cumsum(shocks, axis=1)])
+    return payoff_on_paths(spec, params.p0 + params.step_vol * steps)
+
+
+def _node_probabilities(q: list) -> list:
+    """Probability of every node, per depth 0..n, from the up-probabilities."""
+    node_prob = [np.ones(1)]
+    for k in range(len(q)):
+        pk = node_prob[k]
+        nxt = np.empty(2 ** (k + 1))
+        idx = np.arange(2**k)
+        nxt[idx] = pk * (1.0 - q[k][idx])
+        nxt[idx + (1 << k)] = pk * q[k][idx]
+        node_prob.append(nxt)
+    return node_prob
+
+
 def _path_probabilities(cert: DualCertificate, shocks: np.ndarray) -> np.ndarray:
     n = shocks.shape[1]
     prob = np.ones(shocks.shape[0])
@@ -183,23 +204,12 @@ def dual_objective_transient(
 
     shocks = _all_shocks(n)
     prob = _path_probabilities(cert, shocks)
-    payoff = np.array(
-        [evaluate_payoff(spec, fundamental_path(row, params)) for row in shocks]
-    )
-    e_h = float(np.dot(prob, payoff))
+    e_h = float(np.dot(prob, _tree_payoffs(spec, shocks, params)))
 
     # alpha with the liquidation-period extension
     alpha_ext = list(cert.alpha) + [cert.alpha[n - 1][np.arange(2**n) % (2 ** (n - 1))]]
 
-    # node probabilities per depth
-    node_prob = [np.ones(1)]
-    for k in range(n):
-        pk = node_prob[k]
-        nxt = np.empty(2 ** (k + 1))
-        idx = np.arange(2**k)
-        nxt[idx] = pk * (1.0 - cert.q[k][idx])
-        nxt[idx + (1 << k)] = pk * cert.q[k][idx]
-        node_prob.append(nxt)
+    node_prob = _node_probabilities(cert.q)
 
     penalty = 0.0
     for k in range(n_ext):
@@ -258,6 +268,8 @@ def dual_objective_temporary(
     (distance |P_N - M_N|).  Rejects non-martingale M.
     """
     n = len(q)
+    if n != params.n_steps:
+        raise ValueError("martingale horizon does not match params")
     if n > _EXACT_MAX_N:
         raise ValueError(f"exact tree evaluation limited to n_steps <= {_EXACT_MAX_N}")
     for k in range(n):
@@ -269,19 +281,9 @@ def dual_objective_temporary(
     cert = DualCertificate(q=q, alpha=[np.zeros(2**k) for k in range(n)], m0=float(martingale[0][0]))
     shocks = _all_shocks(n)
     prob = _path_probabilities(cert, shocks)
-    payoff = np.array(
-        [evaluate_payoff(spec, fundamental_path(row, params)) for row in shocks]
-    )
-    e_h = float(np.dot(prob, payoff))
+    e_h = float(np.dot(prob, _tree_payoffs(spec, shocks, params)))
 
-    node_prob = [np.ones(1)]
-    for k in range(n):
-        pk = node_prob[k]
-        nxt = np.empty(2 ** (k + 1))
-        idx = np.arange(2**k)
-        nxt[idx] = pk * (1.0 - q[k][idx])
-        nxt[idx + (1 << k)] = pk * q[k][idx]
-        node_prob.append(nxt)
+    node_prob = _node_probabilities(q)
 
     s = params.step_vol
     dist = 0.0
@@ -452,9 +454,7 @@ def kusuoka_lower_bound(
             cert = kusuoka_certificate(profile, pn)
             shocks = _all_shocks(n)
             prob = _path_probabilities(cert, shocks)
-            h_vals = np.array(
-                [evaluate_payoff(spec, fundamental_path(row, pn)) for row in shocks]
-            )
+            h_vals = _tree_payoffs(spec, shocks, pn)
             idx = np.zeros(len(shocks), dtype=np.int64)
             alphas = np.empty((len(shocks), n))
             for k in range(n):

@@ -27,10 +27,8 @@ __all__ = [
     "HJBGrid",
     "HJBResult",
     "hjb_value",
-    "export_surface",
     "bachelier_reference",
     "limit_value_mc",
-    "f_of_z",
     "limit_from_market",
     "penalty_weight",
 ]
@@ -127,23 +125,49 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
             raise ValueError("n_time violates the stability bound a_max*dt/dp^2 <= 1/2")
     dt = 1.0 / n_t
 
-    v = np.asarray(spec.terminal_fn(p_ax), dtype=float)
+    v = np.array(spec.terminal_fn(p_ax), dtype=float)
+    # Fused in-place step over preallocated buffers.  With q = V_pp / (4c)
+    # and u = a* - sigma^2 = clamp(q, -sigma^2, a_max - sigma^2), the
+    # Hamiltonian a* V_pp / 2 - c (a* - sigma^2)^2 is
+    # c (u (2q - u) + 2 sigma^2 q); the boundaries carry zero curvature,
+    # so only interior nodes move.
+    k_q = 1.0 / (4.0 * c * dp * dp)
+    c_dt = c * dt
+    two_s2 = 2.0 * s2
+    u_lo, u_hi = -s2, a_max - s2
+    cap_tol = a_max * (1.0 - 1e-12)
+    u_cap = cap_tol - s2
+    # boundary nodes hold a* = sigma^2, a cap hit only when a_max ~ sigma^2
+    edge_hits = 2 if s2 >= cap_tol else 0
+    d = np.empty(n_sp - 1)
+    q, u, w, tmp = (np.empty(n_sp - 2) for _ in range(4))
+    at_cap = np.empty(n_sp - 2, dtype=bool)
+    v_hi, v_lo, v_in, d_hi, d_lo = v[1:], v[:-1], v[1:-1], d[1:], d[:-1]
+    sub, add, mul, at_least, at_most = np.subtract, np.add, np.multiply, np.maximum, np.minimum
     cap_hits = 0
     if keep_control:
-        # control/value snapshots on a thinned time grid (at most ~257 slices)
+        # control snapshots on a thinned time grid (at most ~257 slices)
         stride = max(1, n_t // 256)
         snaps = []
-        v_snaps = [(1.0, v.copy())]
     for step in range(n_t):
-        vpp = np.zeros_like(v)
-        vpp[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dp * dp)
-        a_star = np.clip(s2 + vpp / (4.0 * c), 0.0, a_max)
-        cap_hits += int(np.count_nonzero(a_star >= a_max * (1.0 - 1e-12)))
-        ham = 0.5 * a_star * vpp - c * (a_star - s2) ** 2
-        v = v + dt * ham
+        sub(v_hi, v_lo, d)
+        sub(d_hi, d_lo, q)
+        mul(q, k_q, q)
+        at_least(q, u_lo, out=u)
+        at_most(u, u_hi, out=u)
+        np.greater_equal(u, u_cap, out=at_cap)
+        cap_hits += np.count_nonzero(at_cap) + edge_hits
+        sub(q, u, w)
+        add(w, q, w)
+        mul(w, u, w)
+        mul(q, two_s2, tmp)
+        add(w, tmp, w)
+        mul(w, c_dt, w)
+        add(v_in, w, v_in)
         if keep_control and (step % stride == 0):
-            snaps.append((1.0 - (step + 1) * dt, a_star.copy()))
-            v_snaps.append((1.0 - (step + 1) * dt, v.copy()))
+            a_star = np.full(n_sp, s2)
+            add(u, s2, a_star[1:-1])
+            snaps.append((1.0 - (step + 1) * dt, a_star))
     cap_fraction = cap_hits / (n_t * n_sp)
     value = float(np.interp(problem.p0, p_ax, v)) - problem.endowment
 
@@ -165,7 +189,7 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
                 out[mask] = np.interp(np.asarray(p)[mask], p_ax, tables[k])
             return out
 
-    result = HJBResult(
+    return HJBResult(
         value=value,
         cap_fraction=cap_fraction,
         flagged=cap_fraction > grid.cap_flag_fraction,
@@ -174,27 +198,6 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
         p_axis=p_ax,
         control=control,
     )
-    if keep_control:
-        result.grid["v_snaps"] = v_snaps
-    return result
-
-
-def export_surface(result: HJBResult, path) -> None:
-    """Value surface as (t, p, value) CSV rows.
-
-    Time-resolved when the solve kept snapshots, otherwise the t = 0 slice.
-    """
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["t", "p", "value"])
-        snaps = result.grid.get("v_snaps")
-        if snaps is None:
-            snaps = [(0.0, result.surface)]
-        for t, row in sorted(snaps, key=lambda x: x[0]):
-            for p, val in zip(result.p_axis, row):
-                writer.writerow([f"{t:.6f}", repr(float(p)), repr(float(val))])
 
 
 def bachelier_reference(kind: str, p0: float, strike: float, sigma: float, t: float) -> float:
@@ -312,39 +315,3 @@ def limit_value_mc(problem: LimitProblem, family: PolicyFamily, cfg: MCConfig | 
         "all": {th: v[0] - problem.endowment for th, v in results.items()},
     }
 
-
-def f_of_z(z1: float, z2: float, z3: float, payoff: PayoffSpec, p0: float = 0.0, grid: HJBGrid | None = None, nu_sq_max=None) -> float:
-    """Martingale value functional: payoff scale z1, penalty weight z2,
-    reference variance z3.  Computed by the same machinery as hjb_value."""
-    if z1 < 0 or z2 <= 0 or z3 <= 0:
-        raise ValueError("need z1 >= 0, z2 > 0, z3 > 0")
-    if z1 == 0.0:
-        return 0.0
-
-    scaled = _scale_payoff(payoff, z1)
-    problem = LimitProblem(payoff=scaled, penalty_c=z2, sigma_sq=z3, p0=p0, nu_sq_max=nu_sq_max)
-    return hjb_value(problem, grid).value
-
-
-def _scale_payoff(spec: PayoffSpec, scale: float) -> PayoffSpec:
-    if spec.kind == "custom_terminal":
-        table = tuple((x, scale * y) for x, y in spec.table)
-        return PayoffSpec("custom_terminal", table=table, lipschitz_l=scale * spec.lipschitz_l)
-    if spec.kind in ("call", "put"):
-        # scale*(p - K)^+ as a table would lose the unbounded wing; wrap instead
-        return _ScaledVanilla(spec, scale)
-    raise ValueError("f_of_z supports terminal-value payoffs only")
-
-
-class _ScaledVanilla(PayoffSpec):
-    """Vanilla payoff scaled by a positive constant (keeps the closed form)."""
-
-    def __init__(self, base: PayoffSpec, scale: float):
-        object.__setattr__(self, "kind", base.kind)
-        object.__setattr__(self, "strike", base.strike)
-        object.__setattr__(self, "lipschitz_l", scale * base.lipschitz_l)
-        object.__setattr__(self, "table", ())
-        object.__setattr__(self, "_scale", scale)
-
-    def terminal_fn(self, p):
-        return self._scale * super().terminal_fn(p)

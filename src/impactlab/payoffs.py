@@ -20,6 +20,7 @@ __all__ = [
     "PayoffSpec",
     "ClaimPair",
     "evaluate_payoff",
+    "payoff_on_paths",
     "skorohod_distance_upper",
     "quadratic_claim",
     "claims",
@@ -116,6 +117,22 @@ def evaluate_payoff(spec: PayoffSpec, path: SteppedPath) -> float:
     if spec.kind == "asian_mean":
         return max(path.integral() - spec.strike, 0.0)
     return float(spec.terminal_fn(path.terminal))
+
+
+def payoff_on_paths(spec: PayoffSpec, values) -> np.ndarray:
+    """Payoffs of a batch of full walk paths, one per row.
+
+    values: (batch, N+1) prices at the breakpoints n/N, n = 0..N, so each
+    row is the step path `fundamental_path` builds from N shocks.  Same
+    formulas as `evaluate_payoff`; the time average of a row is the mean
+    of its first N values.
+    """
+    values = np.asarray(values, dtype=float)
+    if spec.kind == "lookback_max":
+        return np.maximum(values.max(axis=1) - values[:, 0], 0.0)
+    if spec.kind == "asian_mean":
+        return np.maximum(values[:, :-1].mean(axis=1) - spec.strike, 0.0)
+    return np.asarray(spec.terminal_fn(values[:, -1]), dtype=float)
 
 
 def _cost_of_time_change(p: SteppedPath, q: SteppedPath, knots_t, knots_s) -> float:

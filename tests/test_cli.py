@@ -180,3 +180,49 @@ def test_main_study_emits_plot_csv(tmp_path, capsys):
     assert main(["study", "--config", cfg, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "study_unit.csv"))
     assert "gap" in open(os.path.join(out, "study_unit.csv")).read()
+
+
+def test_convergence_table_never_mixes_configs(tmp_path):
+    # two configs share a study_id and differ only in depth
+    deep = write_cfg(tmp_path, BASE.replace("depth = 1.0", "depth = 2.0"), "deep.cfg")
+    base = write_cfg(tmp_path, BASE)
+    out = str(tmp_path / "out")
+    store = os.path.join(out, "results.csv")
+    _, rows = run_experiment(base, mode="convergence_study", out_dir=out)
+    _, deep_rows = run_experiment(deep, mode="convergence_study", out_dir=out)
+
+    def expected(rows):
+        duals = {}
+        for r in rows:
+            if r.mode == "dual_bound":
+                duals[r.n] = max(duals.get(r.n, -np.inf), r.value)
+        prices = {r.n: r.value for r in rows if r.mode == "primal_dp"}
+        limit = [r.value for r in rows if r.mode == "limit_hjb"][-1]
+        return [(n, prices[n], duals[n], limit) for n in sorted(prices)]
+
+    def tabulated(records):
+        return [(rec["n"], rec["price"], rec["lower_bound"], rec["limit"]) for rec in records]
+
+    assert expected(deep_rows) != expected(rows)
+    # by default the most recently stored config
+    assert tabulated(convergence_table(store, "unit")[1]) == expected(deep_rows)
+    # a re-run served from the store appends nothing; its digest selects it
+    assert tabulated(convergence_table(store, "unit", rows[0].digest)[1]) == expected(rows)
+
+
+def test_leftover_lock_file_does_not_block(tmp_path):
+    cfg = write_cfg(tmp_path, BASE.replace("n_list = 2 3", "n_list = 2"))
+    out = tmp_path / "out"
+    out.mkdir()
+    store = out / "results.csv"
+    # what a run killed while holding the lock leaves behind
+    (out / "results.csv.lock").write_text("")
+    code, rows = run_experiment(cfg, mode="primal_dp", out_dir=str(out))
+    assert code == 0 and len(cli._store_read(str(store))) == len(rows)
+    # a live holder still excludes other writers
+    with cli._StoreLock(str(store)):
+        with pytest.raises(ConfigError, match="locked"):
+            with cli._StoreLock(str(store)):
+                pass
+    with cli._StoreLock(str(store)):
+        pass

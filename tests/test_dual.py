@@ -139,6 +139,13 @@ def test_temporary_objective_rejects_non_martingale():
         dual_objective_temporary(q, mart, PayoffSpec("call"), p)
 
 
+def test_temporary_objective_rejects_horizon_mismatch():
+    q = [np.full(2**k, 0.5) for k in range(2)]
+    mart = [np.zeros(1), np.zeros(2), np.zeros(4)]
+    with pytest.raises(ValueError, match="horizon"):
+        dual_objective_temporary(q, mart, PayoffSpec("call"), mk(n=3, resilience=1.0))
+
+
 def test_temporary_weak_duality_vs_bruteforce():
     p = mk(n=2, resilience=1.0, sigma=np.sqrt(2.0))
     spec = PayoffSpec("call", strike=0.0)
@@ -216,6 +223,21 @@ def test_kusuoka_bound_below_primal():
         rows = kusuoka_lower_bound(constant_profile(nu, 1.0), spec, p, n_list=[8])
         assert rows[0]["certified"]
         assert rows[0]["bound"] <= primal + 1e-9
+
+
+def test_kusuoka_exact_bounds_at_n12_pinned():
+    # the default study market; values to 6 decimals as printed by the study
+    p = mk(n=12)
+    pinned = {
+        "call": (0.305559, 0.390726, 0.458742),
+        "lookback_max": (0.553915, 0.669676, 0.760933),
+    }
+    for kind, refs in pinned.items():
+        spec = PayoffSpec(kind, strike=0.0)
+        for nu, ref in zip((0.8, 1.0, 1.2), refs):
+            (rec,) = kusuoka_lower_bound(constant_profile(nu, 1.0), spec, p, n_list=[12])
+            assert rec["mode"] == "exact" and rec["certified"]
+            assert abs(rec["bound"] - ref) <= 5e-7
 
 
 def test_kusuoka_bound_mc_mode_matches_exact_mode():

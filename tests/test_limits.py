@@ -1,4 +1,4 @@
-"""HJB solver, Bachelier oracle, policy-search MC, and the value functional."""
+"""HJB solver (against the unfused scheme), Bachelier oracle and policy-search MC."""
 
 import math
 
@@ -11,7 +11,6 @@ from impactlab.limits import (
     MCConfig,
     bachelier_reference,
     constant_family,
-    f_of_z,
     hjb_feedback_family,
     hjb_value,
     limit_from_market,
@@ -147,31 +146,65 @@ def test_mc_with_hjb_feedback_approaches_hjb_value():
     assert abs(out["value"] - res.value) / res.value < 0.02
 
 
-def test_f_of_z_matches_hjb_and_degenerates():
-    spec = PayoffSpec("call", strike=0.0)
-    prob = LimitProblem(payoff=spec, penalty_c=0.7, sigma_sq=1.2, nu_sq_max=4.8)
-    direct = hjb_value(prob, HJBGrid(n_space=301)).value
-    wrapped = f_of_z(1.0, 0.7, 1.2, spec, grid=HJBGrid(n_space=301), nu_sq_max=4.8)
-    assert wrapped == pytest.approx(direct, rel=1e-12)
-    assert f_of_z(0.0, 0.7, 1.2, spec) == 0.0
+def _reference_hjb(problem, grid):
+    """The unfused explicit scheme, one fresh temporary per operation: the
+    oracle for the in-place step of `hjb_value`.  Same grid, time step and
+    control snapshots."""
+    c = problem.penalty_c
+    s2 = problem.sigma_sq
+    a_max = problem.nu_sq_max
+    half = grid.p_halfwidth * math.sqrt(s2)
+    n_sp = grid.n_space if grid.n_space % 2 == 1 else grid.n_space + 1
+    p_ax = problem.p0 + np.linspace(-half, half, n_sp)
+    dp = p_ax[1] - p_ax[0]
+    n_t = int(math.ceil(1.0 / (0.5 * dp * dp / a_max)))
+    dt = 1.0 / n_t
+
+    v = np.asarray(problem.payoff.terminal_fn(p_ax), dtype=float)
+    cap_hits = 0
+    stride = max(1, n_t // 256)
+    snaps = []
+    for step in range(n_t):
+        vpp = np.zeros_like(v)
+        vpp[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dp * dp)
+        a_star = np.clip(s2 + vpp / (4.0 * c), 0.0, a_max)
+        cap_hits += int(np.count_nonzero(a_star >= a_max * (1.0 - 1e-12)))
+        ham = 0.5 * a_star * vpp - c * (a_star - s2) ** 2
+        v = v + dt * ham
+        if step % stride == 0:
+            snaps.append((1.0 - (step + 1) * dt, a_star.copy()))
+    value = float(np.interp(problem.p0, p_ax, v)) - problem.endowment
+    times = np.array([t for t, _ in snaps][::-1])
+    tables = np.array([a for _, a in snaps][::-1])
+    return value, v, cap_hits / (n_t * n_sp), times, tables
 
 
-def test_f_of_z_continuity_probe():
-    spec = PayoffSpec("call", strike=0.0)
-    base = f_of_z(1.0, 0.5, 1.0, spec, grid=HJBGrid(n_space=301), nu_sq_max=4.0)
-    for dz in (0.02, -0.02):
-        near = f_of_z(1.0 + dz, 0.5 + dz, 1.0 + dz, spec, grid=HJBGrid(n_space=301), nu_sq_max=4.0)
-        assert abs(near - base) < 0.25
+_TENT = PayoffSpec("custom_terminal", table=((-8.0, 0.0), (0.0, 2.0), (8.0, 0.0)))
 
 
-def test_export_surface_roundtrip(tmp_path):
-    from impactlab.limits import export_surface
-
-    spec = PayoffSpec("call", strike=0.0)
-    prob = LimitProblem(payoff=spec, penalty_c=0.5, sigma_sq=1.0, nu_sq_max=2.0)
-    res = hjb_value(prob, HJBGrid(n_space=101), keep_control=True)
-    f = tmp_path / "surface.csv"
-    export_surface(res, f)
-    lines = f.read_text().splitlines()
-    assert lines[0] == "t,p,value"
-    assert len(lines) > 101
+@pytest.mark.parametrize(
+    "spec, c, nu_sq_max, binds",
+    [
+        (PayoffSpec("call", strike=0.0), 0.5 / 12.0, 16.0, None),
+        (PayoffSpec("put", strike=0.3), 0.2, 4.0, None),
+        (_TENT, 0.05, 4.0, "floor"),  # concave kink: a* clipped to 0
+        (PayoffSpec("call", strike=0.0), 0.01, 1.2, "cap"),
+        (PayoffSpec("call", strike=0.0), 0.1, 1.0, "cap"),  # a_max = sigma^2
+    ],
+)
+def test_hjb_step_matches_unfused_scheme(spec, c, nu_sq_max, binds):
+    prob = LimitProblem(payoff=spec, penalty_c=c, sigma_sq=1.0, nu_sq_max=nu_sq_max)
+    grid = HJBGrid(n_space=301)
+    res = hjb_value(prob, grid, keep_control=True)
+    value, surface, cap_fraction, times, tables = _reference_hjb(prob, grid)
+    assert abs(res.value - value) <= 1e-12
+    assert np.max(np.abs(res.surface - surface)) <= 1e-12
+    assert res.cap_fraction == cap_fraction
+    if binds == "cap":
+        assert cap_fraction > 0.0
+    if binds == "floor":
+        assert tables.min() == 0.0
+    for t in (0.0, 0.37, 0.999):
+        it = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 1)
+        for p in (-1.3, 0.0, 0.02, 2.5):
+            assert abs(res.control(t, p) - float(np.interp(p, res.p_axis, tables[it]))) <= 1e-12

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from helpers import all_paths
 from impactlab.market import MarketParams, SteppedPath, discretize_path, fundamental_path, stopping_grid
-from impactlab.payoffs import PayoffSpec, claims, evaluate_payoff, skorohod_distance_upper
+from impactlab.payoffs import PayoffSpec, claims, evaluate_payoff, payoff_on_paths, skorohod_distance_upper
 
 
 def mk(n=16, **kw):
@@ -37,6 +38,31 @@ def test_asian_constant_path():
 def test_custom_terminal_table():
     spec = PayoffSpec("custom_terminal", table=((-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)))
     assert evaluate_payoff(spec, sp([0.0], [0.5])) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PayoffSpec("call", strike=0.1),
+        PayoffSpec("put", strike=-0.2),
+        PayoffSpec("lookback_max"),
+        PayoffSpec("asian_mean", strike=0.05),
+        PayoffSpec("custom_terminal", table=((-1.0, 0.0), (0.0, 1.0), (1.0, 0.25))),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_payoff_on_paths_matches_per_path_evaluation(spec):
+    for n, p0 in ((1, 0.0), (5, 0.3), (10, -0.7)):
+        params = mk(n=n, p0=p0, sigma=1.3)
+        rows = all_paths(n)
+        oracle = np.array([evaluate_payoff(spec, fundamental_path(row, params)) for row in rows])
+        values = np.array([fundamental_path(row, params).values for row in rows])
+        batch = payoff_on_paths(spec, values)
+        assert batch.shape == (2**n,)
+        if spec.kind == "asian_mean":
+            assert np.max(np.abs(batch - oracle)) <= 1e-12
+        else:
+            assert np.array_equal(batch, oracle)
 
 
 def test_payoff_nonnegative_and_lipschitz_sampled():
