@@ -13,15 +13,14 @@ from .market import (
     spread_step,
     stopping_grid,
     terminal_wealth,
+    trade_cost,
 )
 from .payoffs import (
-    ClaimPair,
     PayoffSpec,
-    claims,
     evaluate_payoff,
+    payoff_from_summaries,
     payoff_on_paths,
     quadratic_claim,
-    skorohod_distance_upper,
 )
 from .pricing import (
     DPGrids,
@@ -58,4 +57,4 @@ __version__ = "0.1.0"
 # Part of the results-store digest.  Bump it whenever a solver change moves
 # any computed number, so rows stored by an older solver are recomputed
 # rather than served.
-SOLVER_REVISION = 3
+SOLVER_REVISION = 4

@@ -255,7 +255,13 @@ class ResultRow:
 
 
 def _store_append(store_path, rows):
-    new = not os.path.exists(store_path)
+    new = not os.path.exists(store_path) or os.path.getsize(store_path) == 0
+    if not new:
+        with open(store_path, "rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                # appending would fuse the new row with the torn one
+                raise ConfigError(f"results store {store_path} ends in a torn row (no final newline)")
     with open(store_path, "a", newline="") as fh:
         writer = csv.writer(fh)
         if new:
@@ -265,24 +271,24 @@ def _store_append(store_path, rows):
 
 
 def _store_read(store_path):
+    """Rows of the store; a torn or malformed row is a ConfigError naming
+    its line."""
     if not os.path.exists(store_path):
         return []
     out = []
     with open(store_path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            out.append(
-                ResultRow(
-                    digest=rec["digest"],
-                    study_id=rec["study_id"],
-                    mode=rec["mode"],
-                    n=int(rec["n"]),
-                    label=rec["label"],
-                    value=float(rec["value"]),
-                    err=float(rec["err"]),
-                    flag=rec["flag"],
-                    wall_ms=float(rec["wall_ms"]),
-                )
-            )
+        reader = csv.reader(fh)
+        next(reader, None)  # header
+        for rec in reader:
+            where = f"results store {store_path} line {reader.line_num}"
+            if len(rec) != len(ResultRow.HEADER):
+                raise ConfigError(f"{where}: {len(rec)} fields, expected {len(ResultRow.HEADER)} (torn row?)")
+            digest, study_id, mode, n, label, value, err, flag, wall_ms = rec
+            try:
+                row = ResultRow(digest, study_id, mode, int(n), label, float(value), float(err), flag, float(wall_ms))
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
+            out.append(row)
     return out
 
 

@@ -15,7 +15,6 @@ costs this package computes.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -25,7 +24,7 @@ import numpy as np
 # evaluate_payoff and fundamental_path are unused here but stay importable
 # as module attributes: perfbench/boundaries.py wraps them in this namespace.
 from .market import MarketParams, fundamental_path  # noqa: F401
-from .payoffs import PayoffSpec, evaluate_payoff, payoff_on_paths  # noqa: F401
+from .payoffs import PayoffSpec, evaluate_payoff, payoff_from_summaries, payoff_on_paths  # noqa: F401
 
 __all__ = [
     "MuWeights",
@@ -38,8 +37,6 @@ __all__ = [
     "kusuoka_certificate",
     "kusuoka_lower_bound",
     "certificate_martingale_gaps",
-    "ks_distance_to_normal",
-    "export_certificate",
 ]
 
 _EXACT_MAX_N = 14
@@ -518,32 +515,5 @@ def _sample_tilted_paths(profile, params, spec, n_paths, seed):
             values = np.hstack([values, last_price[:, None]])
         else:
             values = last_price[:, None]
-    if spec.kind == "lookback_max":
-        h = np.maximum(run_max - params.p0, 0.0)
-    elif spec.kind == "asian_mean":
-        h = np.maximum(run_int - spec.strike, 0.0)
-    else:
-        h = np.asarray(spec.terminal_fn(last_price), dtype=float)
+    h = payoff_from_summaries(spec, terminal=last_price, rise=run_max - params.p0, average=run_int)
     return h, alphas, clip_q
-
-
-def ks_distance_to_normal(samples: np.ndarray, mean: float, std: float) -> float:
-    """Kolmogorov-Smirnov distance between the sample law and N(mean, std^2)."""
-    x = np.sort(np.asarray(samples, float))
-    n = len(x)
-    z = (x - mean) / std
-    cdf = 0.5 * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0)))
-    upper = np.max(np.arange(1, n + 1) / n - cdf)
-    lower = np.max(cdf - np.arange(0, n) / n)
-    return float(max(upper, lower))
-
-
-def export_certificate(cert: DualCertificate, path) -> None:
-    """Tabular dump: one row per node with prefix, probability and tilt."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["prefix", "q_up", "alpha"])
-        for k in range(cert.n_steps):
-            for idx in range(2**k):
-                prefix = "".join("+" if (idx >> j) & 1 else "-" for j in range(k))
-                writer.writerow([prefix, repr(float(cert.q[k][idx])), repr(float(cert.alpha[k][idx]))])

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .market import MarketParams
-from .payoffs import PayoffSpec
+from .payoffs import PayoffSpec, payoff_from_summaries
 
 __all__ = [
     "LimitProblem",
@@ -290,13 +290,7 @@ def limit_value_mc(problem: LimitProblem, family: PolicyFamily, cfg: MCConfig | 
             run_avg += p * dt
             p = p + np.sqrt(a * dt) * zz[:, j]
             run_max = np.maximum(run_max, p)
-        spec = problem.payoff
-        if spec.kind == "lookback_max":
-            h = np.maximum(run_max - problem.p0, 0.0)
-        elif spec.kind == "asian_mean":
-            h = np.maximum(run_avg - spec.strike, 0.0)
-        else:
-            h = spec.terminal_fn(p)
+        h = payoff_from_summaries(problem.payoff, terminal=p, rise=run_max - problem.p0, average=run_avg)
         vals = h - penalty
         return float(np.mean(vals)), float(np.std(vals) / math.sqrt(cfg.n_paths))
 

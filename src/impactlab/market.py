@@ -9,7 +9,7 @@ test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "fundamental_path",
     "spread_step",
     "spread_closed_form",
+    "trade_cost",
     "cash_step",
     "liquidity_cost",
     "terminal_wealth",
@@ -132,10 +133,6 @@ class SteppedPath:
     def sup(self) -> float:
         return float(np.max(self.values))
 
-    @property
-    def inf(self) -> float:
-        return float(np.min(self.values))
-
     def integral(self) -> float:
         """Exact integral of the step function over [0, 1]."""
         widths = np.diff(np.append(self.times, 1.0))
@@ -145,11 +142,6 @@ class SteppedPath:
         """Exact sup-norm distance between two step paths on [0, 1]."""
         knots = np.union1d(self.times, other.times)
         return float(np.max(np.abs(self.value_at(knots) - other.value_at(knots))))
-
-    def to_csv(self, path) -> None:
-        """Serialize as (time, value) rows."""
-        arr = np.column_stack([self.times, self.values])
-        np.savetxt(path, arr, delimiter=",", header="time,value", comments="")
 
 
 @dataclass(frozen=True)
@@ -164,16 +156,6 @@ class StoppingGrid:
     indices: np.ndarray
     epsilon: float
     cap_time: float
-    n_steps: int = field(default=0)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.indices / self.n_steps
-
-    @property
-    def n_stops(self) -> int:
-        """Number of stops after time zero (the capped one included)."""
-        return len(self.indices) - 1
 
 
 def as_shocks(seq) -> np.ndarray:
@@ -200,9 +182,15 @@ def fundamental_path(prefix, params: MarketParams) -> SteppedPath:
     return SteppedPath(times=times, values=values)
 
 
-def spread_step(zeta_prev: float, trade: float, params: MarketParams) -> float:
-    """One-period half-spread update (1-r)*zeta + |trade|/delta."""
-    if zeta_prev < 0:
+def spread_step(zeta_prev, trade, params: MarketParams):
+    """One-period half-spread update (1-r)*zeta + |trade|/delta.
+
+    Scalars or broadcasting arrays.  This and `trade_cost` are the model's
+    one implementation of the spread and trade-cost formulas.
+    """
+    # scalars compare directly: a numpy reduction per step would dominate
+    # the scalar loop in `_spread_path`
+    if zeta_prev < 0 if isinstance(zeta_prev, float) else np.any(zeta_prev < 0):
         raise ValueError("zeta_prev must be >= 0")
     return (1.0 - params.resilience) * zeta_prev + abs(trade) / params.depth
 
@@ -224,32 +212,40 @@ def spread_closed_form(trades, params: MarketParams, n: int) -> float:
     return decay**n * params.zeta0 + float(np.dot(powers, np.abs(trades[:n]))) / params.depth
 
 
-def cash_step(state: PortfolioState, p_prev: float, x_new: float, params: MarketParams) -> PortfolioState:
-    """Execute one trade at pre-shock price p_prev, returning the new state.
+def trade_cost(price, x_old, x_new, zeta, params: MarketParams, frictionless: bool = False):
+    """Cash paid to move the position x_old -> x_new at mid price `price`
+    when the half-spread before the trade's period is zeta.
 
     The trade fills gradually between the pre- and post-transaction mid
-    price and spread, which is what the averaged terms encode.
+    price and spread, which is what the averaged terms encode: the mid leg
+    (price + iota (x_old + x_new)/2) dx plus the spread leg
+    ((1-r) zeta + |dx|/(2 delta)) |dx|, the latter dropped when
+    `frictionless`.  Scalars or broadcasting arrays.
     """
-    dx = x_new - state.position
-    mid_term = (p_prev + 0.5 * params.perm_impact * (x_new + state.position)) * dx
-    decayed = (1.0 - params.resilience) * state.half_spread
-    spread_term = (decayed + abs(dx) / (2.0 * params.depth)) * abs(dx)
+    dx = x_new - x_old
+    cost = (price + 0.5 * params.perm_impact * (x_new + x_old)) * dx
+    if not frictionless:
+        adx = abs(dx)
+        cost = cost + ((1.0 - params.resilience) * zeta + adx / (2.0 * params.depth)) * adx
+    return cost
+
+
+def cash_step(state: PortfolioState, p_prev: float, x_new: float, params: MarketParams) -> PortfolioState:
+    """Execute one trade at pre-shock price p_prev, returning the new state."""
     return PortfolioState(
         position=x_new,
-        half_spread=decayed + abs(dx) / params.depth,
-        cash=state.cash - mid_term - spread_term,
+        half_spread=spread_step(state.half_spread, x_new - state.position, params),
+        cash=state.cash - trade_cost(p_prev, state.position, x_new, state.half_spread, params),
     )
 
 
 def _spread_path(trades: np.ndarray, params: MarketParams) -> np.ndarray:
     """Half-spread after each of the n trades, zeta_0..zeta_n."""
-    decay = 1.0 - params.resilience
     out = np.empty(len(trades) + 1)
-    out[0] = params.zeta0
-    z = params.zeta0
-    for m, dx in enumerate(np.abs(trades), start=1):
-        z = decay * z + dx / params.depth
-        out[m] = z
+    out[0] = z = params.zeta0
+    # Python floats: the same IEEE arithmetic, without numpy-scalar overhead
+    for m, dx in enumerate(trades.tolist(), start=1):
+        z = out[m] = spread_step(z, dx, params)
     return out
 
 
@@ -342,7 +338,6 @@ def stopping_grid(path: SteppedPath, epsilon: float, params: MarketParams) -> St
         indices=np.asarray(indices, dtype=int),
         epsilon=epsilon,
         cap_time=cap_time,
-        n_steps=n,
     )
 
 

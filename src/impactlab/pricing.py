@@ -20,8 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .market import MarketParams, as_shocks, fundamental_path, stopping_grid
-from .payoffs import PayoffSpec, evaluate_payoff
+from .market import MarketParams, as_shocks, fundamental_path, spread_step, stopping_grid, trade_cost
+from .payoffs import PayoffSpec, evaluate_payoff, payoff_from_summaries, payoff_on_paths
 
 __all__ = [
     "Strategy",
@@ -32,7 +32,6 @@ __all__ = [
     "doob_quadratic_hedge",
     "affine_constrained_strategy",
     "liquidation_preamble",
-    "wealth_with_liquidation",
     "certificate_check",
     "DOOB_LAMBDA_MAX",
 ]
@@ -54,8 +53,7 @@ class Strategy:
     """Predictable position plan: X_n may depend on the first n-1 shocks."""
 
     n_steps: int
-    rule: Optional[Callable[[np.ndarray], float]] = None
-    vector_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    vector_fn: Callable[[np.ndarray], np.ndarray]
     terminal_zero: bool = False
     meta: dict = field(default_factory=dict)
 
@@ -64,45 +62,10 @@ class Strategy:
         shocks = as_shocks(shocks)
         if len(shocks) != self.n_steps:
             raise ValueError("path length must equal n_steps")
-        if self.vector_fn is not None:
-            pos = np.asarray(self.vector_fn(shocks), dtype=float)
-        else:
-            pos = np.array([self.rule(shocks[:m]) for m in range(self.n_steps)])
+        pos = np.asarray(self.vector_fn(shocks), dtype=float)
         if self.terminal_zero and self.n_steps and pos[-1] != 0.0:
             raise AssertionError("strategy declared terminal-flat but X_N != 0")
         return pos
-
-
-def zero_strategy(n_steps: int) -> Strategy:
-    return Strategy(n_steps=n_steps, vector_fn=lambda s: np.zeros(len(s)), terminal_zero=True)
-
-
-def wealth_with_liquidation(positions, shocks, params: MarketParams, frictionless: bool = False) -> float:
-    """Terminal cash including the liquidation trade at the final price.
-
-    Trade m = 1..N executes at P_{m-1}; the residual position is closed at
-    P_N in one further period (spread decays once more before that trade).
-    """
-    positions = np.asarray(positions, dtype=float)
-    shocks = as_shocks(shocks)
-    n = len(shocks)
-    if len(positions) != n:
-        raise ValueError("positions and shocks must have equal length")
-    prices = params.p0 + params.step_vol * np.concatenate([[0.0], np.cumsum(shocks)])
-    x_full = np.concatenate([[params.x0], positions, [0.0]])
-    dx = np.diff(x_full)
-    trade_prices = np.concatenate([prices[:-1], [prices[-1]]])
-    mid = trade_prices + 0.5 * params.perm_impact * (x_full[1:] + x_full[:-1])
-    cash = params.xi0 - float(np.dot(mid, dx))
-    if not frictionless:
-        decay = 1.0 - params.resilience
-        z = params.zeta0
-        liq = 0.0
-        for a in np.abs(dx):
-            liq += (decay * z + a / (2.0 * params.depth)) * a
-            z = decay * z + a / params.depth
-        cash -= liq
-    return cash
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +136,13 @@ def _build_lattice(spec: PayoffSpec, params: MarketParams, augmentation: str) ->
                         w[i] = index[d + 1][(j - 1, a + j)]
                 up.append(u)
                 dn.append(w)
-        if augmentation == "running_max":
-            payoff = np.array([s * a for (_, a) in states[n]], float)
-        else:
-            payoff = np.array(
-                [max(params.p0 + s * a / n - spec.strike, 0.0) for (_, a) in states[n]], float
-            )
+        aux = np.array([a for (_, a) in states[n]], float)
+        payoff = payoff_from_summaries(
+            spec,
+            terminal=prices[n],
+            rise=s * aux if augmentation == "running_max" else None,
+            average=params.p0 + s * aux / n if augmentation == "running_sum" else None,
+        )
         return _Lattice(prices, up, dn, payoff, augmentation)
 
     if augmentation == "full_tree":
@@ -194,11 +158,10 @@ def _build_lattice(spec: PayoffSpec, params: MarketParams, augmentation: str) ->
         prices = [params.p0 + s * j for j in levels]
         up = [np.arange(2**d) + 2**d for d in range(n)]
         dn = [np.arange(2**d) for d in range(n)]
-        payoff = np.empty(2**n)
-        for i in range(2**n):
-            shocks = np.array([1 if (i >> m) & 1 else -1 for m in range(n)])
-            payoff[i] = evaluate_payoff(spec, fundamental_path(shocks, params))
-        return _Lattice(prices, up, dn, payoff, augmentation)
+        # leaf i descends from node i mod 2^d at depth d
+        leaves = np.arange(2**n)
+        paths = np.stack([prices[d][leaves % 2**d] for d in range(n + 1)], axis=1)
+        return _Lattice(prices, up, dn, payoff_on_paths(spec, paths), augmentation)
 
     raise ValueError(f"unknown augmentation {augmentation!r}")
 
@@ -290,16 +253,6 @@ def _interp_weights(grid: np.ndarray, x: np.ndarray):
     return idx, np.clip(w, 0.0, 1.0)
 
 
-def _trade_cost_grid(price, x_old, x_new, zeta, params, frictionless):
-    """Cost of moving x_old -> x_new at `price` with pre-decay spread zeta."""
-    dx = x_new - x_old
-    cost = (price + 0.5 * params.perm_impact * (x_new + x_old)) * dx
-    if not frictionless:
-        adx = np.abs(dx)
-        cost = cost + ((1.0 - params.resilience) * zeta + adx / (2.0 * params.depth)) * adx
-    return cost
-
-
 def superreplication_cost(
     params: MarketParams,
     spec: PayoffSpec,
@@ -321,13 +274,12 @@ def superreplication_cost(
     collapsed = frictionless or params.resilience == 1.0
     zg = grids.zeta_axis(params, xg, collapsed)
     n_x, n_z = len(xg), len(zg)
-    decay = 1.0 - params.resilience
 
     # Terminal layer: forced liquidation at the post-shock price, then payoff.
     p_term = lattice.prices[n][:, None, None]
     x_b = xg[None, :, None]
     z_b = zg[None, None, :]
-    v = _trade_cost_grid(p_term, x_b, 0.0, z_b, params, frictionless) + lattice.payoff[:, None, None]
+    v = trade_cost(p_term, x_b, 0.0, z_b, params, frictionless) + lattice.payoff[:, None, None]
     v = np.broadcast_to(v, (len(lattice.prices[n]), n_x, n_z)).copy()
 
     tables = [None] * (n + 1)
@@ -340,8 +292,7 @@ def superreplication_cost(
     # Spread after a trade of size |dx|, shared across depths and nodes.
     zp_by_pair = {}
     for jxp in range(n_x):
-        adx = np.abs(xg[jxp] - xg)
-        zp = decay * zg[None, :] + adx[:, None] / params.depth
+        zp = spread_step(zg[None, :], (xg[jxp] - xg)[:, None], params)
         k, w = _interp_weights(zg, zp)
         zp_by_pair[jxp] = (k, w)
 
@@ -350,26 +301,20 @@ def superreplication_cost(
     for depth in range(n - 1, -1, -1):
         pairmax = np.maximum(v[lattice.up[depth]], v[lattice.dn[depth]])
         m = len(lattice.prices[depth])
-        prices = lattice.prices[depth][:, None]
+        prices = lattice.prices[depth][:, None, None]
 
         best = np.full((m, n_x, n_z), np.inf)
         best_j = np.zeros((m, n_x, n_z), dtype=np.int64)
         for jxp in order:
-            xp = xg[jxp]
-            dx = xp - xg
-            price_leg = (prices + 0.5 * params.perm_impact * (xp + xg)[None, :]) * dx[None, :]
-            if frictionless:
-                liq_leg = np.zeros((n_x, 1))
-            else:
-                adx = np.abs(dx)
-                liq_leg = (decay * zg[None, :] + adx[:, None] / (2.0 * params.depth)) * adx[:, None]
             k, w = zp_by_pair[jxp]
             kp1 = np.minimum(k + 1, n_z - 1)
             slab = pairmax[:, jxp, :]
-            cont = slab[:, k.ravel()].reshape(m, n_x, n_z) * (1.0 - w) + slab[
+            cand = slab[:, k.ravel()].reshape(m, n_x, n_z) * (1.0 - w) + slab[
                 :, kp1.ravel()
             ].reshape(m, n_x, n_z) * w
-            cand = price_leg[:, :, None] + liq_leg[None, :, :] + cont
+            # plus the trade: its mid leg (m, n_x, 1) and spread leg
+            # (1, n_x, n_z) meet in one full-size add inside trade_cost
+            cand += trade_cost(prices, x_b, xg[jxp], z_b, params, frictionless)
             take_j = cand < best - grids.tie_eps
             np.minimum(best, cand, out=best)
             best_j[take_j] = jxp
@@ -449,11 +394,10 @@ def _branch_max(vnext, up_rows, dn_rows, xg, zg, xp, zp):
 def _one_step_objective(vnext, up_rows, dn_rows, price, x_old, zeta, xg, zg, params, frictionless):
     """Cost of moving x_old -> xp plus the worse branch's continuation, as a
     function of xp: the objective every one-step minimization shares."""
-    decay = 1.0 - params.resilience
 
     def objective(xp):
-        zp = decay * zeta + np.abs(xp - x_old) / params.depth
-        cost = _trade_cost_grid(price, x_old, xp, zeta, params, frictionless)
+        zp = spread_step(zeta, xp - x_old, params)
+        cost = trade_cost(price, x_old, xp, zeta, params, frictionless)
         return cost + _branch_max(vnext, up_rows, dn_rows, xg, zg, xp, zp)
 
     return objective
@@ -491,7 +435,7 @@ def _refine_layer(best_j, v, up, dn, prices, xg, zg, params, frictionless):
     """
     n_x = best_j.shape[1]
     objective = _one_step_objective(
-        v, up[:, None, None], dn[:, None, None], prices[:, :, None],
+        v, up[:, None, None], dn[:, None, None], prices,
         xg[None, :, None], zg[None, None, :], xg, zg, params, frictionless,
     )
     lo = xg[np.maximum(best_j - 1, 0)]
@@ -535,8 +479,6 @@ def brute_force_cost(
         raise ValueError("brute force limited to n_steps <= 4")
     grid = np.asarray(control_grid, dtype=float)
     s = params.step_vol
-    decay = 1.0 - params.resilience
-    iota = params.perm_impact
 
     payoff_cache = {}
 
@@ -548,20 +490,13 @@ def brute_force_cost(
         return payoff_cache[shocks]
 
     def leaf_cost(shocks: tuple, price: float, x: float, zeta: float) -> float:
-        cost = (price + 0.5 * iota * x) * (-x)
-        if not frictionless:
-            cost += (decay * zeta + abs(x) / (2.0 * params.depth)) * abs(x)
-        return cost + payoff(shocks)
+        return trade_cost(price, x, 0.0, zeta, params, frictionless) + payoff(shocks)
 
     def rec(shocks: tuple, price: float, x: float, zeta: float, depth: int) -> float:
         if depth == n - 1:
             # Vectorize the final decision over the control grid.
-            dx = grid - x
-            adx = np.abs(dx)
-            cost = (price + 0.5 * iota * (grid + x)) * dx
-            if not frictionless:
-                cost = cost + (decay * zeta + adx / (2.0 * params.depth)) * adx
-            z_next = decay * zeta + adx / params.depth
+            cost = trade_cost(price, x, grid, zeta, params, frictionless)
+            z_next = spread_step(zeta, grid - x, params)
             res = np.empty(len(grid))
             for i, xp in enumerate(grid):
                 up = leaf_cost(shocks + (1,), price + s, xp, z_next[i])
@@ -570,11 +505,8 @@ def brute_force_cost(
             return float(np.min(res))
         best = math.inf
         for xp in grid:
-            dx = xp - x
-            cost = (price + 0.5 * iota * (xp + x)) * dx
-            if not frictionless:
-                cost += (decay * zeta + abs(dx) / (2.0 * params.depth)) * abs(dx)
-            z_next = decay * zeta + abs(dx) / params.depth
+            cost = trade_cost(price, x, xp, zeta, params, frictionless)
+            z_next = spread_step(zeta, xp - x, params)
             worst = max(
                 rec(shocks + (1,), price + s, xp, z_next, depth + 1),
                 rec(shocks + (-1,), price - s, xp, z_next, depth + 1),
@@ -619,7 +551,6 @@ def certificate_check(
         count = n_paths
 
     xg, zg = pol.x_axis, pol.zeta_axis
-    decay = 1.0 - params.resilience
     s = params.step_vol
     frictionless = pol.frictionless
 
@@ -650,14 +581,14 @@ def certificate_check(
             hi = xg[np.minimum(best_jx + 1, n_x - 1)]
             f_mid, mid = _golden_min(objective, lo, hi)
             best_x = np.where(f_mid < objective(best_x), mid, best_x)
-        cash -= _trade_cost_grid(price, x, best_x, zeta, params, frictionless)
-        zeta = decay * zeta + np.abs(best_x - x) / params.depth
+        cash -= trade_cost(price, x, best_x, zeta, params, frictionless)
+        zeta = spread_step(zeta, best_x - x, params)
         x = best_x
         price = price + s * shocks[:, depth]
         node = np.where(shocks[:, depth] == 1, up_idx, dn_idx)
 
     # liquidation at the terminal price
-    cash -= _trade_cost_grid(price, x, 0.0, zeta, params, frictionless)
+    cash -= trade_cost(price, x, 0.0, zeta, params, frictionless)
     payoff = pol.lattice.payoff[node]
     margin = cash - payoff
     return {

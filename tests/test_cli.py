@@ -226,3 +226,33 @@ def test_leftover_lock_file_does_not_block(tmp_path):
                 pass
     with cli._StoreLock(str(store)):
         pass
+
+
+def test_torn_last_row_is_reported(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE.replace("n_list = 2 3", "n_list = 2"))
+    out = tmp_path / "out"
+    assert main(["price", "--config", cfg, "--out", str(out)]) == 0
+    store = out / "results.csv"
+    # an append cut off in the middle of the value field; a value that does not parse
+    header, row = store.read_bytes().decode().splitlines()
+    value_at = row.index(']",') + 3  # the value follows the quoted label
+    for torn in (row[: value_at + 4], row[:value_at] + "1.0x" + row[value_at + 4 :]):
+        store.write_bytes(f"{header}\r\n{torn}".encode())
+        capsys.readouterr()
+        assert main(["price", "--config", cfg, "--out", str(out)]) == 1
+        assert f"{store} line 2" in capsys.readouterr().err
+
+
+def test_append_refuses_store_without_final_newline(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE.replace("n_list = 2 3", "n_list = 2"))
+    out = tmp_path / "out"
+    assert main(["price", "--config", cfg, "--out", str(out)]) == 0
+    store = out / "results.csv"
+    torn = store.read_bytes().rstrip(b"\r\n")
+    store.write_bytes(torn)
+    capsys.readouterr()
+    assert main(["price", "--config", cfg, "--no-cache", "--out", str(out)]) == 1
+    assert "torn row" in capsys.readouterr().err
+    assert store.read_bytes() == torn  # nothing was fused onto the last row
+    # the complete rows are still served
+    assert main(["price", "--config", cfg, "--out", str(out)]) == 0

@@ -5,15 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import all_paths
+from helpers import all_paths, ks_distance_to_normal
 from impactlab.dual import (
     DualCertificate,
     certificate_martingale_gaps,
     constant_profile,
     dual_objective_temporary,
     dual_objective_transient,
-    export_certificate,
-    ks_distance_to_normal,
     kusuoka_certificate,
     kusuoka_lower_bound,
     mu_weights,
@@ -285,16 +283,6 @@ def test_terminal_law_converges_to_target_normal():
         terminal = h - 60.0
         d = ks_distance_to_normal(terminal, 0.0, nu)
         assert d < 0.025
-
-
-def test_export_certificate(tmp_path):
-    p = mk(n=3)
-    cert = kusuoka_certificate(constant_profile(1.2, 1.0), p)
-    f = tmp_path / "cert.csv"
-    export_certificate(cert, f)
-    lines = f.read_text().strip().splitlines()
-    assert lines[0] == "prefix,q_up,alpha"
-    assert len(lines) == 1 + 1 + 2 + 4
 
 
 def test_kusuoka_clip_bounds_hold_by_construction():

@@ -16,6 +16,7 @@ from impactlab.market import (
     spread_step,
     stopping_grid,
     terminal_wealth,
+    trade_cost,
 )
 
 
@@ -127,6 +128,57 @@ def test_cash_step_sell_one_share_with_permanent_impact():
     # cross-check with the wealth oracle: one-trade strategy on any path
     p1 = MarketParams(p0=100.0, sigma=1.0, n_steps=1, depth=1.0, resilience=0.5, perm_impact=2.0, x0=1.0)
     assert terminal_wealth([0.0], [1], p1) == pytest.approx(100.5)
+
+
+def test_kernels_fold_to_terminal_wealth():
+    # Folding the one-trade kernels along a path reproduces the summation
+    # identity, which builds the cost from `liquidity_cost` instead.
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        n = int(rng.integers(1, 33))
+        p = mk(
+            p0=rng.normal(),
+            sigma=rng.uniform(0.5, 2.0),
+            n_steps=n,
+            depth=rng.uniform(0.2, 5.0),
+            resilience=rng.uniform(0.05, 0.95),
+            perm_impact=rng.uniform(0.05, 0.5),
+            x0=rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0),
+            zeta0=rng.uniform(0.05, 1.0),
+            xi0=rng.normal(),
+        )
+        trades = rng.normal(size=n)
+        pos = np.cumsum(trades) + p.x0
+        shocks = rng.choice([-1, 1], size=n)
+        prices = fundamental_path(shocks, p).values
+        x, z, paid = p.x0, p.zeta0, 0.0
+        for m in range(n):
+            paid += trade_cost(prices[m], x, pos[m], z, p)
+            z = spread_step(z, pos[m] - x, p)
+            x = pos[m]
+        assert p.xi0 - paid == pytest.approx(terminal_wealth(pos, shocks, p), abs=1e-9)
+
+
+def test_kernels_broadcast_like_scalar_calls():
+    rng = np.random.default_rng(23)
+    p = mk(resilience=0.3, depth=1.7, perm_impact=0.2)
+    a, b, c = 3, 4, 5
+    price = rng.normal(size=(a, b, 1))
+    x_old = rng.normal(size=(a, b, 1))
+    x_new = rng.normal(size=(1, b, c))
+    zeta = rng.uniform(0.0, 1.0, size=(1, b, c))
+    for frictionless in (False, True):
+        cost = trade_cost(price, x_old, x_new, zeta, p, frictionless)
+        assert cost.shape == (a, b, c)
+        for i, j, k in np.ndindex(a, b, c):
+            args = (float(price[i, j, 0]), float(x_old[i, j, 0]), float(x_new[0, j, k]), float(zeta[0, j, k]))
+            assert cost[i, j, k] == trade_cost(*args, p, frictionless)
+    spread = spread_step(zeta, x_new - x_old, p)
+    assert spread.shape == (a, b, c)
+    for i, j, k in np.ndindex(a, b, c):
+        assert spread[i, j, k] == spread_step(float(zeta[0, j, k]), float(x_new[0, j, k] - x_old[i, j, 0]), p)
+    with pytest.raises(ValueError):
+        spread_step(np.array([0.2, -1e-3]), 1.0, p)
 
 
 def test_liquidity_cost_zero_trades():
@@ -310,10 +362,6 @@ def test_discretize_monotone_values():
     assert disc.value_at(0.061) == pytest.approx(0.6)
 
 
-def test_stepped_path_integral_and_csv(tmp_path):
+def test_stepped_path_integral_and_csv():
     sp = SteppedPath(times=np.array([0.0, 0.5]), values=np.array([1.0, 3.0]))
     assert sp.integral() == pytest.approx(2.0)
-    f = tmp_path / "p.csv"
-    sp.to_csv(f)
-    arr = np.loadtxt(f, delimiter=",", skiprows=1)
-    assert np.allclose(arr, [[0.0, 1.0], [0.5, 3.0]])

@@ -1,11 +1,11 @@
-"""Payoff evaluation, distance bound, and claim decomposition."""
+"""Payoff evaluation and the quadratic claim."""
 
 import numpy as np
 import pytest
 
 from helpers import all_paths
 from impactlab.market import MarketParams, SteppedPath, discretize_path, fundamental_path, stopping_grid
-from impactlab.payoffs import PayoffSpec, claims, evaluate_payoff, payoff_on_paths, skorohod_distance_upper
+from impactlab.payoffs import PayoffSpec, evaluate_payoff, payoff_on_paths, quadratic_claim
 
 
 def mk(n=16, **kw):
@@ -84,55 +84,6 @@ def test_payoff_nonnegative_and_lipschitz_sampled():
             assert abs(ha - hb) <= spec.lipschitz_l * d + 1e-12
 
 
-def test_skorohod_identical_paths():
-    path = sp([0.0, 0.4], [1.0, 2.0])
-    assert skorohod_distance_upper(path, path) == 0.0
-
-
-def test_skorohod_vertical_shift():
-    a = sp([0.0, 0.4, 0.7], [0.0, 1.0, 0.5])
-    b = sp([0.0, 0.4, 0.7], [0.25, 1.25, 0.75])
-    assert skorohod_distance_upper(a, b) == pytest.approx(0.25)
-
-
-def test_skorohod_aligns_single_jumps():
-    a = sp([0.0, 0.4], [0.0, 1.0])
-    b = sp([0.0, 0.5], [0.0, 1.0])
-    bound = skorohod_distance_upper(a, b)
-    assert bound <= 0.1 + 1e-12
-    assert bound >= 0.0
-
-
-def test_skorohod_bound_dominates_time_cost_only():
-    # Misaligned two-jump staircases: aligning both jumps costs only time.
-    a = sp([0.0, 0.3, 0.6], [0.0, 1.0, 2.0])
-    b = sp([0.0, 0.35, 0.55], [0.0, 1.0, 2.0])
-    assert skorohod_distance_upper(a, b) <= 0.05 + 1e-12
-
-
-def test_growth_bound_sampled():
-    rng = np.random.default_rng(5)
-    p = mk(n=64)
-    spec = PayoffSpec("call", strike=-0.3)
-    for lam in (0.2, 0.5, 0.9):
-        c = spec.growth_c(lam, p0=p.p0)
-        for _ in range(40):
-            path = fundamental_path(rng.choice([-1, 1], size=64), p)
-            sup2 = float(np.max((path.values - p.p0) ** 2))
-            assert evaluate_payoff(spec, path) <= lam**2 * (sup2 + c) + 1e-12
-
-
-def test_claims_knockout_off_when_stops_exhaust_k():
-    # Monotone path, moderate epsilon, lam near 1: stops pile up past the
-    # K threshold before the cap, switching the knock-out payoff off.
-    p = mk(n=256)
-    path = fundamental_path(np.ones(256, dtype=int), p)
-    grid = stopping_grid(path, epsilon=0.2, params=p)
-    pair = claims(PayoffSpec("call", strike=0.0), path, grid, p, lam=0.9)
-    assert grid.n_stops > pair.k_threshold
-    assert pair.knockout == 0.0
-
-
 def test_claims_quadratic_time_only_for_huge_epsilon():
     # Alternating shocks with an even cap index: the discretized path is
     # constant at p0, so only the elapsed-time sum contributes.
@@ -142,9 +93,9 @@ def test_claims_quadratic_time_only_for_huge_epsilon():
     grid = stopping_grid(path, epsilon=50.0, params=p)
     n_cap = int(np.floor(n * (1 - n ** (-2 / 3))))
     assert n_cap % 2 == 0
-    pair = claims(PayoffSpec("call", strike=0.0), path, grid, p, lam=0.5)
-    assert pair.quadratic == pytest.approx(n_cap / n)
-    assert pair.quadratic <= 1.0
+    quadratic = quadratic_claim(path, grid, p)
+    assert quadratic == pytest.approx(n_cap / n)
+    assert quadratic <= 1.0
 
 
 def test_claims_quadratic_monotone_path_enumeration():
@@ -152,7 +103,7 @@ def test_claims_quadratic_monotone_path_enumeration():
     p = mk(n=100)
     path = fundamental_path(np.ones(100, dtype=int), p)
     grid = stopping_grid(path, epsilon=0.3, params=p)
-    pair = claims(PayoffSpec("call", strike=0.0), path, grid, p, lam=0.5)
+    quadratic = quadratic_claim(path, grid, p)
 
     n_cap = 95
     stops = [0]
@@ -168,33 +119,7 @@ def test_claims_quadratic_monotone_path_enumeration():
         + np.sum(np.diff(vals) ** 2)
         + np.sum(np.diff(np.asarray(stops)) / 100.0)
     )
-    assert pair.quadratic == pytest.approx(expect, rel=1e-12)
-
-
-def test_claims_rejects_bad_lambda():
-    p = mk()
-    path = fundamental_path(np.tile([1, -1], 8), p)
-    grid = stopping_grid(path, epsilon=0.5, params=p)
-    for lam in (0.0, 1.0, -0.2, 1.7):
-        with pytest.raises(ValueError):
-            claims(PayoffSpec("call"), path, grid, p, lam=lam)
-
-
-def test_decomposition_inequality_sampled():
-    # h(P^{N,eps}) <= knockout + lam^2 * quadratic pathwise.
-    rng = np.random.default_rng(21)
-    p = mk(n=128)
-    specs = [PayoffSpec("call", strike=0.0), PayoffSpec("lookback_max")]
-    for _ in range(50):
-        path = fundamental_path(rng.choice([-1, 1], size=128), p)
-        for eps in (0.25, 0.6):
-            grid = stopping_grid(path, eps, p)
-            disc = discretize_path(path, grid, p)
-            for lam in (0.3, 0.7):
-                for spec in specs:
-                    pair = claims(spec, path, grid, p, lam)
-                    h_disc = evaluate_payoff(spec, disc)
-                    assert h_disc <= pair.knockout + lam**2 * pair.quadratic + 1e-10
+    assert quadratic == pytest.approx(expect, rel=1e-12)
 
 
 def test_discretization_inequality_large_n():

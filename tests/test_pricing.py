@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import all_paths, crr_price
-from impactlab.market import MarketParams, fundamental_path, stopping_grid, terminal_wealth
+from impactlab.market import MarketParams, fundamental_path, spread_step, stopping_grid, terminal_wealth, trade_cost
 from impactlab.payoffs import PayoffSpec, quadratic_claim
 from impactlab.pricing import (
     DOOB_LAMBDA_MAX,
@@ -20,8 +20,6 @@ from impactlab.pricing import (
     doob_quadratic_hedge,
     liquidation_preamble,
     superreplication_cost,
-    wealth_with_liquidation,
-    zero_strategy,
 )
 from impactlab.pricing import _golden_min
 
@@ -30,6 +28,10 @@ def mk(n=2, **kw):
     base = dict(p0=0.0, sigma=1.0, n_steps=n, depth=1.0, resilience=0.5)
     base.update(kw)
     return MarketParams(**base)
+
+
+def flat_strategy(n_steps):
+    return Strategy(n_steps=n_steps, vector_fn=lambda s: np.zeros(len(s)), terminal_zero=True)
 
 
 ABS_CALL = PayoffSpec("custom_terminal", table=((-8.0, 8.0), (0.0, 0.0), (8.0, 8.0)))
@@ -179,19 +181,26 @@ def test_certificate_sampled_lookback():
 
 
 def test_wealth_with_liquidation_matches_manual():
+    # The pricers' convention: trade m at P_{m-1}, then close the residual
+    # at P_N one period later, paying the once-more decayed spread.
     p = mk(n=3, depth=2.0, resilience=0.4, perm_impact=0.3, x0=0.5, xi0=1.0)
     shocks = [1, -1, 1]
     pos = np.array([0.9, -0.3, 0.7])
     base = terminal_wealth(pos, shocks, p)
     prices = fundamental_path(shocks, p).values
-    # liquidate 0.7 at P_3 after one more spread decay
     z = p.zeta0
     decay = 1 - p.resilience
     for dx in np.abs(np.diff(np.concatenate([[p.x0], pos]))):
         z = decay * z + dx / p.depth
     liq_cost = (decay * z + 0.7 / (2 * p.depth)) * 0.7
     expected = base + prices[-1] * 0.7 + 0.5 * p.perm_impact * 0.7**2 - liq_cost
-    assert wealth_with_liquidation(pos, shocks, p) == pytest.approx(expected, abs=1e-12)
+
+    x, zeta, cash = p.x0, p.zeta0, p.xi0
+    for price, x_new in zip(prices, np.append(pos, 0.0)):
+        cash -= trade_cost(price, x, x_new, zeta, p)
+        zeta = spread_step(zeta, x_new - x, p)
+        x = x_new
+    assert cash == pytest.approx(expected, abs=1e-12)
 
 
 # -- quadratic-claim hedge ---------------------------------------------------
@@ -330,7 +339,7 @@ def test_preamble_liquidation_proceeds_near_initial_value():
     for n in (64, 512):
         p = mk(n=n, p0=5.0, x0=1.0, depth=1.0, perm_impact=0.2)
         m = math.ceil(n ** (1 / 3))
-        inner = zero_strategy(n - 2 * m)
+        inner = flat_strategy(n - 2 * m)
         strat = liquidation_preamble(inner, p)
         shocks = np.tile([1, -1], n // 2)
         pos = strat.positions(shocks)
@@ -343,7 +352,7 @@ def test_preamble_spread_decays_during_idle_phase():
     n = 64
     p = mk(n=n, x0=1.0, zeta0=0.3, depth=2.0, resilience=0.4)
     m = math.ceil(n ** (1 / 3))
-    inner = zero_strategy(n - 2 * m)
+    inner = flat_strategy(n - 2 * m)
     strat = liquidation_preamble(inner, p)
     shocks = np.tile([1, -1], n // 2)
     pos = strat.positions(shocks)
@@ -356,7 +365,7 @@ def test_preamble_spread_decays_during_idle_phase():
 def test_preamble_rejects_small_n():
     p = mk(n=4, x0=1.0)
     with pytest.raises(ValueError):
-        liquidation_preamble(zero_strategy(1), p)
+        liquidation_preamble(flat_strategy(1), p)
 
 
 def test_full_tree_mode_agrees_with_running_max():
@@ -366,6 +375,19 @@ def test_full_tree_mode_agrees_with_running_max():
     slow = superreplication_cost(p, spec, DPGrids(n_x=41, n_zeta=24, augmentation="full_tree"))
     assert slow.cost == pytest.approx(fast.cost, abs=1e-10)
     assert slow.report["augmentation"] == "full_tree"
+
+
+def test_forced_augmentation_prices_the_given_payoff():
+    # An augmented lattice still pays the spec's payoff, not its own kind's.
+    p = mk(n=5, depth=1.5, resilience=0.6)
+    grids = DPGrids(n_x=41, n_zeta=24)
+    for spec in (PayoffSpec("call", strike=0.1), PayoffSpec("put", strike=-0.2)):
+        plain = superreplication_cost(p, spec, grids)
+        for aug in ("running_max", "running_sum"):
+            forced = superreplication_cost(p, spec, replace(grids, augmentation=aug))
+            assert forced.cost == pytest.approx(plain.cost, abs=1e-10)
+    with pytest.raises(ValueError):
+        superreplication_cost(p, PayoffSpec("asian_mean"), replace(grids, augmentation="running_max"))
 
 
 def test_asian_dp_frictionless_matches_path_average_oracle():
