@@ -254,14 +254,19 @@ class ResultRow:
         return (self.digest, self.study_id, self.mode, self.n, self.label, repr(self.value), repr(self.err), self.flag)
 
 
-def _store_append(store_path, rows):
-    new = not os.path.exists(store_path) or os.path.getsize(store_path) == 0
-    if not new:
+def _check_store_tail(store_path):
+    """ConfigError if the store's last row lacks its newline: appending
+    would fuse the new row with the torn one."""
+    if os.path.exists(store_path) and os.path.getsize(store_path) > 0:
         with open(store_path, "rb") as fh:
             fh.seek(-1, os.SEEK_END)
             if fh.read(1) != b"\n":
-                # appending would fuse the new row with the torn one
                 raise ConfigError(f"results store {store_path} ends in a torn row (no final newline)")
+
+
+def _store_append(store_path, rows):
+    _check_store_tail(store_path)
+    new = not os.path.exists(store_path) or os.path.getsize(store_path) == 0
     with open(store_path, "a", newline="") as fh:
         writer = csv.writer(fh)
         if new:
@@ -523,6 +528,7 @@ def run_experiment(config_path, mode=None, seed=None, no_cache=False, out_dir=".
         rows.append(row)
         return row
 
+    _check_store_tail(store)  # fail before the body computes rows it could not store
     t_prev = time.perf_counter()
     _BODIES[mode](cfg, emit)
     with _StoreLock(store):

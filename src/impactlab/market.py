@@ -138,11 +138,6 @@ class SteppedPath:
         widths = np.diff(np.append(self.times, 1.0))
         return float(np.dot(self.values, widths))
 
-    def sup_distance(self, other: "SteppedPath") -> float:
-        """Exact sup-norm distance between two step paths on [0, 1]."""
-        knots = np.union1d(self.times, other.times)
-        return float(np.max(np.abs(self.value_at(knots) - other.value_at(knots))))
-
 
 @dataclass(frozen=True)
 class StoppingGrid:
@@ -155,7 +150,6 @@ class StoppingGrid:
 
     indices: np.ndarray
     epsilon: float
-    cap_time: float
 
 
 def as_shocks(seq) -> np.ndarray:
@@ -189,7 +183,7 @@ def spread_step(zeta_prev, trade, params: MarketParams):
     one implementation of the spread and trade-cost formulas.
     """
     # scalars compare directly: a numpy reduction per step would dominate
-    # the scalar loop in `_spread_path`
+    # the r < 1 scalar loop in `_spread_path`
     if zeta_prev < 0 if isinstance(zeta_prev, float) else np.any(zeta_prev < 0):
         raise ValueError("zeta_prev must be >= 0")
     return (1.0 - params.resilience) * zeta_prev + abs(trade) / params.depth
@@ -243,6 +237,11 @@ def _spread_path(trades: np.ndarray, params: MarketParams) -> np.ndarray:
     """Half-spread after each of the n trades, zeta_0..zeta_n."""
     out = np.empty(len(trades) + 1)
     out[0] = z = params.zeta0
+    if params.resilience == 1.0:
+        # memoryless: 0.0 * zeta vanishes for every finite zeta >= 0, so one
+        # broadcast gives the loop's floats
+        out[1:] = spread_step(z, trades, params)
+        return out
     # Python floats: the same IEEE arithmetic, without numpy-scalar overhead
     for m, dx in enumerate(trades.tolist(), start=1):
         z = out[m] = spread_step(z, dx, params)
@@ -324,21 +323,19 @@ def stopping_grid(path: SteppedPath, epsilon: float, params: MarketParams) -> St
     n = params.n_steps
     cap_time = 1.0 - n ** (-2.0 / 3.0)
     n_cap = int(np.floor(n * cap_time + _HIT_TOL))
-    values = path.value_at(np.arange(n_cap + 1) / n)
-    indices = [0]
+    values = path.value_at(np.arange(n_cap + 1) / n).tolist()
     price_tol = epsilon * (1.0 - _HIT_TOL)
     time_hit = int(np.ceil(epsilon**2 * n * (1.0 - _HIT_TOL)))
-    while indices[-1] < n_cap:
-        anchor = indices[-1]
-        seg = np.abs(values[anchor + 1 :] - values[anchor]) >= price_tol
-        hit_price = anchor + 1 + int(np.argmax(seg)) if seg.any() else n_cap + time_hit + 1
-        hit = min(hit_price, anchor + time_hit, n_cap)
-        indices.append(hit)
-    return StoppingGrid(
-        indices=np.asarray(indices, dtype=int),
-        epsilon=epsilon,
-        cap_time=cap_time,
-    )
+    # one forward pass: stop at the first price hit, time hit or the cap
+    # after each anchor (time_hit >= 1, so no stop is skipped)
+    indices = [0]
+    anchor, a = 0, values[0]
+    for t in range(1, n_cap + 1):
+        v = values[t]
+        if abs(v - a) >= price_tol or t - anchor >= time_hit or t == n_cap:
+            indices.append(t)
+            anchor, a = t, v
+    return StoppingGrid(indices=np.asarray(indices, dtype=int), epsilon=epsilon)
 
 
 def discretize_path(path: SteppedPath, grid: StoppingGrid, params: MarketParams) -> SteppedPath:

@@ -621,20 +621,16 @@ def doob_quadratic_hedge(lam: float, epsilon: float, params: MarketParams) -> St
 
     def vector_fn(shocks: np.ndarray) -> np.ndarray:
         path = fundamental_path(shocks, params)
-        grid = stopping_grid(path, epsilon, params)
+        idx = stopping_grid(path, epsilon, params).indices
         prices = path.values
         p0 = params.p0
+        cap = idx[-1]
+        anchor = prices[idx[:-1]] - p0  # frozen path at each interval's start stop
+        run_max = np.maximum.accumulate(np.maximum(anchor, 0.0))
+        run_min = np.maximum.accumulate(np.maximum(-anchor, 0.0))  # depth below the start
+        base = -b * run_max + b * run_min - d * anchor
         pos = np.zeros(n)
-        run_max = 0.0
-        run_min = 0.0  # max of (p0 - P_tau_i), i.e. depth below the start
-        idx = grid.indices
-        for k in range(1, len(idx)):
-            lo, hi = idx[k - 1], idx[k]
-            anchor = prices[lo] - p0
-            run_max = max(run_max, anchor)
-            run_min = max(run_min, -anchor)
-            base = -b * run_max + b * run_min - d * anchor
-            pos[lo:hi] = base + e * (prices[lo:hi] - p0)
+        pos[:cap] = np.repeat(base, np.diff(idx)) + e * (prices[:cap] - p0)
         return pos
 
     return Strategy(

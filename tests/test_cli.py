@@ -256,3 +256,16 @@ def test_append_refuses_store_without_final_newline(tmp_path, capsys):
     assert store.read_bytes() == torn  # nothing was fused onto the last row
     # the complete rows are still served
     assert main(["price", "--config", cfg, "--out", str(out)]) == 0
+
+
+def test_torn_store_fails_before_the_body_runs(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, BASE.replace("n_list = 2 3", "n_list = 2"))
+    out = tmp_path / "out"
+    run_experiment(cfg, mode="primal_dp", out_dir=str(out))
+    store = out / "results.csv"
+    store.write_bytes(store.read_bytes().rstrip(b"\r\n"))
+    calls = []
+    monkeypatch.setitem(cli._BODIES, "primal_dp", lambda cfg, emit: calls.append(cfg))
+    with pytest.raises(ConfigError, match="torn row"):
+        run_experiment(cfg, mode="primal_dp", no_cache=True, out_dir=str(out))
+    assert calls == []

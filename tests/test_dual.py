@@ -306,6 +306,32 @@ def test_kusuoka_clip_bounds_hold_by_construction():
             assert np.all(inc <= c / math.sqrt(8) + 1e-15)
 
 
+def test_sampler_passes_history_only_when_declared():
+    # The sampler hands nu the whole (batch, k+1) price history when the
+    # profile declares `needs_history`, whatever its label; a "custom..."
+    # label alone no longer does.
+    from impactlab.dual import VolProfile, _sample_tilted_paths
+
+    p = mk(n=6)
+    spec = PayoffSpec("call", strike=0.0)
+
+    def recording(seen):
+        def nu(t, values):
+            seen.append(np.array(values))
+            return np.ones(np.shape(values)[0])
+
+        return nu
+
+    history, custom = [], []
+    profile = VolProfile(nu=recording(history), c_bound=2.0, lip_const=0.0, label="anything", needs_history=True)
+    _sample_tilted_paths(profile, p, spec, 5, seed=1)
+    assert [v.shape for v in history] == [(5, k + 1) for k in range(6)]
+    assert np.all(history[-1][:, 0] == p.p0)
+    assert np.allclose(np.abs(np.diff(history[-1], axis=1)), p.step_vol)
+    _sample_tilted_paths(VolProfile(nu=recording(custom), c_bound=2.0, label="custom feedback"), p, spec, 5, seed=1)
+    assert [v.shape for v in custom] == [(5, 1)] * 6
+
+
 def test_transient_objective_positive_initial_spread():
     # alpha tracking the initial spread kills the penalty and stays feasible.
     p = mk(n=3, zeta0=0.2, x0=0.5)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import REPLAY_EPSILONS, REPLAY_N, REPLAY_RESILIENCE, replay_shocks, stopping_indices_loop
+from impactlab import market
 from impactlab.market import (
     MarketParams,
     PortfolioState,
@@ -324,6 +326,61 @@ def test_stopping_grid_guarantee_randomized():
             moved = abs(vals[k] - vals[k - 1]) >= eps * (1 - 1e-9)
             waited = (grid.indices[k] - grid.indices[k - 1]) / n >= eps**2 * (1 - 1e-9)
             assert moved or waited
+
+
+def test_stopping_grid_matches_per_anchor_search():
+    rng = np.random.default_rng(29)
+    kinds = set()
+    for r in REPLAY_RESILIENCE:
+        for n in REPLAY_N:
+            p = mk(n_steps=n, resilience=r)
+            for shocks in replay_shocks(n, rng):
+                path = fundamental_path(shocks, p)
+                for eps in REPLAY_EPSILONS:
+                    idx = stopping_grid(path, eps, p).indices.tolist()
+                    assert idx == stopping_indices_loop(path, eps, p)
+                    # which triggers fired at the stops before the cap
+                    time_hit = int(np.ceil(eps**2 * n * (1 - 1e-9)))
+                    fired = {
+                        (abs(path.values[hi] - path.values[lo]) >= eps * (1 - 1e-9), hi - lo >= time_hit)
+                        for lo, hi in zip(idx[:-2], idx[1:-1])
+                    }
+                    if fired == {(True, False)}:
+                        kinds.add("price only")
+                    if fired and not any(price for price, _ in fired):
+                        kinds.add("time only")
+    assert {"price only", "time only"} <= kinds
+
+
+def _spread_fold(trades, params):
+    """Scalar `spread_step` fold over the trades, zeta_0..zeta_n."""
+    out = np.empty(len(trades) + 1)
+    out[0] = z = params.zeta0
+    for m, dx in enumerate(trades.tolist(), start=1):
+        z = out[m] = spread_step(z, dx, params)
+    return out
+
+
+def test_memoryless_spread_path_matches_scalar_fold(monkeypatch):
+    # At r = 1 the spread path is one broadcast `spread_step`; the wealth and
+    # liquidity cost must carry the scalar fold's floats exactly.
+    rng = np.random.default_rng(31)
+    cases = []
+    for n in REPLAY_N:
+        for zeta0 in (0.0, 0.7):
+            p = mk(n_steps=n, resilience=1.0, depth=rng.uniform(0.2, 5.0), perm_impact=0.2,
+                   x0=0.4, zeta0=zeta0, xi0=1.5)
+            trades = rng.normal(size=n)
+            trades[::3] = 0.0
+            trades[1::5] = -0.0
+            pos = p.x0 + np.cumsum(trades)
+            shocks = rng.choice([-1, 1], size=n)
+            calls = [lambda p=p, pos=pos, shocks=shocks: terminal_wealth(pos, shocks, p)]
+            calls += [lambda p=p, trades=trades, m=m: liquidity_cost(trades, p, m) for m in (0, n // 2, n)]
+            cases += [(call, repr(call())) for call in calls]
+    monkeypatch.setattr(market, "_spread_path", _spread_fold)
+    for call, fast in cases:
+        assert repr(call()) == fast
 
 
 def test_discretize_single_interval_freezes_at_cap():

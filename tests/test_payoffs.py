@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import all_paths
+from helpers import all_paths, sup_distance
 from impactlab.market import MarketParams, SteppedPath, discretize_path, fundamental_path, stopping_grid
 from impactlab.payoffs import PayoffSpec, evaluate_payoff, payoff_on_paths, quadratic_claim
 
@@ -77,7 +77,7 @@ def test_payoff_nonnegative_and_lipschitz_sampled():
     for _ in range(60):
         a = fundamental_path(rng.choice([-1, 1], size=32), p)
         b = fundamental_path(rng.choice([-1, 1], size=32), p)
-        d = a.sup_distance(b)
+        d = sup_distance(a, b)
         for spec in specs:
             ha, hb = evaluate_payoff(spec, a), evaluate_payoff(spec, b)
             assert ha >= 0.0 and hb >= 0.0

@@ -6,7 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import all_paths, crr_price
+from helpers import (
+    REPLAY_EPSILONS,
+    REPLAY_N,
+    REPLAY_RESILIENCE,
+    all_paths,
+    crr_price,
+    replay_shocks,
+    stopping_indices_loop,
+)
 from impactlab.market import MarketParams, fundamental_path, spread_step, stopping_grid, terminal_wealth, trade_cost
 from impactlab.payoffs import PayoffSpec, quadratic_claim
 from impactlab.pricing import (
@@ -228,6 +236,40 @@ def test_doob_hedge_capital_charge_formula():
     strat = doob_quadratic_hedge(lam, 0.4, p)
     assert strat.meta["capital"] == pytest.approx(lam * (1 + 36 * sigma**2))
     assert (strat.meta["b"], strat.meta["d"], strat.meta["e"]) == (8 * lam, 4 * lam, 36 * lam)
+
+
+def _doob_positions_loop(strat, shocks, params):
+    """Hedge positions by a loop over the stop intervals (the oracle for
+    the vectorized plan)."""
+    b, d, e = strat.meta["b"], strat.meta["d"], strat.meta["e"]
+    n = params.n_steps
+    path = fundamental_path(shocks, params)
+    prices = path.values
+    p0 = params.p0
+    pos = np.zeros(n)
+    run_max = 0.0
+    run_min = 0.0  # max of (p0 - P_tau_i), i.e. depth below the start
+    idx = stopping_indices_loop(path, strat.meta["epsilon"], params)
+    for k in range(1, len(idx)):
+        lo, hi = idx[k - 1], idx[k]
+        anchor = prices[lo] - p0
+        run_max = max(run_max, anchor)
+        run_min = max(run_min, -anchor)
+        base = -b * run_max + b * run_min - d * anchor
+        pos[lo:hi] = base + e * (prices[lo:hi] - p0)
+    return pos
+
+
+def test_doob_hedge_positions_match_stop_interval_loop():
+    rng = np.random.default_rng(37)
+    for r in REPLAY_RESILIENCE:
+        for n in REPLAY_N:
+            p = mk(n=n, resilience=r, depth=1.0 / 3.0, p0=0.25)
+            for eps in REPLAY_EPSILONS:
+                strat = doob_quadratic_hedge(DOOB_LAMBDA_MAX, eps, p)
+                for shocks in replay_shocks(n, rng):
+                    oracle = _doob_positions_loop(strat, shocks, p)
+                    assert repr(strat.positions(shocks).tolist()) == repr(oracle.tolist())
 
 
 def test_doob_hedge_dominates_quadratic_claim_exhaustive():
