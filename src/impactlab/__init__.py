@@ -6,7 +6,6 @@ from .market import (
     SteppedPath,
     StoppingGrid,
     cash_step,
-    discretize_path,
     fundamental_path,
     liquidity_cost,
     spread_closed_form,

@@ -175,18 +175,35 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
     if keep_control:
         times = np.array([t for t, _ in snaps][::-1])
         tables = np.array([a for _, a in snaps][::-1])
+        upper = np.append(p_ax[1:], np.inf)  # right node of each cell
+        widths = np.diff(p_ax)
+        inv_dp = 1.0 / dp
+
+        def interp(k, p):
+            """np.interp(p, p_ax, tables[k]) to the last bit, flat outside
+            the axis: the uniform axis gives the cell by one product, biased
+            low by far more than its rounding, and one comparison with the
+            real node corrects it."""
+            row = tables[k]
+            # np.interp's slopes, built per call as it does (one row is
+            # cheap; a table per snapshot would double the kept control),
+            # and 0 past the last node so the end node reads its own value
+            slopes = np.append((row[1:] - row[:-1]) / widths, 0.0)
+            x = np.clip(p, p_ax[0], p_ax[-1])
+            j = ((x - p_ax[0]) * inv_dp - 1e-6).astype(np.int64)
+            j += x >= upper[j]
+            return slopes[j] * (x - p_ax[j]) + row[j]
 
         def control(t, p):
             it = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 1)
-            row = tables[it]
             if np.ndim(p) == 0:
-                return float(np.interp(p, p_ax, row))
+                return float(interp(it, p))
             if np.ndim(it) == 0:
-                return np.interp(p, p_ax, row)
+                return interp(it, p)
             out = np.empty(np.shape(p))
             for k in np.unique(it):
                 mask = it == k
-                out[mask] = np.interp(np.asarray(p)[mask], p_ax, tables[k])
+                out[mask] = interp(k, np.asarray(p)[mask])
             return out
 
     return HJBResult(
@@ -272,13 +289,19 @@ def limit_value_mc(problem: LimitProblem, family: PolicyFamily, cfg: MCConfig | 
     rng = np.random.default_rng(cfg.seed)
     z = rng.standard_normal((cfg.n_paths, 2 * cfg.n_steps))
 
-    def run(theta, n_steps):
-        feedback = family.builder(theta)
-        dt = 1.0 / n_steps
+    def noise(n_steps):
+        """The fine-grained normals aggregated to n_steps steps, so coarse
+        and fine runs share noise; time-major, one contiguous row per step."""
         stride = (2 * cfg.n_steps) // n_steps
-        # aggregate the fine-grained normals so coarse and fine runs share noise
-        zz = z[:, : stride * n_steps].reshape(cfg.n_paths, n_steps, stride).sum(axis=2)
+        zz = np.empty((n_steps, cfg.n_paths))
+        z[:, : stride * n_steps].reshape(cfg.n_paths, n_steps, stride).sum(axis=2, out=zz.T)
         zz /= math.sqrt(stride)
+        return zz
+
+    def run(theta, zz):
+        feedback = family.builder(theta)
+        n_steps = len(zz)
+        dt = 1.0 / n_steps
         p = np.full(cfg.n_paths, problem.p0)
         run_max = np.full(cfg.n_paths, problem.p0)
         run_avg = np.zeros(cfg.n_paths)
@@ -288,18 +311,18 @@ def limit_value_mc(problem: LimitProblem, family: PolicyFamily, cfg: MCConfig | 
             a = np.clip(feedback(t, p, run_max, run_avg), 0.0, problem.nu_sq_max)
             penalty += problem.penalty_c * (a - problem.sigma_sq) ** 2 * dt
             run_avg += p * dt
-            p = p + np.sqrt(a * dt) * zz[:, j]
+            p = p + np.sqrt(a * dt) * zz[j]
             run_max = np.maximum(run_max, p)
         h = payoff_from_summaries(problem.payoff, terminal=p, rise=run_max - problem.p0, average=run_avg)
         vals = h - penalty
         return float(np.mean(vals)), float(np.std(vals) / math.sqrt(cfg.n_paths))
 
-    results = {}
-    for theta in family.thetas:
-        results[theta] = run(theta, cfg.n_steps)
+    fine = noise(cfg.n_steps)
+    results = {theta: run(theta, fine) for theta in family.thetas}
+    del fine  # freed before the coarse rows are built
     best_theta = max(results, key=lambda th: results[th][0])
     est, se = results[best_theta]
-    coarse_est, _ = run(best_theta, cfg.n_steps // 2)
+    coarse_est, _ = run(best_theta, noise(cfg.n_steps // 2))
     return {
         "value": est - problem.endowment,
         "std_error": se,

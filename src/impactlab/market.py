@@ -28,7 +28,6 @@ __all__ = [
     "terminal_wealth",
     "iterate_cash",
     "stopping_grid",
-    "discretize_path",
 ]
 
 # Relative slack for float comparisons against hit thresholds; the price grid
@@ -337,10 +336,3 @@ def stopping_grid(path: SteppedPath, epsilon: float, params: MarketParams) -> St
             anchor, a = t, v
     return StoppingGrid(indices=np.asarray(indices, dtype=int), epsilon=epsilon)
 
-
-def discretize_path(path: SteppedPath, grid: StoppingGrid, params: MarketParams) -> SteppedPath:
-    """Freeze the path at its stop values; hold the cap value to t = 1."""
-    idx = grid.indices
-    times = idx / params.n_steps
-    values = path.value_at(times)
-    return SteppedPath(times=times, values=values)

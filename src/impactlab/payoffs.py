@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import MarketParams, SteppedPath, StoppingGrid, discretize_path
+from .market import MarketParams, SteppedPath, StoppingGrid
 
 __all__ = [
     "PayoffSpec",
@@ -122,8 +122,7 @@ def payoff_on_paths(spec: PayoffSpec, values) -> np.ndarray:
 def quadratic_claim(path: SteppedPath, grid: StoppingGrid, params: MarketParams) -> float:
     """Squared frozen-path excursion plus squared stop increments plus
     elapsed stop times."""
-    disc = discretize_path(path, grid, params)
-    stop_vals = disc.values
+    stop_vals = path.value_at(grid.indices / params.n_steps)
     dts = np.diff(grid.indices) / params.n_steps
     dps = np.diff(stop_vals)
     return float(np.max((stop_vals - params.p0) ** 2) + np.sum(dps**2) + np.sum(dts))

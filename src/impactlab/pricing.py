@@ -243,14 +243,76 @@ GOLDEN_STEPS = 26
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _interp_weights(grid: np.ndarray, x: np.ndarray):
-    """Lower index and weight for piecewise-linear lookup on a sorted grid."""
-    if len(grid) < 2:
-        z = np.zeros(np.shape(x), dtype=int)
-        return z, np.zeros(np.shape(x))
-    idx = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, len(grid) - 2)
-    w = (x - grid[idx]) / (grid[idx + 1] - grid[idx])
-    return idx, np.clip(w, 0.0, 1.0)
+def _spread_cells(zg: np.ndarray):
+    """Cell lookup on the spread axis without a search.
+
+    `cells(z)` returns the lower cell index and weight of piecewise-linear
+    interpolation, equal to `searchsorted` clamped to the grid's cells and
+    the weight clipped to [0, 1] (flat beyond the last node).  The positive
+    nodes are geometric (plus an off-grid zeta0), so one log finds a bucket
+    of a table four times finer than the axis; the table holds the cell at
+    each bucket's start, less a margin far above the log's rounding, and
+    `steps` comparisons against the real nodes lift it to the exact cell.
+    A one-node (collapsed) axis reads cell 0 at weight 0.
+    """
+    n_z = len(zg)
+    if n_z < 2:
+        return lambda z: (np.zeros(np.shape(z), dtype=np.int64), np.zeros(np.shape(z)))
+    width = np.diff(zg)
+    upper = np.append(zg[1:-1], np.inf)  # right node of each cell; none past the last
+    z_lo = zg[1]
+    log_lo, log_hi = np.log(zg[[1, -1]])
+    # any positive scale is exact, since `steps` is measured on the table
+    n_b = 4 * n_z
+    scale = n_b / ((log_hi - log_lo) or 1.0)
+
+    def cell_at(z):
+        return np.minimum(np.count_nonzero(zg <= z[:, None], axis=1) - 1, n_z - 2)
+
+    edge = np.arange(n_b + 1)
+    start = cell_at(np.exp(log_lo + (edge[:-1] - 1e-6) / scale))
+    steps = int(np.max(cell_at(np.exp(log_lo + (edge[1:] + 1e-6) / scale)) - start))
+
+    def cells(z):
+        b = ((np.log(np.maximum(z, z_lo)) - log_lo) * scale).astype(np.int64)
+        k = start[np.minimum(b, n_b - 1, out=b)]
+        for _ in range(steps):
+            k += z >= upper[k]
+        w = (z - zg[k]) / width[k]
+        return k, np.minimum(w, 1.0, out=w)
+
+    return cells
+
+
+def _node_cells(xg: np.ndarray, j):
+    """Position lookup for points on the grid nodes `j`: each node's own
+    cell at weight 0, or the last cell at weight 1 for the last node."""
+    k = np.minimum(j, len(xg) - 2)
+    w = np.asarray(j - k, dtype=float)
+    return lambda x: (k, w)
+
+
+def _bracket(xg: np.ndarray, j):
+    """Golden-section bracket [x_{j-1}, x_{j+1}] around the grid argmins
+    `j` (clamped to the grid), and the position cell of its points.
+
+    A point inside the bracket lies in cell j-1 or j (cells clamped to
+    [0, n_x - 2]), so one comparison with the bracket's middle node gives
+    the cell and weight `searchsorted` would; golden-section search never
+    evaluates the bracket's ends.
+    """
+    n_x = len(xg)
+    lo = xg[np.maximum(j - 1, 0)]
+    hi = xg[np.minimum(j + 1, n_x - 1)]
+    base = np.clip(j - 1, 0, n_x - 3)
+    middle = xg[base + 1]
+    width = np.diff(xg)
+
+    def cells(x):
+        k = base + (x >= middle)
+        return k, (x - xg[k]) / width[k]
+
+    return lo, hi, cells
 
 
 def superreplication_cost(
@@ -265,7 +327,11 @@ def superreplication_cost(
     State per depth: (augmented price node, position, spread), with the
     spread handled by piecewise-linear interpolation.  Each minimization
     scans the position grid and optionally refines by golden-section
-    search (the one-step objective is convex in the new position).
+    search over the two cells around the scan's argmin.  Refinement assumes
+    the one-step objective is unimodal there, which can fail at low
+    resilience, where some states' scan values are not unimodal; it can
+    never raise a value, since each state keeps the smaller of its scan
+    and refined values (`np.minimum(best, refined)`).
     """
     grids = grids or DPGrids()
     lattice = _build_lattice(spec, params, grids.augmentation)
@@ -290,11 +356,10 @@ def superreplication_cost(
     max_resid_x = 0.0
 
     # Spread after a trade of size |dx|, shared across depths and nodes.
+    z_cells = _spread_cells(zg)
     zp_by_pair = {}
     for jxp in range(n_x):
-        zp = spread_step(zg[None, :], (xg[jxp] - xg)[:, None], params)
-        k, w = _interp_weights(zg, zp)
-        zp_by_pair[jxp] = (k, w)
+        zp_by_pair[jxp] = z_cells(spread_step(zg[None, :], (xg[jxp] - xg)[:, None], params))
 
     order = np.argsort(np.abs(xg), kind="stable")
 
@@ -327,7 +392,7 @@ def superreplication_cost(
 
         if grids.refine and n_x >= 3:
             refined = _refine_layer(
-                best_j, v, lattice.up[depth], lattice.dn[depth], prices, xg, zg, params, frictionless
+                best_j, v, lattice.up[depth], lattice.dn[depth], prices, xg, zg, z_cells, params, frictionless
             )
             np.minimum(best, refined, out=best)
 
@@ -360,21 +425,22 @@ def superreplication_cost(
     return PriceResult(cost=cost, report=report, policy=policy)
 
 
-def _branch_max(vnext, up_rows, dn_rows, xg, zg, xp, zp):
+def _branch_max(vnext, up_rows, dn_rows, x_cells, z_cells, xp, zp):
     """Worse of the up and down continuations at off-grid (position, spread).
 
     Each branch is the bilinear interpolant of its row of `vnext`; the
-    weights and the flat cell index are computed once for both branches.
-    `up_rows`/`dn_rows` broadcast against `xp`, which has the shape of
-    `zp` and of the result.
+    lookups `x_cells`/`z_cells` give the cells and weights of `xp`/`zp`,
+    and the flat cell index is computed once for both branches.
+    `up_rows`/`dn_rows` and `xp` broadcast against `zp`, which has the
+    shape of the result.
     """
     n_z = vnext.shape[2]
     flat = vnext.reshape(-1)
-    jx, wx = _interp_weights(xg, xp)
-    kz, wz = _interp_weights(zg, zp)
+    jx, wx = x_cells(xp)
+    kz, wz = z_cells(zp)
     cell = jx * n_z  # the one int64 index array kept per evaluation
     cell += kz
-    del jx, kz
+    del jx, kz, zp
     wx1, wz1 = 1.0 - wx, 1.0 - wz
 
     def branch():
@@ -391,20 +457,27 @@ def _branch_max(vnext, up_rows, dn_rows, xg, zg, xp, zp):
     return np.maximum(up, branch(), out=up)
 
 
-def _one_step_objective(vnext, up_rows, dn_rows, price, x_old, zeta, xg, zg, params, frictionless):
+def _one_step_objective(vnext, up_rows, dn_rows, price, x_old, zeta, z_cells, params, frictionless):
     """Cost of moving x_old -> xp plus the worse branch's continuation, as a
-    function of xp: the objective every one-step minimization shares."""
+    function of xp and the lookup `x_cells` of its position cell: the
+    objective every one-step minimization shares.  `z_cells` is the spread
+    axis's lookup."""
 
-    def objective(xp):
-        zp = spread_step(zeta, xp - x_old, params)
-        cost = trade_cost(price, x_old, xp, zeta, params, frictionless)
-        return cost + _branch_max(vnext, up_rows, dn_rows, xg, zg, xp, zp)
+    def objective(xp, x_cells):
+        # the continuation first, and the new spread passed as a temporary
+        # that `_branch_max` drops once looked up: the trade's and the
+        # interpolation's temporaries never coexist
+        value = _branch_max(
+            vnext, up_rows, dn_rows, x_cells, z_cells, xp, spread_step(zeta, xp - x_old, params)
+        )
+        value += trade_cost(price, x_old, xp, zeta, params, frictionless)
+        return value
 
     return objective
 
 
 def _golden_min(objective, lo, hi):
-    """Elementwise golden-section search of a convex objective on [lo, hi].
+    """Elementwise golden-section search of a unimodal objective on [lo, hi].
 
     One new evaluation per step, GOLDEN_STEPS steps; returns the objective
     at the final bracket midpoint and that midpoint.
@@ -426,21 +499,19 @@ def _golden_min(objective, lo, hi):
     return objective(mid), mid
 
 
-def _refine_layer(best_j, v, up, dn, prices, xg, zg, params, frictionless):
+def _refine_layer(best_j, v, up, dn, prices, xg, zg, z_cells, params, frictionless):
     """Vectorized golden-section search around the grid argmin, one cell
     each side.
 
     The up/down continuations are interpolated separately before taking the
     adversarial max, so kinks between the branches survive refinement.
     """
-    n_x = best_j.shape[1]
     objective = _one_step_objective(
         v, up[:, None, None], dn[:, None, None], prices,
-        xg[None, :, None], zg[None, None, :], xg, zg, params, frictionless,
+        xg[None, :, None], zg[None, None, :], z_cells, params, frictionless,
     )
-    lo = xg[np.maximum(best_j - 1, 0)]
-    hi = xg[np.minimum(best_j + 1, n_x - 1)]
-    return _golden_min(objective, lo, hi)[0]
+    lo, hi, cells = _bracket(xg, best_j)
+    return _golden_min(lambda x: objective(x, cells), lo, hi)[0]
 
 
 def _interp_residual(v, xg, zg) -> tuple[float, float]:
@@ -530,10 +601,15 @@ def certificate_check(
 ) -> dict:
     """Simulate the DP policy and report the worst wealth-minus-payoff margin.
 
-    Exhaustive over all 2^N paths when n_paths == 0, otherwise on sampled
-    paths.  The policy re-solves the one-step minimization at the exact
-    (position, spread) state using the stored value tables, then wealth is
-    accumulated with the exact cash dynamics.
+    Exhaustive over all 2^N paths when n_paths == 0, otherwise on n_paths
+    sampled paths.  Each distinct path is replayed once: the replay is
+    elementwise per path, so a repeated path has the same margin.  `paths`,
+    `min_margin` and `violations` count every path, `distinct` the replays.
+    The policy re-solves the one-step minimization at the exact (position,
+    spread) state using the stored value tables, then wealth is accumulated
+    with the exact cash dynamics.  It keeps its own position scan rather
+    than the DP's: after the first trade its states lie off the grid, where
+    the DP's scan, tabulated per grid state, has no entry.
     """
     if result.policy is None:
         raise ValueError("price result was computed without keep_policy=True")
@@ -542,15 +618,15 @@ def certificate_check(
     if n_paths == 0:
         if n > 20:
             raise ValueError("exhaustive check limited to n_steps <= 20")
-        count = 2**n
-        bits = (np.arange(count)[:, None] >> np.arange(n)[None, :]) & 1
-        shocks = np.where(bits == 1, 1, -1)
+        bits = (np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1
+        drawn = np.where(bits == 1, 1, -1)
     else:
-        rng = np.random.default_rng(seed)
-        shocks = rng.choice([-1, 1], size=(n_paths, n))
-        count = n_paths
+        drawn = np.random.default_rng(seed).choice([-1, 1], size=(n_paths, n))
+    shocks, inverse = np.unique(drawn, axis=0, return_inverse=True)
+    count = len(shocks)
 
     xg, zg = pol.x_axis, pol.zeta_axis
+    z_cells = _spread_cells(zg)
     s = params.step_vol
     frictionless = pol.frictionless
 
@@ -565,22 +641,21 @@ def certificate_check(
         up_idx = pol.lattice.up[depth][node]
         dn_idx = pol.lattice.dn[depth][node]
         objective = _one_step_objective(
-            pol.tables[depth + 1], up_idx, dn_idx, price, x, zeta, xg, zg, params, frictionless
+            pol.tables[depth + 1], up_idx, dn_idx, price, x, zeta, z_cells, params, frictionless
         )
 
         best = np.full(count, np.inf)
         best_jx = np.zeros(count, dtype=int)
         for jxp in np.argsort(np.abs(xg), kind="stable"):
-            cand = objective(np.full(count, xg[jxp]))
+            cand = objective(xg[jxp], _node_cells(xg, jxp))
             take = cand < best - 1e-12
             best_jx = np.where(take, jxp, best_jx)
             np.minimum(best, cand, out=best)
         best_x = xg[best_jx]
         if n_x >= 3:
-            lo = xg[np.maximum(best_jx - 1, 0)]
-            hi = xg[np.minimum(best_jx + 1, n_x - 1)]
-            f_mid, mid = _golden_min(objective, lo, hi)
-            best_x = np.where(f_mid < objective(best_x), mid, best_x)
+            lo, hi, cells = _bracket(xg, best_jx)
+            f_mid, mid = _golden_min(lambda x_new: objective(x_new, cells), lo, hi)
+            best_x = np.where(f_mid < objective(best_x, _node_cells(xg, best_jx)), mid, best_x)
         cash -= trade_cost(price, x, best_x, zeta, params, frictionless)
         zeta = spread_step(zeta, best_x - x, params)
         x = best_x
@@ -590,9 +665,10 @@ def certificate_check(
     # liquidation at the terminal price
     cash -= trade_cost(price, x, 0.0, zeta, params, frictionless)
     payoff = pol.lattice.payoff[node]
-    margin = cash - payoff
+    margin = (cash - payoff)[inverse.reshape(-1)]
     return {
-        "paths": count,
+        "paths": len(margin),
+        "distinct": count,
         "min_margin": float(np.min(margin)),
         "violations": int(np.count_nonzero(margin < -1e-9)),
     }

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from impactlab.market import MarketParams, SteppedPath, fundamental_path
+from impactlab.market import MarketParams, SteppedPath, StoppingGrid, fundamental_path
 from impactlab.payoffs import PayoffSpec, evaluate_payoff
 
 
@@ -33,6 +33,23 @@ def ks_distance_to_normal(samples: np.ndarray, mean: float, std: float) -> float
     upper = np.max(np.arange(1, n + 1) / n - cdf)
     lower = np.max(cdf - np.arange(0, n) / n)
     return float(max(upper, lower))
+
+
+def discretize_path(path: SteppedPath, grid: StoppingGrid, params: MarketParams) -> SteppedPath:
+    """Freeze the path at its stop values; hold the cap value to t = 1."""
+    times = grid.indices / params.n_steps
+    return SteppedPath(times=times, values=path.value_at(times))
+
+
+def interp_weights(grid: np.ndarray, x: np.ndarray):
+    """Lower index and weight for piecewise-linear lookup on a sorted grid
+    by binary search (the oracle for the DP's cell lookups)."""
+    if len(grid) < 2:
+        z = np.zeros(np.shape(x), dtype=int)
+        return z, np.zeros(np.shape(x))
+    idx = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, len(grid) - 2)
+    w = (x - grid[idx]) / (grid[idx + 1] - grid[idx])
+    return idx, np.clip(w, 0.0, 1.0)
 
 
 def sup_distance(a: SteppedPath, b: SteppedPath) -> float:

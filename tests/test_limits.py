@@ -18,7 +18,7 @@ from impactlab.limits import (
     penalty_weight,
 )
 from impactlab.market import MarketParams
-from impactlab.payoffs import PayoffSpec
+from impactlab.payoffs import PayoffSpec, payoff_from_summaries
 
 ATM = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -144,6 +144,81 @@ def test_mc_with_hjb_feedback_approaches_hjb_value():
     out = limit_value_mc(prob, fam, MCConfig(n_paths=40000, n_steps=128, seed=11))
     assert out["value"] <= res.value + 2.0 * out["std_error"]
     assert abs(out["value"] - res.value) / res.value < 0.02
+
+
+def _reference_mc(problem, family, cfg):
+    """Policy-search MC with the normals aggregated per theta and read
+    column by column: the oracle for `limit_value_mc`'s shared rows."""
+    rng = np.random.default_rng(cfg.seed)
+    z = rng.standard_normal((cfg.n_paths, 2 * cfg.n_steps))
+
+    def run(theta, n_steps):
+        feedback = family.builder(theta)
+        dt = 1.0 / n_steps
+        stride = (2 * cfg.n_steps) // n_steps
+        zz = z[:, : stride * n_steps].reshape(cfg.n_paths, n_steps, stride).sum(axis=2)
+        zz /= math.sqrt(stride)
+        p = np.full(cfg.n_paths, problem.p0)
+        run_max = np.full(cfg.n_paths, problem.p0)
+        run_avg = np.zeros(cfg.n_paths)
+        penalty = np.zeros(cfg.n_paths)
+        for j in range(n_steps):
+            a = np.clip(feedback(j * dt, p, run_max, run_avg), 0.0, problem.nu_sq_max)
+            penalty += problem.penalty_c * (a - problem.sigma_sq) ** 2 * dt
+            run_avg += p * dt
+            p = p + np.sqrt(a * dt) * zz[:, j]
+            run_max = np.maximum(run_max, p)
+        h = payoff_from_summaries(problem.payoff, terminal=p, rise=run_max - problem.p0, average=run_avg)
+        vals = h - penalty
+        return float(np.mean(vals)), float(np.std(vals) / math.sqrt(cfg.n_paths))
+
+    results = {theta: run(theta, cfg.n_steps) for theta in family.thetas}
+    best = max(results, key=lambda th: results[th][0])
+    est, se = results[best]
+    return {
+        "value": est - problem.endowment,
+        "std_error": se,
+        "theta": best,
+        "family": family.name,
+        "step_halving_bias": est - run(best, cfg.n_steps // 2)[0],
+        "all": {th: v[0] - problem.endowment for th, v in results.items()},
+    }
+
+
+def test_mc_matches_per_theta_noise_loop():
+    call = LimitProblem(payoff=PayoffSpec("call", strike=0.0), penalty_c=0.3, sigma_sq=1.0, nu_sq_max=4.0, p0=0.2)
+    res = hjb_value(call, HJBGrid(n_space=201), keep_control=True)
+    lookback = LimitProblem(payoff=PayoffSpec("lookback_max"), penalty_c=0.3, sigma_sq=1.0)
+    asian = LimitProblem(payoff=PayoffSpec("asian_mean", strike=0.1), penalty_c=0.3, sigma_sq=1.0, endowment=0.05)
+    for prob, fam, n_steps in (
+        (call, hjb_feedback_family(res, scales=(0.8, 1.0, 1.2)), 32),
+        (lookback, constant_family([0.9, 1.1]), 32),
+        (asian, constant_family([1.0, 1.2]), 37),  # odd: the coarse run drops the last normals
+    ):
+        cfg = MCConfig(n_paths=2000, n_steps=n_steps, seed=4)
+        assert repr(limit_value_mc(prob, fam, cfg)) == repr(_reference_mc(prob, fam, cfg))
+
+
+def test_control_reads_like_np_interp_to_the_last_bit():
+    prob = LimitProblem(payoff=PayoffSpec("call", strike=0.0), penalty_c=0.1, sigma_sq=1.0, nu_sq_max=4.0, p0=0.3)
+    grid = HJBGrid(n_space=201)
+    res = hjb_value(prob, grid, keep_control=True)
+    _, _, _, times, tables = _reference_hjb(prob, grid)
+    pa = res.p_axis
+    rng = np.random.default_rng(8)
+    pts = np.concatenate([
+        rng.uniform(pa[0] - 1.0, pa[-1] + 1.0, 2000), pa, np.nextafter(pa, -np.inf), np.nextafter(pa, np.inf),
+        [pa[0] - 50.0, pa[-1] + 50.0],
+    ])
+    for t in (0.0, 0.37, 0.999, 1.0):
+        row = res.control(t, pa)  # np.interp reads a node's own value
+        it = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 1)
+        assert np.max(np.abs(row - tables[it])) <= 1e-12
+        assert np.array_equal(res.control(t, pts), np.interp(pts, pa, row))
+        assert all(res.control(t, float(q)) == float(np.interp(q, pa, row)) for q in pts[::50])
+    ts = rng.uniform(0.0, 1.0, len(pts))
+    expect = np.array([np.interp(q, pa, res.control(t, pa)) for t, q in zip(ts, pts)])
+    assert np.array_equal(res.control(ts, pts), expect)
 
 
 def _reference_hjb(problem, grid):

@@ -3,14 +3,20 @@
 import numpy as np
 import pytest
 
-from helpers import REPLAY_EPSILONS, REPLAY_N, REPLAY_RESILIENCE, replay_shocks, stopping_indices_loop
+from helpers import (
+    REPLAY_EPSILONS,
+    REPLAY_N,
+    REPLAY_RESILIENCE,
+    discretize_path,
+    replay_shocks,
+    stopping_indices_loop,
+)
 from impactlab import market
 from impactlab.market import (
     MarketParams,
     PortfolioState,
     SteppedPath,
     cash_step,
-    discretize_path,
     fundamental_path,
     iterate_cash,
     liquidity_cost,

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import all_paths, sup_distance
-from impactlab.market import MarketParams, SteppedPath, discretize_path, fundamental_path, stopping_grid
+from helpers import all_paths, discretize_path, replay_shocks, sup_distance
+from impactlab.market import MarketParams, SteppedPath, fundamental_path, stopping_grid
 from impactlab.payoffs import PayoffSpec, evaluate_payoff, payoff_on_paths, quadratic_claim
 
 
@@ -96,6 +96,29 @@ def test_claims_quadratic_time_only_for_huge_epsilon():
     quadratic = quadratic_claim(path, grid, p)
     assert quadratic == pytest.approx(n_cap / n)
     assert quadratic <= 1.0
+
+
+def test_quadratic_claim_matches_discretized_path_formula():
+    # The claim reads the stop values off the path; the oracle freezes the
+    # path into its own step path first.  Equal to the last bit.
+    rng = np.random.default_rng(31)
+    checked = 0
+    for r in (0.3, 1.0):
+        for n in (1, 2, 16, 256):
+            p = mk(n=n, resilience=r)
+            for shocks in replay_shocks(n, rng):
+                path = fundamental_path(shocks, p)
+                for eps in (0.01, 0.3, 2.0):
+                    grid = stopping_grid(path, eps, p)
+                    stop_vals = discretize_path(path, grid, p).values
+                    expect = float(
+                        np.max((stop_vals - p.p0) ** 2)
+                        + np.sum(np.diff(stop_vals) ** 2)
+                        + np.sum(np.diff(grid.indices) / n)
+                    )
+                    assert quadratic_claim(path, grid, p) == expect
+                    checked += 1
+    assert checked == 2 * 4 * 6 * 3
 
 
 def test_claims_quadratic_monotone_path_enumeration():

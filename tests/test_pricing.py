@@ -12,6 +12,7 @@ from helpers import (
     REPLAY_RESILIENCE,
     all_paths,
     crr_price,
+    interp_weights,
     replay_shocks,
     stopping_indices_loop,
 )
@@ -29,7 +30,8 @@ from impactlab.pricing import (
     liquidation_preamble,
     superreplication_cost,
 )
-from impactlab.pricing import _golden_min
+from impactlab import pricing
+from impactlab.pricing import _bracket, _golden_min, _node_cells, _spread_cells
 
 
 def mk(n=2, **kw):
@@ -186,6 +188,146 @@ def test_certificate_sampled_lookback():
     res = superreplication_cost(p, spec, keep_policy=True)
     out = certificate_check(res, p, spec, n_paths=2000, seed=4)
     assert out["min_margin"] >= -5e-3
+
+
+def test_certificate_counts_repeated_paths():
+    # Too little cash: every sampled path fails, repeats included.
+    p = mk(n=8)
+    spec = PayoffSpec("lookback_max")
+    res = superreplication_cost(p, spec, DPGrids(n_x=41), keep_policy=True)
+    short = replace(res, cost=res.cost - 10.0)
+    out = certificate_check(short, p, spec, n_paths=4000, seed=7)
+    drawn = np.random.default_rng(7).choice([-1, 1], size=(4000, 8))
+    assert out["distinct"] == len(np.unique(drawn, axis=0)) < 4000
+    assert out["paths"] == out["violations"] == 4000
+    assert out["min_margin"] < -9.0
+    assert certificate_check(res, p, spec)["distinct"] == 2**8
+
+
+def _cell_points(grid, lo, hi, rng):
+    """Random points, nodes and their float neighbours in [lo, hi]."""
+    nodes = grid[(grid >= lo) & (grid <= hi)]
+    pts = np.concatenate([
+        rng.uniform(lo, hi, 200), nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf), [lo, hi],
+    ])
+    return pts[(pts >= lo) & (pts <= hi)]
+
+
+def test_bracket_cells_match_binary_search():
+    rng = np.random.default_rng(5)
+    grids = [
+        DPGrids().x_axis(PayoffSpec("call"), mk(x0=0.3137)),  # off-grid x0: one short cell
+        np.array([-1.0, 0.0, 2.0]),
+        np.array([-1.0, -0.5, 0.0, 3.0]),
+        np.linspace(-2.0, 2.0, 9),
+    ]
+    for xg in grids:
+        n_x = len(xg)
+        for j in range(n_x):
+            lo, hi, cells = _bracket(xg, np.array([j]))
+            pts = _cell_points(xg, lo[0], hi[0], rng)
+            k, w = cells(pts)
+            k_ref, w_ref = interp_weights(xg, pts)
+            # golden-section search never evaluates the upper end; there the
+            # cell below at weight 1 gives the oracle's interpolant
+            top = (pts == hi[0]) & (k_ref == k + 1)
+            assert np.array_equal(k[~top], k_ref[~top]) and np.array_equal(w[~top], w_ref[~top])
+            assert np.all(w[top] == 1.0) and np.all(w_ref[top] == 0.0)
+        k, w = _node_cells(xg, np.arange(n_x))(xg)
+        k_ref, w_ref = interp_weights(xg, xg)
+        assert np.array_equal(k, k_ref) and np.array_equal(w, w_ref)
+
+
+def test_spread_cells_match_binary_search():
+    rng = np.random.default_rng(6)
+    xg = np.linspace(-2.0, 2.0, 81)
+    base = DPGrids().zeta_axis(mk(), xg, False)
+    cases = [
+        (DPGrids(), mk()),
+        (DPGrids(), mk(zeta0=0.0123)),  # off-grid zeta0
+        (DPGrids(), mk(zeta0=float(np.nextafter(base[7], np.inf)))),  # a hair above a node
+        (DPGrids(), mk(zeta0=1e-9)),  # below the geometric part
+        (DPGrids(zeta_max=0.7, n_zeta=9), mk(zeta0=2.5)),  # user zeta_max, zeta0 beyond it
+        (DPGrids(n_zeta=1), mk(zeta0=0.4)),
+        (DPGrids(n_zeta=2), mk()),
+        (DPGrids(n_zeta=3), mk(zeta0=0.05)),
+        (DPGrids(n_zeta=3), mk()),
+    ]
+    axes = [g.zeta_axis(p, xg, False) for g, p in cases] + [DPGrids().zeta_axis(mk(), xg, True)]
+    assert {len(zg) for zg in axes} == {1, 2, 3, 4, 10, 48, 49}
+    for zg in axes:
+        pts = np.concatenate([[0.0, 2.0 * zg[-1], 1e3], _cell_points(zg, 0.0, 1.5 * zg[-1] + 1.0, rng)])
+        k, w = _spread_cells(zg)(pts)
+        k_ref, w_ref = interp_weights(zg, pts)
+        assert np.array_equal(k, k_ref) and np.array_equal(w, w_ref)
+
+
+def _oracle_bracket(xg, j):
+    lo, hi, _ = _bracket(xg, j)
+    return lo, hi, lambda x: interp_weights(xg, x)
+
+
+def _oracle_lookups(monkeypatch):
+    """Put binary search back in place of the arithmetic cell lookups."""
+    monkeypatch.setattr(pricing, "_spread_cells", lambda zg: lambda z: interp_weights(zg, z))
+    monkeypatch.setattr(pricing, "_bracket", _oracle_bracket)
+    monkeypatch.setattr(pricing, "_node_cells", lambda xg, j: lambda x: interp_weights(xg, x))
+
+
+def test_dp_matches_binary_search_lookups(monkeypatch):
+    # a coarser position axis keeps the run short; the spread axis is the
+    # default one
+    grids = DPGrids(n_x=41)
+    runs = []
+    for kind in ("call", "put", "lookback_max", "asian_mean"):
+        spec = PayoffSpec(kind, strike=0.1 if kind != "lookback_max" else 0.0)
+        for r in (0.3, 0.5, 1.0):
+            runs.append((mk(n=4, resilience=r), spec, {"grids": grids}))
+        off = mk(n=4, x0=0.37, zeta0=0.123, perm_impact=0.1)
+        runs.append((off, spec, {"grids": grids}))
+        runs.append((off, spec, {"grids": DPGrids(x_grid=np.linspace(-1.5, 1.5, 13))}))
+        runs.append((off, spec, {"grids": grids, "frictionless": True}))
+
+    def price_all():
+        return [repr((r.cost, r.report)) for r in (superreplication_cost(p, s, **kw) for p, s, kw in runs)]
+
+    fast = price_all()
+    _oracle_lookups(monkeypatch)
+    assert price_all() == fast
+
+
+def test_certificate_matches_binary_search_lookups(monkeypatch):
+    call, lookback = PayoffSpec("call", strike=0.0), PayoffSpec("lookback_max")
+    p6, p8, p12 = mk(n=6), mk(n=8), mk(n=12)
+    checks = [
+        (superreplication_cost(p6, call, DPGrids(n_zeta=60), keep_policy=True), p6, call, {}),
+        (superreplication_cost(p12, call, keep_policy=True), p12, call, {"n_paths": 3000, "seed": 5}),
+    ]
+    res8 = superreplication_cost(p8, lookback, keep_policy=True)
+    checks += [(res8, p8, lookback, {"n_paths": 4000, "seed": seed}) for seed in (7, 123)]
+
+    def replay_all():
+        return [repr(certificate_check(res, p, spec, **kw)) for res, p, spec, kw in checks]
+
+    fast = replay_all()
+    _oracle_lookups(monkeypatch)
+    assert replay_all() == fast
+
+
+def test_dp_and_certificate_search_only_at_the_root(monkeypatch):
+    calls = []
+    search = np.searchsorted
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    p = mk(n=4, zeta0=0.05)
+    spec = PayoffSpec("call", strike=0.0)
+    res = superreplication_cost(p, spec, keep_policy=True)
+    certificate_check(res, p, spec, n_paths=500, seed=1)
+    assert len(calls) == 2  # the root's position and spread nodes
 
 
 def test_wealth_with_liquidation_matches_manual():
