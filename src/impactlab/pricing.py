@@ -15,7 +15,7 @@ hedge, stop-anchored affine tracking, liquidation preamble) live here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -87,13 +87,18 @@ class _Lattice:
     dn: list
     payoff: np.ndarray  # terminal payoff per depth-N node
     augmentation: str
+    states: Optional[list] = None  # per depth: (level, aux) int rows, augmented lattices only
+
+
+def _resolve_augmentation(spec: PayoffSpec, augmentation: str) -> str:
+    """'auto' picks the cheapest lattice for the payoff's kind."""
+    return _AUG_BY_KIND.get(spec.kind, "full_tree") if augmentation == "auto" else augmentation
 
 
 def _build_lattice(spec: PayoffSpec, params: MarketParams, augmentation: str) -> _Lattice:
     n = params.n_steps
     s = params.step_vol
-    if augmentation == "auto":
-        augmentation = _AUG_BY_KIND.get(spec.kind, "full_tree")
+    augmentation = _resolve_augmentation(spec, augmentation)
 
     if augmentation == "none":
         prices = [params.p0 + s * (2.0 * np.arange(d + 1) - d) for d in range(n + 1)]
@@ -136,14 +141,15 @@ def _build_lattice(spec: PayoffSpec, params: MarketParams, augmentation: str) ->
                         w[i] = index[d + 1][(j - 1, a + j)]
                 up.append(u)
                 dn.append(w)
-        aux = np.array([a for (_, a) in states[n]], float)
+        states = [np.array(st, dtype=np.int64).reshape(-1, 2) for st in states]
+        aux = states[n][:, 1].astype(float)
         payoff = payoff_from_summaries(
             spec,
             terminal=prices[n],
             rise=s * aux if augmentation == "running_max" else None,
             average=params.p0 + s * aux / n if augmentation == "running_sum" else None,
         )
-        return _Lattice(prices, up, dn, payoff, augmentation)
+        return _Lattice(prices, up, dn, payoff, augmentation, states)
 
     if augmentation == "full_tree":
         if n > 16:
@@ -164,6 +170,29 @@ def _build_lattice(spec: PayoffSpec, params: MarketParams, augmentation: str) ->
         return _Lattice(prices, up, dn, payoff_on_paths(spec, paths), augmentation)
 
     raise ValueError(f"unknown augmentation {augmentation!r}")
+
+
+def _drawdown_lattice(spec: PayoffSpec, params: MarketParams, augmentation: str) -> Optional[_Lattice]:
+    """The lookback's (level, running max) lattice grouped by drawdown, or
+    None where the grouping does not apply.
+
+    `lookback_max` pays s a at a terminal node (level j, max a), one-for-one
+    with the max.  Shifting every price of a state by k s adds k s to the
+    payoff and k s (x_new - x_old) to each trade's cash, so over a plan that
+    ends flat v(j + k, a + k, x, zeta) = v(j, a, x, zeta) + k s (1 - x)
+    exactly.  Row y = 0..d at depth d is the reference node (-y, 0) of all
+    states with drawdown a - j = y: price p0 - s y, terminal payoff 0.  A
+    down move goes to y + 1 and an up move to y - 1, except up from y = 0 (a
+    new max), which reads row 0 shifted by s (1 - x); the DP appends that row
+    after the d + 2 rows of depth d + 1, as row d + 2.
+    """
+    if spec.kind != "lookback_max" or augmentation != "running_max":
+        return None
+    n, s = params.n_steps, params.step_vol
+    prices = [params.p0 - s * np.arange(d + 1) for d in range(n + 1)]
+    up = [np.append(d + 2, np.arange(d)) for d in range(n)]
+    dn = [np.arange(1, d + 2) for d in range(n)]
+    return _Lattice(prices, up, dn, np.zeros(n + 1), augmentation)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +222,10 @@ class DPGrids:
     # converged ones stay an order of magnitude below
     residual_tol: float = 0.1
 
+    def __post_init__(self):
+        if self.zeta_max is not None and self.zeta_max <= 0:
+            raise ValueError(f"zeta_max must be > 0, got {self.zeta_max}")
+
     def x_axis(self, spec: PayoffSpec, params: MarketParams) -> np.ndarray:
         if self.x_grid is not None:
             g = np.asarray(self.x_grid, float)
@@ -212,6 +245,9 @@ class DPGrids:
         zm = self.zeta_max
         if zm is None:
             zm = params.zeta0 + span / (params.depth * params.resilience)
+            if zm == 0.0:
+                # no spread to start from and no position to trade to
+                return np.array([0.0])
         lo = max(zm * 2e-4, 1e-12)
         g = np.concatenate([[0.0], np.geomspace(lo, zm, self.n_zeta - 1)])
         return np.union1d(g, [params.zeta0])
@@ -332,10 +368,30 @@ def superreplication_cost(
     resilience, where some states' scan values are not unimodal; it can
     never raise a value, since each state keeps the smaller of its scan
     and refined values (`np.minimum(best, refined)`).
+
+    Permanent impact is solved exactly at the root.  Every plan ends flat,
+    so its permanent legs iota (x_old + x_new)/2 dx sum to -iota x0^2/2 on
+    every path: the DP solves at iota = 0 and the root subtracts iota x0^2/2.
+    Left in the tables, the concave -iota x^2/2 would make interpolation
+    along the position axis undershoot what the policy needs.
+
+    `lookback_max` on the (level, running max) lattice is solved on its d + 1
+    drawdown states per depth (`_drawdown_lattice`), not on the lattice's
+    states: a state (j, a) is worth w[a - j] + a s (1 - x), where w[y] is
+    the value of drawdown y at running max 0 and s the price step.  The
+    report counts boundary hits per lattice state, and kept tables are
+    expanded to the lattice, so the policy and its replay do not see the
+    grouping.
     """
     grids = grids or DPGrids()
-    lattice = _build_lattice(spec, params, grids.augmentation)
+    augmentation = _resolve_augmentation(spec, grids.augmentation)
+    lattice = _drawdown_lattice(spec, params, augmentation)
+    grouped = lattice is not None
+    if not grouped:
+        lattice = _build_lattice(spec, params, augmentation)
+    dp_params = replace(params, perm_impact=0.0)
     n = params.n_steps
+    s = params.step_vol
     xg = grids.x_axis(spec, params)
     collapsed = frictionless or params.resilience == 1.0
     zg = grids.zeta_axis(params, xg, collapsed)
@@ -345,7 +401,7 @@ def superreplication_cost(
     p_term = lattice.prices[n][:, None, None]
     x_b = xg[None, :, None]
     z_b = zg[None, None, :]
-    v = trade_cost(p_term, x_b, 0.0, z_b, params, frictionless) + lattice.payoff[:, None, None]
+    v = trade_cost(p_term, x_b, 0.0, z_b, dp_params, frictionless) + lattice.payoff[:, None, None]
     v = np.broadcast_to(v, (len(lattice.prices[n]), n_x, n_z)).copy()
 
     tables = [None] * (n + 1)
@@ -359,11 +415,14 @@ def superreplication_cost(
     z_cells = _spread_cells(zg)
     zp_by_pair = {}
     for jxp in range(n_x):
-        zp_by_pair[jxp] = z_cells(spread_step(zg[None, :], (xg[jxp] - xg)[:, None], params))
+        zp_by_pair[jxp] = z_cells(spread_step(zg[None, :], (xg[jxp] - xg)[:, None], dp_params))
 
     order = np.argsort(np.abs(xg), kind="stable")
+    new_max = s * (1.0 - xg)[:, None]
 
     for depth in range(n - 1, -1, -1):
+        if grouped:
+            v = np.concatenate([v, (v[0] + new_max)[None]])
         pairmax = np.maximum(v[lattice.up[depth]], v[lattice.dn[depth]])
         m = len(lattice.prices[depth])
         prices = lattice.prices[depth][:, None, None]
@@ -379,7 +438,7 @@ def superreplication_cost(
             ].reshape(m, n_x, n_z) * w
             # plus the trade: its mid leg (m, n_x, 1) and spread leg
             # (1, n_x, n_z) meet in one full-size add inside trade_cost
-            cand += trade_cost(prices, x_b, xg[jxp], z_b, params, frictionless)
+            cand += trade_cost(prices, x_b, xg[jxp], z_b, dp_params, frictionless)
             take_j = cand < best - grids.tie_eps
             np.minimum(best, cand, out=best)
             best_j[take_j] = jxp
@@ -388,11 +447,16 @@ def superreplication_cost(
         # state already sits at the edge and holding it is the choice.
         own = np.arange(n_x)[None, :, None]
         at_edge = (best_j == 0) | (best_j == n_x - 1)
-        boundary_hits += int(np.count_nonzero(at_edge & (best_j != own)))
+        hits = np.count_nonzero(at_edge & (best_j != own), axis=(1, 2))
+        if grouped:
+            # drawdown y stands for the lattice states (j, a) with a - j = y,
+            # a = d - y, d - y - 2, ... >= 0: floor((d - y)/2) + 1 of them
+            hits = hits * (np.arange(depth, -1, -1) // 2 + 1)
+        boundary_hits += int(np.sum(hits))
 
         if grids.refine and n_x >= 3:
             refined = _refine_layer(
-                best_j, v, lattice.up[depth], lattice.dn[depth], prices, xg, zg, z_cells, params, frictionless
+                best_j, v, lattice.up[depth], lattice.dn[depth], prices, xg, zg, z_cells, dp_params, frictionless
             )
             np.minimum(best, refined, out=best)
 
@@ -405,10 +469,11 @@ def superreplication_cost(
 
     ix0 = int(np.searchsorted(xg, params.x0))
     iz0 = int(np.searchsorted(zg, min(params.zeta0, zg[-1]))) if n_z > 1 else 0
-    cost = float(v[0, ix0, iz0])
+    cost = float(v[0, ix0, iz0]) - 0.5 * params.perm_impact * params.x0**2
     # Only the spread axis is interpolated during the scan, so its residual
     # is the propagating error; the position axis enters refinement only,
-    # where interpolating the convex tables errs on the safe side.
+    # where the tables, solved at iota = 0, hold no concave -iota x^2/2 for
+    # interpolation to undershoot.
     report = {
         "n_x": n_x,
         "n_zeta": n_z,
@@ -421,6 +486,12 @@ def superreplication_cost(
     }
     policy = None
     if keep_policy:
+        if grouped:
+            lattice = _build_lattice(spec, params, augmentation)
+            tables = [
+                w[top - level] + (top * s)[:, None, None] * (1.0 - x_b)
+                for w, (level, top) in zip(tables, (st.T for st in lattice.states))
+            ]
         policy = DPPolicy(tables=tables, lattice=lattice, x_axis=xg, zeta_axis=zg, frictionless=frictionless)
     return PriceResult(cost=cost, report=report, policy=policy)
 
@@ -609,7 +680,8 @@ def certificate_check(
     spread) state using the stored value tables, then wealth is accumulated
     with the exact cash dynamics.  It keeps its own position scan rather
     than the DP's: after the first trade its states lie off the grid, where
-    the DP's scan, tabulated per grid state, has no entry.
+    the DP's scan, tabulated per grid state, has no entry.  Trades are
+    chosen on the DP's objective at iota = 0 and paid with the true iota.
     """
     if result.policy is None:
         raise ValueError("price result was computed without keep_policy=True")
@@ -627,6 +699,7 @@ def certificate_check(
 
     xg, zg = pol.x_axis, pol.zeta_axis
     z_cells = _spread_cells(zg)
+    dp_params = replace(params, perm_impact=0.0)
     s = params.step_vol
     frictionless = pol.frictionless
 
@@ -641,7 +714,7 @@ def certificate_check(
         up_idx = pol.lattice.up[depth][node]
         dn_idx = pol.lattice.dn[depth][node]
         objective = _one_step_objective(
-            pol.tables[depth + 1], up_idx, dn_idx, price, x, zeta, z_cells, params, frictionless
+            pol.tables[depth + 1], up_idx, dn_idx, price, x, zeta, z_cells, dp_params, frictionless
         )
 
         best = np.full(count, np.inf)

@@ -119,6 +119,13 @@ def test_headline_prices_default_grids():
         assert res.report["boundary_hits"] == 0
 
 
+def test_headline_lookback_n16_default_grids():
+    # a horizon the (level, running max) lattice solve could not afford
+    res = superreplication_cost(mk(n=16), PayoffSpec("lookback_max"))
+    assert round(res.cost, 6) == 1.405037
+    assert res.report["boundary_hits"] == 0
+
+
 def test_golden_min_one_evaluation_per_step():
     targets = np.array([-0.7, 0.0, 0.3, 0.999])
     calls = []
@@ -188,6 +195,54 @@ def test_certificate_sampled_lookback():
     res = superreplication_cost(p, spec, keep_policy=True)
     out = certificate_check(res, p, spec, n_paths=2000, seed=4)
     assert out["min_margin"] >= -5e-3
+    assert out["violations"] == 0
+
+
+def test_certificate_exhaustive_lookback():
+    p = mk(n=6)
+    spec = PayoffSpec("lookback_max")
+    res = superreplication_cost(p, spec, keep_policy=True)
+    out = certificate_check(res, p, spec)
+    assert out["paths"] == 64 and out["violations"] == 0
+
+
+@pytest.mark.parametrize("kind", ["call", "lookback_max"])
+@pytest.mark.parametrize("frictionless", [False, True])
+def test_certificate_with_permanent_impact(kind, frictionless):
+    # -iota x^2/2 is concave in the position: left in the tables, their
+    # interpolation priced below what the policy needs
+    spec = PayoffSpec(kind)
+    for iota in (0.1, 0.5, 1.0):
+        p = mk(n=6, perm_impact=iota)
+        res = superreplication_cost(p, spec, frictionless=frictionless, keep_policy=True)
+        out = certificate_check(res, p, spec)
+        assert out["paths"] == 64 and out["violations"] == 0
+
+
+def test_permanent_impact_is_paid_at_the_root():
+    # Every plan ends flat, so its permanent legs sum to -iota x0^2/2.
+    call = PayoffSpec("call", strike=0.0)
+    grid = np.linspace(-1.0, 1.0, 9)
+    p = mk(n=2, x0=0.37, zeta0=0.1, perm_impact=0.8)
+    free = replace(p, perm_impact=0.0)
+    shift = 0.5 * p.perm_impact * p.x0**2
+    assert brute_force_cost(p, call, grid) == pytest.approx(brute_force_cost(free, call, grid) - shift, abs=1e-12)
+    res = superreplication_cost(p, call, keep_policy=True)
+    assert res.cost == superreplication_cost(free, call).cost - shift
+    out = certificate_check(res, p, call)
+    assert out["violations"] == 0
+
+
+def test_zeta_axis_without_position_span():
+    # x0 = zeta0 = 0 and a one-node position axis: no trade, no spread
+    p = mk(n=2)
+    grids = DPGrids(x_grid=[0.0])
+    assert np.array_equal(grids.zeta_axis(p, grids.x_axis(PayoffSpec("call"), p), False), [0.0])
+    res = superreplication_cost(p, PayoffSpec("call", strike=0.0), grids)
+    assert res.cost == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="zeta_max"):
+            DPGrids(zeta_max=bad)
 
 
 def test_certificate_counts_repeated_paths():
@@ -312,6 +367,42 @@ def test_certificate_matches_binary_search_lookups(monkeypatch):
     fast = replay_all()
     _oracle_lookups(monkeypatch)
     assert replay_all() == fast
+
+
+def _assert_same_solve(grouped, ungrouped, tol=1e-12):
+    assert grouped.cost == pytest.approx(ungrouped.cost, abs=tol)
+    close = ("max_interp_residual", "x_kink_residual")
+    for key, value in ungrouped.report.items():
+        expected = pytest.approx(value, abs=tol) if key in close else value
+        assert grouped.report[key] == expected, key
+    assert len(grouped.policy.tables) == len(ungrouped.policy.tables)
+    for mine, theirs in zip(grouped.policy.tables, ungrouped.policy.tables):
+        assert mine.shape == theirs.shape
+        assert np.max(np.abs(mine - theirs)) <= tol
+
+
+def test_drawdown_solve_matches_running_max_lattice(monkeypatch):
+    spec = PayoffSpec("lookback_max")
+    grids = DPGrids(n_x=41)
+    runs = [(mk(n=n), {"grids": grids}) for n in (1, 2, 3, 4, 7, 10)]
+    runs += [(mk(n=5, resilience=r), {"grids": grids}) for r in (0.3, 0.5, 1.0)]
+    off = mk(n=5, x0=0.37, zeta0=0.123, perm_impact=0.1)
+    runs += [
+        (off, {"grids": grids}),
+        (off, {"grids": grids, "frictionless": True}),
+        (off, {"grids": DPGrids(x_grid=np.linspace(-1.5, 1.5, 13))}),
+        # a binding position bound: boundary hits count per lattice state
+        (off, {"grids": DPGrids(x_grid=np.linspace(-0.4, 0.4, 9))}),
+    ]
+
+    def solve_all():
+        return [superreplication_cost(p, spec, keep_policy=True, **kw) for p, kw in runs]
+
+    grouped = solve_all()
+    assert grouped[-1].report["boundary_hits"] > 0
+    monkeypatch.setattr(pricing, "_drawdown_lattice", lambda *args: None)
+    for mine, theirs in zip(grouped, solve_all()):
+        _assert_same_solve(mine, theirs)
 
 
 def test_dp_and_certificate_search_only_at_the_root(monkeypatch):
