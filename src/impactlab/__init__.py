@@ -25,22 +25,16 @@ from .pricing import (
     DPGrids,
     PriceResult,
     Strategy,
-    affine_constrained_strategy,
     brute_force_cost,
     doob_quadratic_hedge,
-    liquidation_preamble,
     superreplication_cost,
 )
 from .dual import (
     DualCertificate,
-    MuWeights,
     VolProfile,
     constant_profile,
-    dual_objective_temporary,
-    dual_objective_transient,
     kusuoka_certificate,
     kusuoka_lower_bound,
-    mu_weights,
 )
 from .limits import (
     HJBGrid,

@@ -528,6 +528,12 @@ def run_experiment(config_path, mode=None, seed=None, no_cache=False, out_dir=".
         rows.append(row)
         return row
 
+    spec = cfg.payoff()
+    if mode in ("limit_hjb", "convergence_study") and spec.path_dependent:
+        raise ConfigError(
+            f"mode {mode!r} needs the HJB limit, which takes terminal-value payoffs only; "
+            f"payoff {spec.kind!r} is path-dependent: for its limit use mode = limit_mc"
+        )
     _check_store_tail(store)  # fail before the body computes rows it could not store
     t_prev = time.perf_counter()
     _BODIES[mode](cfg, emit)

@@ -8,8 +8,7 @@ trading period with no price move), so that with costs disabled the price
 collapses to the classical backward-induction value with q = 1/2.
 
 A full-tree brute force over grid-valued strategies serves as the oracle
-for small instances.  The explicit hedging strategies (quadratic-claim
-hedge, stop-anchored affine tracking, liquidation preamble) live here too.
+for small instances.  The explicit quadratic-claim hedge lives here too.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ __all__ = [
     "superreplication_cost",
     "brute_force_cost",
     "doob_quadratic_hedge",
-    "affine_constrained_strategy",
-    "liquidation_preamble",
     "certificate_check",
     "DOOB_LAMBDA_MAX",
 ]
@@ -50,11 +47,13 @@ DOOB_LAMBDA_MAX = 5e-3
 
 @dataclass
 class Strategy:
-    """Predictable position plan: X_n may depend on the first n-1 shocks."""
+    """Predictable position plan: X_n may depend on the first n-1 shocks.
+
+    Every plan ends flat (X_N = 0); `positions` checks it on each path.
+    """
 
     n_steps: int
     vector_fn: Callable[[np.ndarray], np.ndarray]
-    terminal_zero: bool = False
     meta: dict = field(default_factory=dict)
 
     def positions(self, shocks) -> np.ndarray:
@@ -63,8 +62,8 @@ class Strategy:
         if len(shocks) != self.n_steps:
             raise ValueError("path length must equal n_steps")
         pos = np.asarray(self.vector_fn(shocks), dtype=float)
-        if self.terminal_zero and self.n_steps and pos[-1] != 0.0:
-            raise AssertionError("strategy declared terminal-flat but X_N != 0")
+        if self.n_steps and pos[-1] != 0.0:
+            raise AssertionError("strategy must end flat, but X_N != 0")
         return pos
 
 
@@ -785,80 +784,5 @@ def doob_quadratic_hedge(lam: float, epsilon: float, params: MarketParams) -> St
     return Strategy(
         n_steps=n,
         vector_fn=vector_fn,
-        terminal_zero=True,
         meta={"capital": capital, "b": b, "d": d, "e": e, "lam": lam, "epsilon": epsilon},
     )
-
-
-def affine_constrained_strategy(phi, psi, grid, params: MarketParams) -> Strategy:
-    """Stop-anchored affine tracking plan with logarithmic position bounds.
-
-    Over each stop interval: ramp at constant speed (ceil(N^(1/3)) steps)
-    into phi_k + psi_k * (price at the last stop), then hold
-    phi_k + psi_k * (previous step price); after the last covered stop or
-    past 1 - N^(-1/2), unwind in another ramp and stay flat.  `grid` only
-    supplies the space threshold epsilon; the stops are re-derived on each
-    path so the plan stays predictable.
-    """
-    phi = np.asarray(phi, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    if len(phi) != len(psi):
-        raise ValueError("phi and psi must have equal length")
-    n = params.n_steps
-    bound = math.log(n)
-    if np.any(np.abs(phi) > bound) or np.any(np.abs(psi) > bound):
-        raise ValueError("coefficients must satisfy |phi|, |psi| <= log N")
-    epsilon = grid.epsilon
-    m_ramp = math.ceil(n ** (1.0 / 3.0))
-
-    def vector_fn(shocks: np.ndarray) -> np.ndarray:
-        path = fundamental_path(shocks, params)
-        stops = stopping_grid(path, epsilon, params).indices
-        prices = path.values
-        pos = np.zeros(n)
-        cur = params.x0
-        slot = 0
-        late = 1.0 - n ** (-0.5)
-        for k in range(1, len(stops)):
-            if k > len(phi) or stops[k - 1] / n >= late:
-                break
-            lo, hi = stops[k - 1], stops[k]
-            target = phi[k - 1] + psi[k - 1] * prices[lo]
-            ramp = min(m_ramp, hi - lo)
-            for j in range(1, ramp + 1):
-                pos[lo + j - 1] = cur + (target - cur) * j / ramp
-            track = np.arange(lo + ramp, hi)
-            pos[track] = phi[k - 1] + psi[k - 1] * prices[track]
-            cur = pos[hi - 1]
-            slot = hi
-        ramp = min(m_ramp, n - slot)
-        for j in range(1, ramp + 1):
-            pos[slot + j - 1] = cur * (1.0 - j / ramp)
-        return pos
-
-    return Strategy(n_steps=n, vector_fn=vector_fn, terminal_zero=False, meta={"m_ramp": m_ramp})
-
-
-def liquidation_preamble(inner: Strategy, params: MarketParams) -> Strategy:
-    """Unwind the endowed position, let the spread decay, then run `inner`.
-
-    First ceil(N^(1/3)) steps ramp x0 to zero at constant speed, the next
-    ceil(N^(1/3)) steps stay flat (the spread shrinks geometrically), and
-    the remaining N - 2 ceil(N^(1/3)) steps follow `inner` on the
-    time-shifted tail of the path.
-    """
-    n = params.n_steps
-    m = math.ceil(n ** (1.0 / 3.0))
-    if 2 * m >= n:
-        raise ValueError("n_steps too small for the liquidation preamble")
-    if inner.n_steps != n - 2 * m:
-        raise ValueError(f"inner strategy must cover {n - 2 * m} steps")
-
-    def vector_fn(shocks: np.ndarray) -> np.ndarray:
-        pos = np.zeros(n)
-        for j in range(1, m + 1):
-            pos[j - 1] = params.x0 * (1.0 - j / m)
-        pos[2 * m :] = inner.positions(shocks[2 * m :])
-        return pos
-
-    return Strategy(n_steps=n, vector_fn=vector_fn, terminal_zero=inner.terminal_zero, meta={"ramp": m})

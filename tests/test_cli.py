@@ -269,3 +269,23 @@ def test_torn_store_fails_before_the_body_runs(tmp_path, monkeypatch):
     with pytest.raises(ConfigError, match="torn row"):
         run_experiment(cfg, mode="primal_dp", no_cache=True, out_dir=str(out))
     assert calls == []
+
+
+SMOKE = BASE.replace("n_space = 201", "n_space = 101").replace(
+    "nu_values = 1.0 1.2", "nu_values = 1.0 1.2\nexact_max_n = 2\nmc_paths = 500"
+) + "\n[mc]\npaths = 200\nn_steps = 16\n"
+
+
+@pytest.mark.parametrize("kind", ["call", "put", "lookback_max", "asian_mean"])
+@pytest.mark.parametrize("command", ["price", "bound", "limit", "study", "verify"])
+def test_cli_smoke_matrix(tmp_path, capsys, command, kind):
+    # Every subcommand on every advertised payoff ends in an exit code, never
+    # a traceback; the HJB limit refuses path-dependent payoffs by name.
+    cfg = write_cfg(tmp_path, SMOKE.replace("kind = call", f"kind = {kind}"))
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if command in ("limit", "study") and kind in ("lookback_max", "asian_mean"):
+        assert code == 1
+        assert err.startswith("config error:") and kind in err and "limit_mc" in err
+    else:
+        assert code in (0, 2), err

@@ -23,11 +23,9 @@ from impactlab.pricing import (
     GOLDEN_STEPS,
     DPGrids,
     Strategy,
-    affine_constrained_strategy,
     brute_force_cost,
     certificate_check,
     doob_quadratic_hedge,
-    liquidation_preamble,
     superreplication_cost,
 )
 from impactlab import pricing
@@ -38,10 +36,6 @@ def mk(n=2, **kw):
     base = dict(p0=0.0, sigma=1.0, n_steps=n, depth=1.0, resilience=0.5)
     base.update(kw)
     return MarketParams(**base)
-
-
-def flat_strategy(n_steps):
-    return Strategy(n_steps=n_steps, vector_fn=lambda s: np.zeros(len(s)), terminal_zero=True)
 
 
 ABS_CALL = PayoffSpec("custom_terminal", table=((-8.0, 8.0), (0.0, 0.0), (8.0, 8.0)))
@@ -536,111 +530,15 @@ def test_doob_hedge_dominates_quadratic_claim_sampled():
         assert wealth >= lam * q
 
 
-# -- affine constrained strategies -------------------------------------------
+def test_strategy_positions_reject_non_flat_plan():
+    flat = Strategy(n_steps=4, vector_fn=lambda s: np.append(np.cumsum(s[:-1]) * 0.1, 0.0))
+    assert flat.positions([1, 1, -1, 1])[-1] == 0.0
+    held = Strategy(n_steps=4, vector_fn=lambda s: np.cumsum(s) * 0.1)
+    with pytest.raises(AssertionError, match="end flat"):
+        held.positions([1, 1, -1, 1])
 
 
-def test_affine_zero_coefficients_zero_strategy():
-    p = mk(n=64)
-    path = fundamental_path(np.tile([1, -1], 32), p)
-    grid = stopping_grid(path, 0.5, p)
-    strat = affine_constrained_strategy([0.0], [0.0], grid, p)
-    assert np.all(strat.positions(np.tile([1, -1], 32)) == 0.0)
-
-
-def test_affine_single_interval_ramp_hold_ramp():
-    n = 64
-    p = mk(n=n, sigma=0.05)  # price barely moves: only the cap stop exists
-    shocks = np.tile([1, -1], n // 2)
-    path = fundamental_path(shocks, p)
-    grid = stopping_grid(path, 5.0, p)
-    strat = affine_constrained_strategy([1.0], [0.0], grid, p)
-    pos = strat.positions(shocks)
-    m = math.ceil(n ** (1 / 3))
-    assert np.allclose(pos[:m], (np.arange(1, m + 1)) / m)
-    n_cap = grid.indices[-1]
-    assert np.all(pos[m:n_cap] == 1.0)
-    assert pos[-1] == 0.0 or n_cap + m < n  # fully unwound when room remains
-
-
-def test_affine_rejects_coefficients_beyond_log_bound():
-    p = mk(n=64)
-    path = fundamental_path(np.tile([1, -1], 32), p)
-    grid = stopping_grid(path, 0.5, p)
-    with pytest.raises(ValueError):
-        affine_constrained_strategy([math.log(64) * 1.5], [0.0], grid, p)
-
-
-def test_affine_tracking_cost_converges_to_quadratic_formula():
-    # Quadratic cost of the psi-tracking leg approaches psi^2 sigma^2 dt/(2 depth);
-    # ramp and unwind contributions vanish with N.
-    rel_err = {}
-    for n in (2**10, 2**14):
-        rng = np.random.default_rng(5)
-        hat = mk(n=n, resilience=1.0, depth=0.5)
-        errs = []
-        for _ in range(40):
-            shocks = rng.choice([-1, 1], size=n)
-            path = fundamental_path(shocks, hat)
-            grid = stopping_grid(path, 0.5, hat)
-            strat = affine_constrained_strategy([0.0], [1.0], grid, hat)
-            pos = strat.positions(shocks)
-            dx = np.diff(np.concatenate([[0.0], pos]))
-            cost = float(np.sum(dx**2)) / (2 * hat.depth)
-            covered = grid.indices[1] / n  # single coefficient: first interval only
-            formula = 1.0**2 * hat.sigma**2 * covered / (2 * hat.depth)
-            errs.append(abs(cost - formula) / formula)
-        rel_err[n] = float(np.mean(errs))
-    assert rel_err[2**14] < rel_err[2**10]
-    assert rel_err[2**14] < 0.1
-
-
-# -- liquidation preamble ------------------------------------------------------
-
-
-def test_preamble_with_zero_endowment_is_shifted_inner():
-    n = 32
-    m = math.ceil(n ** (1 / 3))
-    p = mk(n=n, x0=0.0)
-    inner = Strategy(n_steps=n - 2 * m, vector_fn=lambda s: np.cumsum(s) * 0.1)
-    strat = liquidation_preamble(inner, p)
-    shocks = np.tile([1, -1], n // 2)
-    pos = strat.positions(shocks)
-    assert np.all(pos[: 2 * m] == 0.0)
-    assert np.allclose(pos[2 * m :], inner.positions(shocks[2 * m :]))
-
-
-def test_preamble_liquidation_proceeds_near_initial_value():
-    # Flat-ish fundamental: proceeds of the ramp approach P0*x0 + iota*x0^2/2.
-    for n in (64, 512):
-        p = mk(n=n, p0=5.0, x0=1.0, depth=1.0, perm_impact=0.2)
-        m = math.ceil(n ** (1 / 3))
-        inner = flat_strategy(n - 2 * m)
-        strat = liquidation_preamble(inner, p)
-        shocks = np.tile([1, -1], n // 2)
-        pos = strat.positions(shocks)
-        wealth = terminal_wealth(pos, shocks, p)
-        target = p.p0 * p.x0 + 0.5 * p.perm_impact * p.x0**2
-        assert abs(wealth - target) <= 4.0 * n ** (-1.0 / 6.0)
-
-
-def test_preamble_spread_decays_during_idle_phase():
-    n = 64
-    p = mk(n=n, x0=1.0, zeta0=0.3, depth=2.0, resilience=0.4)
-    m = math.ceil(n ** (1 / 3))
-    inner = flat_strategy(n - 2 * m)
-    strat = liquidation_preamble(inner, p)
-    shocks = np.tile([1, -1], n // 2)
-    pos = strat.positions(shocks)
-    z = p.zeta0
-    for dx in np.abs(np.diff(np.concatenate([[p.x0], pos[: 2 * m]]))):
-        z = (1 - p.resilience) * z + dx / p.depth
-    assert z <= (p.zeta0 + p.x0 / p.depth) * (1 - p.resilience) ** m + 1e-12
-
-
-def test_preamble_rejects_small_n():
-    p = mk(n=4, x0=1.0)
-    with pytest.raises(ValueError):
-        liquidation_preamble(flat_strategy(1), p)
+# -- path-dependent lattices ---------------------------------------------------
 
 
 def test_full_tree_mode_agrees_with_running_max():
