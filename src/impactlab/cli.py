@@ -419,19 +419,24 @@ def _dual_rows(cfg: ExperimentConfig, emit) -> list:
     return rows
 
 
-def _hjb_rows(cfg: ExperimentConfig, emit) -> list:
+def _limit_setup(cfg: ExperimentConfig):
+    """The limit problem and the HJB grid that the [hjb] section describes."""
     params = cfg.market(max(cfg.n_list()))
     problem = limit_from_market(
         params, cfg.payoff(), nu_sq_max=cfg.get("hjb", "nu_sq_max") * params.sigma**2
     )
-    n_space = cfg.get("hjb", "n_space")
     grid = HJBGrid(
         p_halfwidth=cfg.get("hjb", "p_halfwidth"),
-        n_space=n_space,
+        n_space=cfg.get("hjb", "n_space"),
         cap_flag_fraction=cfg.get("hjb", "cap_fraction_max"),
     )
+    return problem, grid
+
+
+def _hjb_rows(cfg: ExperimentConfig, emit) -> list:
+    problem, grid = _limit_setup(cfg)
     res = hjb_value(problem, grid)
-    fine = hjb_value(problem, replace(grid, n_space=2 * n_space - 1))
+    fine = hjb_value(problem, replace(grid, n_space=2 * grid.n_space - 1))
     refinement_change = abs(fine.value - res.value)
     return [
         emit(
@@ -446,31 +451,22 @@ def _hjb_rows(cfg: ExperimentConfig, emit) -> list:
 
 
 def _mc_rows(cfg: ExperimentConfig, emit) -> list:
-    params = cfg.market(max(cfg.n_list()))
-    problem = limit_from_market(
-        params, cfg.payoff(), nu_sq_max=cfg.get("hjb", "nu_sq_max") * params.sigma**2
-    )
+    problem, grid = _limit_setup(cfg)
     thetas = [float(tok) for tok in str(cfg.get("mc", "thetas")).split()]
     family_name = cfg.get("mc", "family")
+    flagged = False
     if family_name == "constant":
         family = constant_family(thetas)
     elif family_name == "hjb_feedback":
-        base = hjb_value(problem, HJBGrid(n_space=cfg.get("hjb", "n_space")), keep_control=True)
+        base = hjb_value(problem, grid, keep_control=True)
+        flagged = base.flagged
         family = hjb_feedback_family(base, scales=thetas, sigma_sq=problem.sigma_sq)
     else:
         raise ConfigError(f"unknown policy family {family_name!r}")
     out = limit_value_mc(
         problem, family, MCConfig(n_paths=cfg.get("mc", "paths"), n_steps=cfg.get("mc", "n_steps"), seed=cfg.seed)
     )
-    return [emit("limit_mc", 0, f"theta={out['theta']:g}", out["value"], out["std_error"], False)]
-
-
-def _study_rows(cfg: ExperimentConfig, emit) -> list:
-    rows = []
-    rows += _primal_rows(cfg, emit)
-    rows += _dual_rows(cfg, emit)
-    rows += _hjb_rows(cfg, emit)
-    return rows
+    return [emit("limit_mc", 0, f"theta={out['theta']:g}", out["value"], out["std_error"], flagged)]
 
 
 _BODIES = {
@@ -479,8 +475,9 @@ _BODIES = {
     "dual_bound": _dual_rows,
     "limit_hjb": _hjb_rows,
     "limit_mc": _mc_rows,
-    "convergence_study": _study_rows,
 }
+# a study's rows are the rows of these modes, in this order
+_STUDY_MODES = ("primal_dp", "dual_bound", "limit_hjb")
 
 
 def run_experiment(config_path, mode=None, seed=None, no_cache=False, out_dir=".") -> tuple[int, list]:
@@ -496,17 +493,20 @@ def run_experiment(config_path, mode=None, seed=None, no_cache=False, out_dir=".
     mode = mode or cfg_mode
     if not mode:
         raise ConfigError("no mode given (set [run] mode or use a subcommand)")
-    if mode not in _BODIES:
+    if mode not in _BODIES and mode != "convergence_study":
         raise ConfigError(f"unknown mode {mode!r}")
 
     os.makedirs(out_dir, exist_ok=True)
     store = os.path.join(out_dir, cfg.get("output", "results"))
     digest = cfg.digest()
 
-    if not no_cache:
-        cached = [r for r in _store_read(store) if r.digest == digest and r.mode in (mode, *_sub_modes(mode))]
-        if cached:
-            return (2 if any(r.flag == "WARN" for r in cached) else 0), cached
+    # served from the store only when every row mode is there; a study
+    # stored in part (say after `impactlab price`) computes the rest
+    modes = _STUDY_MODES if mode == "convergence_study" else (mode,)
+    cached = [] if no_cache else [r for r in _store_read(store) if r.digest == digest and r.mode in modes]
+    missing = [m for m in modes if m not in {r.mode for r in cached}]
+    if not missing:
+        return (2 if any(r.flag == "WARN" for r in cached) else 0), cached
 
     rows = []
 
@@ -536,14 +536,12 @@ def run_experiment(config_path, mode=None, seed=None, no_cache=False, out_dir=".
         )
     _check_store_tail(store)  # fail before the body computes rows it could not store
     t_prev = time.perf_counter()
-    _BODIES[mode](cfg, emit)
+    for m in missing:
+        _BODIES[m](cfg, emit)
     with _StoreLock(store):
         _store_append(store, rows)
+    rows = sorted(cached + rows, key=lambda r: modes.index(r.mode))  # stable: each mode keeps its order
     return (2 if any(r.flag == "WARN" for r in rows) else 0), rows
-
-
-def _sub_modes(mode):
-    return ("primal_dp", "dual_bound", "limit_hjb") if mode == "convergence_study" else ()
 
 
 def convergence_table(store_path, study_id, digest=None) -> tuple[str, list[dict]]:

@@ -104,6 +104,14 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
     The pointwise optimizer is a* = clamp(sigma^2 + V_pp / (4c), 0, a_max);
     the fraction of nodes where the cap binds is reported and flags the
     result above `cap_flag_fraction`.  Boundaries carry zero curvature.
+
+    A step whose scaled curvature q = V_pp / (4c) stays inside the clip
+    band on every node skips the clip: there the clipped u equals q, so
+    the Hamiltonian term (q - u + q) u is q * q to the last bit.  Only the
+    first steps near a payoff kink need the clip; `grid["clipped_steps"]`
+    counts them.  Step constants are 0-d arrays, which numpy takes without
+    converting a Python float on each call; the doubles, and so the
+    results, are the same.
     """
     grid = grid or HJBGrid()
     spec = problem.payoff
@@ -130,11 +138,13 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
     # and u = a* - sigma^2 = clamp(q, -sigma^2, a_max - sigma^2), the
     # Hamiltonian a* V_pp / 2 - c (a* - sigma^2)^2 is
     # c (u (2q - u) + 2 sigma^2 q); the boundaries carry zero curvature,
-    # so only interior nodes move.
-    k_q = 1.0 / (4.0 * c * dp * dp)
-    c_dt = c * dt
-    two_s2 = 2.0 * s2
-    u_lo, u_hi = -s2, a_max - s2
+    # so only interior nodes move.  A step costs ufunc call overhead, not
+    # arithmetic, so the constants are 0-d arrays: the same doubles, hence
+    # the same bits, without converting a Python float on every call.
+    k_q = np.array(1.0 / (4.0 * c * dp * dp))
+    c_dt = np.array(c * dt)
+    two_s2 = np.array(2.0 * s2)
+    u_lo, u_hi = np.array(-s2), np.array(a_max - s2)
     cap_tol = a_max * (1.0 - 1e-12)
     u_cap = cap_tol - s2
     # boundary nodes hold a* = sigma^2, a cap hit only when a_max ~ sigma^2
@@ -145,6 +155,7 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
     v_hi, v_lo, v_in, d_hi, d_lo = v[1:], v[:-1], v[1:-1], d[1:], d[:-1]
     sub, add, mul, at_least, at_most = np.subtract, np.add, np.multiply, np.maximum, np.minimum
     cap_hits = 0
+    clipped_steps = 0
     if keep_control:
         # control snapshots on a thinned time grid (at most ~257 slices)
         stride = max(1, n_t // 256)
@@ -153,21 +164,32 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
         sub(v_hi, v_lo, d)
         sub(d_hi, d_lo, q)
         mul(q, k_q, q)
-        at_least(q, u_lo, out=u)
-        at_most(u, u_hi, out=u)
-        np.greater_equal(u, u_cap, out=at_cap)
-        cap_hits += np.count_nonzero(at_cap) + edge_hits
-        sub(q, u, w)
-        add(w, q, w)
-        mul(w, u, w)
+        # q inside [u_lo, u_cap) on every node: the clamp would leave
+        # u == q, so (q - u) + q is q and the term is q * q to the last bit,
+        # with no cap hit.  NaN or inf fails the test and clips as before.
+        # Snapshot steps clip anyway, since the control needs u.
+        inside = q[q.argmax()] < u_cap and q[q.argmin()] >= u_lo
+        clipped_steps += not inside
+        snap = keep_control and step % stride == 0
+        if inside and not snap:
+            mul(q, q, w)
+        else:
+            at_least(q, u_lo, out=u)
+            at_most(u, u_hi, out=u)
+            np.greater_equal(u, u_cap, out=at_cap)
+            cap_hits += int(np.count_nonzero(at_cap))
+            sub(q, u, w)
+            add(w, q, w)
+            mul(w, u, w)
         mul(q, two_s2, tmp)
         add(w, tmp, w)
         mul(w, c_dt, w)
         add(v_in, w, v_in)
-        if keep_control and (step % stride == 0):
+        if snap:
             a_star = np.full(n_sp, s2)
             add(u, s2, a_star[1:-1])
             snaps.append((1.0 - (step + 1) * dt, a_star))
+    cap_hits += edge_hits * n_t
     cap_fraction = cap_hits / (n_t * n_sp)
     value = float(np.interp(problem.p0, p_ax, v)) - problem.endowment
 
@@ -210,7 +232,7 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
         value=value,
         cap_fraction=cap_fraction,
         flagged=cap_fraction > grid.cap_flag_fraction,
-        grid={"n_space": n_sp, "n_time": n_t, "dp": dp, "dt": dt},
+        grid={"n_space": n_sp, "n_time": n_t, "dp": dp, "dt": dt, "clipped_steps": clipped_steps},
         surface=v,
         p_axis=p_ax,
         control=control,

@@ -115,6 +115,27 @@ def test_study_rows_and_table(tmp_path):
     assert "price" in text.splitlines()[0]
 
 
+def test_study_computes_only_what_the_store_lacks(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, BASE)
+    out = str(tmp_path / "out")
+    _, priced = run_experiment(cfg, mode="primal_dp", out_dir=out)
+    calls = []
+    monkeypatch.setitem(cli._BODIES, "primal_dp", lambda cfg, emit: calls.append(cfg))
+    code, rows = run_experiment(cfg, mode="convergence_study", out_dir=out)
+    assert calls == []  # the stored primal rows are served, not recomputed
+    order = ("primal_dp", "dual_bound", "limit_hjb")
+    assert [r.mode for r in rows] == sorted((r.mode for r in rows), key=order.index)
+    assert {r.mode for r in rows} == set(order)
+    assert [r.key_fields() for r in rows if r.mode == "primal_dp"] == [r.key_fields() for r in priced]
+    _, records = convergence_table(os.path.join(out, "results.csv"), "unit")
+    for rec in records:
+        assert all(np.isfinite(rec[k]) for k in ("price", "lower_bound", "limit", "gap"))
+    # now complete, the study is served whole from the store
+    _, again = run_experiment(cfg, mode="convergence_study", out_dir=out)
+    assert [r.key_fields() for r in again] == [r.key_fields() for r in rows]
+    assert calls == []
+
+
 def test_cache_serves_identical_rows(tmp_path):
     cfg = write_cfg(tmp_path, BASE.replace("n_list = 2 3", "n_list = 2"))
     out = str(tmp_path / "out")
@@ -289,3 +310,20 @@ def test_cli_smoke_matrix(tmp_path, capsys, command, kind):
         assert err.startswith("config error:") and kind in err and "limit_mc" in err
     else:
         assert code in (0, 2), err
+
+
+def test_limit_mc_feedback_solves_on_the_configured_grid(tmp_path, monkeypatch):
+    body = SMOKE.replace("nu_sq_max = 4.0", "nu_sq_max = 4.0\np_halfwidth = 6\ncap_fraction_max = 1e-9")
+    cfg = write_cfg(tmp_path, body + "family = hjb_feedback\nthetas = 1.0\n")
+    grids = []
+    solve = cli.hjb_value
+
+    def spy(problem, grid=None, keep_control=False):
+        grids.append(grid)
+        return solve(problem, grid, keep_control=keep_control)
+
+    monkeypatch.setattr(cli, "hjb_value", spy)
+    code, rows = run_experiment(cfg, mode="limit_mc", out_dir=str(tmp_path / "out"))
+    assert [(g.p_halfwidth, g.n_space, g.cap_flag_fraction) for g in grids] == [(6.0, 101, 1e-9)]
+    # the call's kink binds the cap early, above the 1e-9 the config allows
+    assert code == 2 and rows[0].flag == "WARN"

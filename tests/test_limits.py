@@ -88,6 +88,15 @@ def test_hjb_value_dominates_reference_vol_value():
     assert res.value >= ATM - 1e-3
 
 
+def test_hjb_atm_call_at_601_nodes_to_the_last_bit():
+    prob = LimitProblem(payoff=PayoffSpec("call", strike=0.0), penalty_c=1.0 / 24.0, sigma_sq=1.0, nu_sq_max=16.0)
+    res = hjb_value(prob, HJBGrid(n_space=601))
+    assert repr(res.value) == "0.5725394813243734"
+    assert res.cap_fraction == 2.2184753816341518e-05
+    assert res.grid["n_time"] == 45001
+    assert 0 < res.grid["clipped_steps"] < 45001
+
+
 def test_hjb_rejects_path_dependent_payoffs():
     prob = LimitProblem(payoff=PayoffSpec("lookback_max"), penalty_c=0.1, sigma_sq=1.0)
     with pytest.raises(ValueError):
@@ -279,6 +288,16 @@ def test_hjb_step_matches_unfused_scheme(spec, c, nu_sq_max, binds):
         assert cap_fraction > 0.0
     if binds == "floor":
         assert tables.min() == 0.0
+    # steps whose q leaves the band take the clip; the others skip it
+    clipped, n_t = res.grid["clipped_steps"], res.grid["n_time"]
+    if nu_sq_max == prob.sigma_sq:
+        assert clipped == n_t  # boundary and interior sit at the cap
+    if binds is None:
+        assert 0 < clipped < n_t  # only the early steps near the kink clip
+    bare = hjb_value(prob, grid)  # no snapshot steps forced onto the clip
+    assert bare.grid["clipped_steps"] == clipped
+    assert bare.surface.tobytes() == res.surface.tobytes()
+    assert bare.cap_fraction == res.cap_fraction
     for t in (0.0, 0.37, 0.999):
         it = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 1)
         for p in (-1.3, 0.0, 0.02, 2.5):
