@@ -16,6 +16,7 @@ import configparser
 import csv
 import fcntl
 import hashlib
+import math
 import os
 import sys
 import time
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import SOLVER_REVISION, __version__
-from .dual import constant_profile, kusuoka_lower_bound
+from .dual import _EXACT_MAX_N, constant_profile, kusuoka_lower_bound
 from .limits import (
     HJBGrid,
     MCConfig,
@@ -53,69 +54,41 @@ class ConfigError(Exception):
     pass
 
 
-_SCHEMA = {
+# Every config key with its default; a key's type is its default's type.
+_DEFAULTS = {
     "market": {
-        "p0": float,
-        "sigma": float,
-        "depth": float,
-        "resilience": float,
-        "perm_impact": float,
-        "x0": float,
-        "zeta0": float,
-        "xi0": float,
+        "p0": 0.0,
+        "sigma": 1.0,
+        "depth": 1.0,
+        "resilience": 0.5,
+        "perm_impact": 0.0,
+        "x0": 0.0,
+        "zeta0": 0.0,
+        "xi0": 0.0,
     },
-    "payoff": {"kind": str, "strike": float},
-    "run": {"mode": str, "n_list": str, "study_id": str, "seed": int},
+    "payoff": {"kind": "call", "strike": 0.0},
+    "run": {"mode": "", "n_list": "8 16 32", "study_id": "default", "seed": 0},
     "dp": {
-        "x_max": float,
-        "n_x": int,
-        "n_zeta": int,
-        "refine": bool,
-        "frictionless": bool,
-        "augmentation": str,
+        "x_max": 0.0,  # 0 means automatic
+        "n_x": 81,
+        "n_zeta": 48,
+        "refine": True,
+        "frictionless": False,
+        "augmentation": "auto",
     },
-    "dual": {"nu_values": str, "exact_max_n": int, "mc_paths": int},
-    "hjb": {"n_space": int, "p_halfwidth": float, "nu_sq_max": float, "cap_fraction_max": float},
-    "mc": {"paths": int, "n_steps": int, "family": str, "thetas": str},
-    "output": {"results": str},
+    "dual": {"nu_values": "0.8 1.0 1.2", "exact_max_n": 12, "mc_paths": 20000},
+    "hjb": {
+        "n_space": 601,
+        "p_halfwidth": 8.0,
+        "nu_sq_max": 16.0,  # multiple of sigma^2
+        "cap_fraction_max": 0.3,
+    },
+    "mc": {"paths": 20000, "n_steps": 128, "family": "constant", "thetas": "0.8 1.0 1.2"},
+    "output": {"results": "results.csv"},
 }
 
 _MODES = ("primal_dp", "dual_bound", "limit_hjb", "limit_mc", "convergence_study", "identity_suite")
-
-_DEFAULTS = {
-    ("market", "p0"): 0.0,
-    ("market", "sigma"): 1.0,
-    ("market", "depth"): 1.0,
-    ("market", "resilience"): 0.5,
-    ("market", "perm_impact"): 0.0,
-    ("market", "x0"): 0.0,
-    ("market", "zeta0"): 0.0,
-    ("market", "xi0"): 0.0,
-    ("payoff", "kind"): "call",
-    ("payoff", "strike"): 0.0,
-    ("run", "mode"): "",
-    ("run", "n_list"): "8 16 32",
-    ("run", "study_id"): "default",
-    ("run", "seed"): 0,
-    ("dp", "x_max"): 0.0,  # 0 means automatic
-    ("dp", "n_x"): 81,
-    ("dp", "n_zeta"): 48,
-    ("dp", "refine"): True,
-    ("dp", "frictionless"): False,
-    ("dp", "augmentation"): "auto",
-    ("dual", "nu_values"): "0.8 1.0 1.2",
-    ("dual", "exact_max_n"): 12,
-    ("dual", "mc_paths"): 20000,
-    ("hjb", "n_space"): 601,
-    ("hjb", "p_halfwidth"): 8.0,
-    ("hjb", "nu_sq_max"): 16.0,  # multiple of sigma^2
-    ("hjb", "cap_fraction_max"): 0.3,
-    ("mc", "paths"): 20000,
-    ("mc", "n_steps"): 128,
-    ("mc", "family"): "constant",
-    ("mc", "thetas"): "0.8 1.0 1.2",
-    ("output", "results"): "results.csv",
-}
+_FAMILIES = ("constant", "hjb_feedback")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -143,14 +116,14 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: {exc}") from exc
         if not read:
             raise ConfigError(f"config file not found: {path}")
-        values = dict(_DEFAULTS)
+        values = {(section, key): v for section, keys in _DEFAULTS.items() for key, v in keys.items()}
         for section in parser.sections():
-            if section not in _SCHEMA:
+            if section not in _DEFAULTS:
                 raise ConfigError(f"unknown section [{section}]")
             for key, raw in parser.items(section):
-                if key not in _SCHEMA[section]:
+                if key not in _DEFAULTS[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                typ = _SCHEMA[section][key]
+                typ = type(_DEFAULTS[section][key])
                 try:
                     values[(section, key)] = _parse_bool(raw) if typ is bool else typ(raw)
                 except ValueError as exc:
@@ -159,8 +132,16 @@ class ExperimentConfig:
         if mode and mode not in _MODES:
             raise ConfigError(f"unknown mode {mode!r}; expected one of {_MODES}")
         seed = int(seed_override) if seed_override is not None else values[("run", "seed")]
+        if values[("dual", "exact_max_n")] > _EXACT_MAX_N:
+            raise ConfigError(f"[dual] exact_max_n must be <= {_EXACT_MAX_N} (the exact tree's limit)")
+        family = values[("mc", "family")]
+        if family not in _FAMILIES:
+            raise ConfigError(f"[mc] family: unknown policy family {family!r}; expected one of {_FAMILIES}")
         cfg = cls(values=values, seed=seed)
-        cfg.market()  # surface invalid market parameters as config errors
+        # surface invalid values before any experiment body runs
+        cfg.market()
+        cfg.nu_values()
+        cfg.thetas()
         return cfg
 
     def get(self, section, key):
@@ -207,6 +188,24 @@ class ExperimentConfig:
         if not ns or any(n < 1 for n in ns):
             raise ConfigError("[run] n_list must hold positive integers")
         return ns
+
+    def _numbers(self, section, key) -> list[float]:
+        try:
+            vals = [float(tok) for tok in str(self.get(section, key)).split()]
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from exc
+        if not vals or not all(map(math.isfinite, vals)):
+            raise ConfigError(f"[{section}] {key} must hold finite numbers")
+        return vals
+
+    def nu_values(self) -> list[float]:
+        nus = self._numbers("dual", "nu_values")
+        if any(nu <= 0 for nu in nus):
+            raise ConfigError("[dual] nu_values must be > 0")
+        return nus
+
+    def thetas(self) -> list[float]:
+        return self._numbers("mc", "thetas")
 
     def dp_grids(self) -> DPGrids:
         xm = self.get("dp", "x_max")
@@ -393,9 +392,8 @@ def _primal_rows(cfg: ExperimentConfig, emit) -> list:
 def _dual_rows(cfg: ExperimentConfig, emit) -> list:
     spec = cfg.payoff()
     sigma = cfg.get("market", "sigma")
-    nus = [float(tok) for tok in str(cfg.get("dual", "nu_values")).split()]
     rows = []
-    for nu in nus:
+    for nu in cfg.nu_values():
         recs = kusuoka_lower_bound(
             constant_profile(nu, sigma),
             spec,
@@ -452,17 +450,14 @@ def _hjb_rows(cfg: ExperimentConfig, emit) -> list:
 
 def _mc_rows(cfg: ExperimentConfig, emit) -> list:
     problem, grid = _limit_setup(cfg)
-    thetas = [float(tok) for tok in str(cfg.get("mc", "thetas")).split()]
-    family_name = cfg.get("mc", "family")
+    thetas = cfg.thetas()
     flagged = False
-    if family_name == "constant":
-        family = constant_family(thetas)
-    elif family_name == "hjb_feedback":
+    if cfg.get("mc", "family") == "hjb_feedback":
         base = hjb_value(problem, grid, keep_control=True)
         flagged = base.flagged
         family = hjb_feedback_family(base, scales=thetas, sigma_sq=problem.sigma_sq)
     else:
-        raise ConfigError(f"unknown policy family {family_name!r}")
+        family = constant_family(thetas)
     out = limit_value_mc(
         problem, family, MCConfig(n_paths=cfg.get("mc", "paths"), n_steps=cfg.get("mc", "n_steps"), seed=cfg.seed)
     )

@@ -24,8 +24,10 @@ The endowment's price and permanent-impact legs cost p0 x0 + iota x0^2/2
 on every terminal-flat plan.  So E_Q[H - chain] - delta (1-r)^2 zeta0^2/2
 - p0 x0 - iota x0^2/2 lower-bounds the costs this package computes,
 including the terminal liquidation period the primal solver prices.  Every
-printed lower bound is this one formula (`_bound_from_paths`), evaluated
-exactly on the tree or by sampling the tilted walk.
+printed lower bound is this one formula, taken along one route: `_walk`
+runs the tilted walk forward period by period, exactly on every row of the
+certificate's tree or on sampled rows, summing the chain as it goes, so it
+holds O(rows) memory and no (rows, N) array.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 # evaluate_payoff and fundamental_path are unused here but stay importable
 # as module attributes: perfbench/boundaries.py wraps them in this namespace.
 from .market import MarketParams, fundamental_path  # noqa: F401
-from .payoffs import PayoffSpec, evaluate_payoff, payoff_from_summaries, payoff_on_paths  # noqa: F401
+from .payoffs import PayoffSpec, evaluate_payoff, payoff_from_summaries  # noqa: F401
 
 __all__ = [
     "DualCertificate",
@@ -119,31 +121,6 @@ def constant_profile(nu_value: float, sigma: float, label: Optional[str] = None)
 def _all_shocks(n: int) -> np.ndarray:
     bits = (np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1
     return np.where(bits == 1, 1, -1).astype(np.int64)
-
-
-def _tree_payoffs(spec: PayoffSpec, shocks: np.ndarray, params: MarketParams) -> np.ndarray:
-    """Payoff of the fundamental path of every shock row, in one batch."""
-    steps = np.hstack([np.zeros((len(shocks), 1)), np.cumsum(shocks, axis=1)])
-    return payoff_on_paths(spec, params.p0 + params.step_vol * steps)
-
-
-def _path_probabilities(cert: DualCertificate, shocks: np.ndarray) -> np.ndarray:
-    n = shocks.shape[1]
-    prob = np.ones(shocks.shape[0])
-    idx = np.zeros(shocks.shape[0], dtype=np.int64)
-    for k in range(n):
-        qk = cert.q[k][idx]
-        prob *= np.where(shocks[:, k] == 1, qk, 1.0 - qk)
-        idx = idx + ((shocks[:, k] == 1) << k)
-    return prob
-
-
-def _signed_sums(depth: int) -> np.ndarray:
-    idx = np.arange(2**depth)
-    out = np.zeros(2**depth, dtype=np.int64)
-    for j in range(depth):
-        out += np.where((idx >> j) & 1 == 1, 1, -1)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +214,7 @@ def certificate_martingale_gaps(cert: DualCertificate, params: MarketParams) -> 
         idx = np.arange(2**k)
         if k == 0:
             return np.full(1, params.p0)
-        prices = params.p0 + s * _signed_sums(k)
+        prices = params.p0 + s * _all_shocks(k).sum(axis=1)
         xi = np.where((idx >> (k - 1)) & 1 == 1, 1.0, -1.0)
         parent = idx % (2 ** (k - 1))
         return prices + cert.alpha[k - 1][parent] * xi / root_n
@@ -256,38 +233,65 @@ def certificate_martingale_gaps(cert: DualCertificate, params: MarketParams) -> 
 # certified lower bounds
 
 
-def _bound_from_paths(h_vals, alphas, prob, params):
-    """The certified bound and its standard error, from per-path values.
+def _walk(spec, params, source, n_paths=0, seed=0):
+    """Walk the tilted measure forward one period at a time.
 
-    h_vals: payoff per path; alphas: (n_paths, N) tilts; prob: exact path
-    probabilities, or None for equally weighted samples (then the standard
-    error is reported, else 0).  With b_m = |alpha_m|/sqrt(N) and b_0 = 0
-    the bound is
-
-        E[H - delta/2 sum_{m=1..N} ((b_{m-1} - (1-r) b_m)_+)^2 / (1-(1-r)^2)
-             - delta/2 b_N^2]
-        - delta (1-r)^2 zeta0^2 / 2 - p0 x0 - iota x0^2 / 2,
-
-    the last b_N^2 term paying for the liquidation period (module docstring).
+    `source` is a DualCertificate, walked exactly on all 2^N shock rows (row
+    i has shock k+1 up when bit k of i is set), or a VolProfile, sampled on
+    `n_paths` rows whose tilts come from `_tilt_step`.  Each period adds
+    ((b_{k-1} - (1-r) b_k)_+)^2, b_k = |alpha_k|/sqrt(N), to a per-row chain
+    and moves the last price, running max and running integral; the price
+    history is kept only for a sampled profile with `lip_const > 0`, so
+    memory is O(rows).  Returns (h, penalty, prob, clip_q): the payoff and
+    the penalty chain of every row (its liquidation term delta/2 b_N^2
+    included), the exact row probabilities (None when sampled) and the
+    clipped probabilities.
     """
-    n = alphas.shape[1]
+    n = params.n_steps
+    s = params.step_vol
+    root_n = math.sqrt(n)
     decay = 1.0 - params.resilience
-    b = np.abs(alphas) / math.sqrt(n)
-    b_prev = np.hstack([np.zeros((len(b), 1)), b[:, :-1]])
-    mid = np.clip(b_prev - decay * b, 0.0, None) ** 2
-    pen = params.depth / (2.0 * (1.0 - decay**2)) * mid.sum(axis=1) + 0.5 * params.depth * b[:, -1] ** 2
-    vals = h_vals - pen
-    mean = float(np.dot(prob, vals)) if prob is not None else float(np.mean(vals))
-    if prob is None:
-        se = float(np.std(vals) / math.sqrt(len(vals)))
+    exact = isinstance(source, DualCertificate)
+    if exact:
+        rows = 2**n
+        row = np.arange(rows)
+        prob = np.ones(rows)
+        clip_q = source.meta["clip_q"]
     else:
-        se = 0.0
-    const = (
-        -0.5 * params.depth * decay**2 * params.zeta0**2
-        - params.p0 * params.x0
-        - 0.5 * params.perm_impact * params.x0**2
-    )
-    return mean + const, se
+        rows = n_paths
+        rng = np.random.default_rng(seed)
+        prob, clip_q = None, 0
+        keep_history = source.lip_const > 0
+        values = np.full((rows, 1), params.p0)
+    alpha = xi = None
+    b_prev = 0.0
+    chain = np.zeros(rows)
+    cum = np.zeros(rows)
+    run_max = np.full(rows, params.p0)
+    run_int = np.zeros(rows)
+    last_price = np.full(rows, params.p0)
+    for k in range(n):
+        if exact:
+            prefix = row & ((1 << k) - 1)
+            alpha, q = source.alpha[k][prefix], source.q[k][prefix]
+            xi = np.where((row >> k) & 1 == 1, 1.0, -1.0)
+            prob *= np.where(xi > 0, q, 1.0 - q)
+        else:
+            alpha, q, _, n_q = _tilt_step(source, k, n, values, alpha, xi, params.sigma)
+            clip_q += n_q
+            xi = np.where(rng.random(rows) < q, 1.0, -1.0)
+        b = np.abs(alpha) / root_n
+        chain += np.clip(b_prev - decay * b, 0.0, None) ** 2
+        b_prev = b
+        run_int += last_price / n
+        cum += xi
+        last_price = params.p0 + s * cum
+        run_max = np.maximum(run_max, last_price)
+        if not exact:
+            values = np.hstack([values, last_price[:, None]]) if keep_history else last_price[:, None]
+    h = payoff_from_summaries(spec, terminal=last_price, rise=run_max - params.p0, average=run_int)
+    penalty = params.depth / (2.0 * (1.0 - decay**2)) * chain + 0.5 * params.depth * b_prev**2
+    return h, penalty, prob, clip_q
 
 
 def kusuoka_lower_bound(
@@ -301,35 +305,34 @@ def kusuoka_lower_bound(
 ) -> list[dict]:
     """Certified lower bounds for the super-replication cost per horizon.
 
-    Exact tree expectations for small horizons, tilted-measure Monte Carlo
-    with a reported standard error otherwise.  Certificates with clipped
-    probabilities are marked uncertified (the bound value is still
-    reported).
+    Each bound is E_Q[H - penalty chain] less the constant
+    delta (1-r)^2 zeta0^2/2 + p0 x0 + iota x0^2/2 (module docstring), with
+    the expectation taken by `_walk`, the one route: exactly on the tree of
+    `kusuoka_certificate` for horizons up to `exact_max_n`, else by sampling
+    `mc_paths` tilted walks with a reported standard error.  Memory is
+    O(rows), never O(rows x N).  Certificates with clipped probabilities are
+    marked uncertified (the bound value is still reported).
     """
+    decay = 1.0 - params.resilience
+    const = (
+        -0.5 * params.depth * decay**2 * params.zeta0**2
+        - params.p0 * params.x0
+        - 0.5 * params.perm_impact * params.x0**2
+    )
     out = []
     for n in n_list:
         pn = replace(params, n_steps=int(n))
         if n <= exact_max_n:
-            cert = kusuoka_certificate(profile, pn)
-            shocks = _all_shocks(n)
-            prob = _path_probabilities(cert, shocks)
-            h_vals = _tree_payoffs(spec, shocks, pn)
-            idx = np.zeros(len(shocks), dtype=np.int64)
-            alphas = np.empty((len(shocks), n))
-            for k in range(n):
-                alphas[:, k] = cert.alpha[k][idx]
-                idx = idx + ((shocks[:, k] == 1) << k)
-            bound, se = _bound_from_paths(h_vals, alphas, prob, pn)
-            clip_q = cert.meta["clip_q"]
-            mode = "exact"
+            h, penalty, prob, clip_q = _walk(spec, pn, kusuoka_certificate(profile, pn))
+            mean, se, mode = float(np.dot(prob, h - penalty)), 0.0, "exact"
         else:
-            h_vals, alphas, clip_q = _sample_tilted_paths(profile, pn, spec, mc_paths, seed)
-            bound, se = _bound_from_paths(h_vals, alphas, None, pn)
-            mode = "mc"
+            h, penalty, _, clip_q = _walk(spec, pn, profile, mc_paths, seed)
+            vals = h - penalty
+            mean, se, mode = float(np.mean(vals)), float(np.std(vals) / math.sqrt(len(vals))), "mc"
         out.append(
             {
                 "n": int(n),
-                "bound": bound,
+                "bound": mean + const,
                 "std_error": se,
                 "mode": mode,
                 "clip_q": int(clip_q),
@@ -338,34 +341,3 @@ def kusuoka_lower_bound(
             }
         )
     return out
-
-
-def _sample_tilted_paths(profile, params, spec, n_paths, seed):
-    """Simulate shocks under the tilted measure, tracking the tilt chain."""
-    n = params.n_steps
-    s = params.step_vol
-    rng = np.random.default_rng(seed)
-    values = np.full((n_paths, 1), params.p0)
-    alpha = xi = None
-    alphas = np.empty((n_paths, n))
-    clip_q = 0
-    cum = np.zeros(n_paths)
-    run_max = np.full(n_paths, params.p0)
-    run_int = np.zeros(n_paths)
-    last_price = np.full(n_paths, params.p0)
-    keep_history = profile.lip_const > 0
-    for k in range(n):
-        alpha, q, _, n_q = _tilt_step(profile, k, n, values, alpha, xi, params.sigma)
-        clip_q += n_q
-        xi = np.where(rng.random(n_paths) < q, 1.0, -1.0)
-        alphas[:, k] = alpha
-        run_int += last_price / n
-        cum += xi
-        last_price = params.p0 + s * cum
-        run_max = np.maximum(run_max, last_price)
-        if keep_history:
-            values = np.hstack([values, last_price[:, None]])
-        else:
-            values = last_price[:, None]
-    h = payoff_from_summaries(spec, terminal=last_price, rise=run_max - params.p0, average=run_int)
-    return h, alphas, clip_q

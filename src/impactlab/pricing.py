@@ -215,11 +215,6 @@ class DPGrids:
     x_grid: Optional[np.ndarray] = None
     augmentation: str = "auto"
     refine: bool = True
-    tie_eps: float = 1e-9
-    # spread-axis residual (payoff currency units) above which the run is
-    # flagged; calibrated so that visibly coarse spread grids trip it while
-    # converged ones stay an order of magnitude below
-    residual_tol: float = 0.1
 
     def __post_init__(self):
         if self.zeta_max is not None and self.zeta_max <= 0:
@@ -276,6 +271,13 @@ class DPPolicy:
 # least as much as 30 ternary steps, ceil(30 ln(2/3) / ln(1/phi)) = 26.
 GOLDEN_STEPS = 26
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# A scanned candidate takes over the argmin only when cheaper by more than
+# this, so near-ties keep the node scanned first.
+_TIE_EPS = 1e-9
+# Spread-axis residual (payoff currency units) above which the run is
+# flagged; calibrated so that visibly coarse spread grids trip it while
+# converged ones stay an order of magnitude below.
+_RESIDUAL_TOL = 0.1
 
 
 def _spread_cells(zg: np.ndarray):
@@ -438,7 +440,7 @@ def superreplication_cost(
             # plus the trade: its mid leg (m, n_x, 1) and spread leg
             # (1, n_x, n_z) meet in one full-size add inside trade_cost
             cand += trade_cost(prices, x_b, xg[jxp], z_b, dp_params, frictionless)
-            take_j = cand < best - grids.tie_eps
+            take_j = cand < best - _TIE_EPS
             np.minimum(best, cand, out=best)
             best_j[take_j] = jxp
 
@@ -481,7 +483,7 @@ def superreplication_cost(
         "x_kink_residual": max_resid_x,
         "boundary_hits": boundary_hits,
         "refined": bool(grids.refine),
-        "flagged": bool(boundary_hits > 0 or max_resid > grids.residual_tol),
+        "flagged": bool(boundary_hits > 0 or max_resid > _RESIDUAL_TOL),
     }
     policy = None
     if keep_policy:

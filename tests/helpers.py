@@ -5,7 +5,8 @@ import math
 import numpy as np
 
 from impactlab.market import MarketParams, SteppedPath, StoppingGrid, fundamental_path
-from impactlab.payoffs import PayoffSpec, evaluate_payoff
+from impactlab.dual import DualCertificate, _tilt_step
+from impactlab.payoffs import PayoffSpec, evaluate_payoff, payoff_on_paths
 
 
 def all_paths(n: int) -> np.ndarray:
@@ -22,6 +23,73 @@ def crr_price(params: MarketParams, spec: PayoffSpec) -> float:
         evaluate_payoff(spec, fundamental_path(row, params)) for row in all_paths(n)
     ]
     return float(np.mean(vals))
+
+
+def matrix_bound(h_vals, alphas, prob, params: MarketParams):
+    """The certified dual bound and its standard error from a full (paths, N)
+    tilt array (the oracle for the dual's forward walk).
+
+    h_vals: payoff per path; prob: exact path probabilities, or None for
+    equally weighted samples (then the standard error is reported, else 0).
+    With b_m = |alpha_m|/sqrt(N) and b_0 = 0 the bound is
+
+        E[H - delta/2 sum_{m=1..N} ((b_{m-1} - (1-r) b_m)_+)^2 / (1-(1-r)^2)
+             - delta/2 b_N^2]
+        - delta (1-r)^2 zeta0^2 / 2 - p0 x0 - iota x0^2 / 2.
+    """
+    n = alphas.shape[1]
+    decay = 1.0 - params.resilience
+    b = np.abs(alphas) / math.sqrt(n)
+    b_prev = np.hstack([np.zeros((len(b), 1)), b[:, :-1]])
+    mid = np.clip(b_prev - decay * b, 0.0, None) ** 2
+    pen = params.depth / (2.0 * (1.0 - decay**2)) * mid.sum(axis=1) + 0.5 * params.depth * b[:, -1] ** 2
+    vals = h_vals - pen
+    mean = float(np.dot(prob, vals)) if prob is not None else float(np.mean(vals))
+    se = float(np.std(vals) / math.sqrt(len(vals))) if prob is None else 0.0
+    const = (
+        -0.5 * params.depth * decay**2 * params.zeta0**2
+        - params.p0 * params.x0
+        - 0.5 * params.perm_impact * params.x0**2
+    )
+    return mean + const, se
+
+
+def tilted_matrix(spec: PayoffSpec, params: MarketParams, source, n_paths=0, seed=0):
+    """Payoffs, (paths, N) tilts and probabilities of the tilted walk, built
+    as whole matrices: every tree row of a DualCertificate (with its path
+    probabilities), or `n_paths` walks sampled from a VolProfile with the
+    same tilt steps and the same draws as the library's sampler (prob None).
+    Returns (h_vals, alphas, prob, clip_q)."""
+    n = params.n_steps
+    if isinstance(source, DualCertificate):
+        shocks = all_paths(n)
+        prob = np.ones(len(shocks))
+        alphas = np.empty(shocks.shape)
+        idx = np.zeros(len(shocks), dtype=np.int64)
+        for k in range(n):
+            qk = source.q[k][idx]
+            prob *= np.where(shocks[:, k] == 1, qk, 1.0 - qk)
+            alphas[:, k] = source.alpha[k][idx]
+            idx = idx + ((shocks[:, k] == 1) << k)
+        clip_q = source.meta["clip_q"]
+    else:
+        rng = np.random.default_rng(seed)
+        shocks = np.empty((n_paths, n))
+        alphas = np.empty((n_paths, n))
+        prob, clip_q = None, 0
+        values = np.full((n_paths, 1), params.p0)
+        alpha = xi = None
+        for k in range(n):
+            seen = values if source.lip_const > 0 else values[:, -1:]
+            alpha, q, _, n_q = _tilt_step(source, k, n, seen, alpha, xi, params.sigma)
+            clip_q += n_q
+            xi = np.where(rng.random(n_paths) < q, 1.0, -1.0)
+            shocks[:, k], alphas[:, k] = xi, alpha
+            steps = np.hstack([np.zeros((n_paths, 1)), np.cumsum(shocks[:, : k + 1], axis=1)])
+            values = params.p0 + params.step_vol * steps
+    steps = np.hstack([np.zeros((len(shocks), 1)), np.cumsum(shocks, axis=1)])
+    h_vals = payoff_on_paths(spec, params.p0 + params.step_vol * steps)
+    return h_vals, alphas, prob, clip_q
 
 
 def ks_distance_to_normal(samples: np.ndarray, mean: float, std: float) -> float:

@@ -327,3 +327,30 @@ def test_limit_mc_feedback_solves_on_the_configured_grid(tmp_path, monkeypatch):
     assert [(g.p_halfwidth, g.n_space, g.cap_flag_fraction) for g in grids] == [(6.0, 101, 1e-9)]
     # the call's kink binds the cap early, above the 1e-9 the config allows
     assert code == 2 and rows[0].flag == "WARN"
+
+
+@pytest.mark.parametrize(
+    "command, section, line, key",
+    [
+        ("study", "dual", "nu_values = 0.8 abc", "nu_values"),
+        ("study", "dual", "nu_values = -1", "nu_values"),
+        ("bound", "dual", "exact_max_n = 15", "exact_max_n"),
+        ("limit", "mc", "thetas = 1.0 x", "thetas"),
+        ("limit", "mc", "family = bogus", "family"),
+    ],
+)
+def test_malformed_list_keys_fail_before_any_body(tmp_path, capsys, monkeypatch, command, section, line, key):
+    # A bad value is a config error naming its key, raised at load: no body
+    # computes rows that could then not be stored.
+    calls = []
+    for mode in cli._BODIES:
+        monkeypatch.setitem(cli._BODIES, mode, lambda cfg, emit, mode=mode: calls.append(mode))
+    if section == "dual":
+        body = BASE.replace("nu_values = 1.0 1.2", line if key == "nu_values" else f"nu_values = 1.0 1.2\n{line}")
+    else:
+        body = BASE.replace("study_id = unit", "study_id = unit\nmode = limit_mc") + f"\n[mc]\n{line}\n"
+    cfg = write_cfg(tmp_path, body)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert calls == []

@@ -1,12 +1,15 @@
 """Tilt construction, certified lower bounds and their weak duality."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import all_paths, ks_distance_to_normal
+from helpers import all_paths, ks_distance_to_normal, matrix_bound, tilted_matrix
 from impactlab.dual import (
+    VolProfile,
+    _walk,
     certificate_martingale_gaps,
     constant_profile,
     kusuoka_certificate,
@@ -149,22 +152,73 @@ def test_kusuoka_bound_approaches_limit_expression():
     assert err[1] < 0.05
 
 
+def _swinging_history(t, values):
+    # reads the last move: a low target after an up-move, a high one after a
+    # down-move, so the tilt swings and, at C/sqrt(N) >= sigma, q clips
+    if values.shape[1] < 2:
+        return np.full(len(values), 4.0)
+    return np.where(values[:, -1] > values[:, -2], 0.4, 4.0)
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize(
+    "kind, r, endowment, profile",
+    [
+        ("call", 0.3, {}, constant_profile(1.2, 1.0)),
+        ("put", 1.0, {}, constant_profile(0.8, 1.0)),
+        ("lookback_max", 0.3, dict(p0=0.4, x0=0.5, zeta0=0.2, perm_impact=0.2), constant_profile(1.6, 1.0)),
+        ("asian_mean", 1.0, dict(p0=0.4, x0=0.5, zeta0=0.2, perm_impact=0.2), constant_profile(1.2, 1.0)),
+        ("call", 0.3, dict(x0=-0.3, zeta0=0.4), VolProfile(nu=_swinging_history, c_bound=10.0, lip_const=1.0)),
+        ("asian_mean", 1.0, {}, VolProfile(nu=_swinging_history, c_bound=10.0, lip_const=1.0)),
+    ],
+    ids=["call-r0.3", "put-r1", "lookback-endowed", "asian-endowed", "call-history", "asian-history"],
+)
+def test_walk_matches_matrix_formula(mode, kind, r, endowment, profile):
+    # The forward walk sums the penalty chain period by period; the matrix
+    # formula sums a whole (paths, N) tilt array.  Both modes agree to 1e-14,
+    # clip counts included, and the history profile's probabilities clip.
+    n = 10 if mode == "exact" else 24
+    p = mk(n=n, resilience=r, **endowment)
+    spec = PayoffSpec(kind, strike=0.1) if kind in ("call", "put", "asian_mean") else PayoffSpec(kind)
+    exact_max_n = 12 if mode == "exact" else 4
+    (rec,) = kusuoka_lower_bound(profile, spec, p, n_list=[n], exact_max_n=exact_max_n, mc_paths=3000, seed=4)
+    source = kusuoka_certificate(profile, p) if mode == "exact" else profile
+    h_vals, alphas, prob, clip_q = tilted_matrix(spec, p, source, n_paths=3000, seed=4)
+    bound, se = matrix_bound(h_vals, alphas, prob, p)
+    assert rec["mode"] == mode
+    assert rec["clip_q"] == clip_q
+    if profile.lip_const > 0:
+        assert clip_q > 0
+    assert abs(rec["bound"] - bound) <= 1e-14
+    assert abs(rec["std_error"] - se) <= 1e-14
+
+
+def test_mc_bound_memory_does_not_grow_with_horizon():
+    # The walk keeps per-row state only: one MC bound at N=1024 peaks at
+    # most twice as high as the same bound at N=64 (a (paths, N) tilt array
+    # would make it about 16 times).
+    spec = PayoffSpec("call", strike=0.0)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            kusuoka_lower_bound(constant_profile(1.2, 1.0), spec, mk(n=n), n_list=[n], mc_paths=2000, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(64)  # the first bound in a process also traces one-time allocations
+    assert peak(1024) <= 2 * peak(64)
+
+
 def test_terminal_law_converges_to_target_normal():
     # Sample the tilted walk at a large horizon; the terminal marginal is
     # close to a centered normal with the target variance.
-    from impactlab.dual import _sample_tilted_paths
-
     p = mk(n=2**12)
-    for nu in (0.8, 1.2):
-        h, alphas, clip = _sample_tilted_paths(
-            constant_profile(nu, 1.0), p, PayoffSpec("call", strike=0.0), 8000, seed=5
-        )
-        assert clip == 0
-        # reconstruct terminal prices from the call payoff at strike 0... use payoff values
-        # h = max(P_1, 0): not invertible; instead rerun with identity-like payoff
     spec = PayoffSpec("custom_terminal", table=((-60.0, 0.0), (60.0, 120.0)))  # P + 60
     for nu in (0.8, 1.2):
-        h, _, _ = _sample_tilted_paths(constant_profile(nu, 1.0), p, spec, 8000, seed=5)
+        h, _, _, clip = _walk(spec, p, constant_profile(nu, 1.0), 8000, seed=5)
+        assert clip == 0
         terminal = h - 60.0
         d = ks_distance_to_normal(terminal, 0.0, nu)
         assert d < 0.025
@@ -173,8 +227,6 @@ def test_terminal_law_converges_to_target_normal():
 def test_kusuoka_clip_bounds_hold_by_construction():
     # A wildly swinging profile gets its tilt clipped to the declared class
     # bounds: |alpha| <= C and per-step increments <= C/sqrt(N).
-    from impactlab.dual import VolProfile
-
     def nu(t, values):
         batch = np.shape(values)[0] if np.ndim(values) > 1 else 1
         return np.full(batch, 2.5 if int(round(t * 8)) % 2 else 0.4)
@@ -194,8 +246,6 @@ def test_kusuoka_clip_bounds_hold_by_construction():
 def test_sampler_passes_history_only_when_declared():
     # The sampler hands nu the whole (batch, k+1) price history when the
     # profile declares `lip_const > 0`; a "custom..." label alone does not.
-    from impactlab.dual import VolProfile, _sample_tilted_paths
-
     p = mk(n=6)
     spec = PayoffSpec("call", strike=0.0)
 
@@ -207,9 +257,9 @@ def test_sampler_passes_history_only_when_declared():
         return nu
 
     history, custom = [], []
-    _sample_tilted_paths(VolProfile(nu=recording(history), c_bound=2.0, lip_const=1.0), p, spec, 5, seed=1)
+    _walk(spec, p, VolProfile(nu=recording(history), c_bound=2.0, lip_const=1.0), 5, seed=1)
     assert [v.shape for v in history] == [(5, k + 1) for k in range(6)]
-    _sample_tilted_paths(VolProfile(nu=recording(custom), c_bound=2.0, label="custom feedback"), p, spec, 5, seed=1)
+    _walk(spec, p, VolProfile(nu=recording(custom), c_bound=2.0, label="custom feedback"), 5, seed=1)
     assert [v.shape for v in custom] == [(5, 1)] * 6
 
 
