@@ -30,8 +30,10 @@ class PayoffSpec:
 
     kind: one of call/put (strike K on the terminal value), lookback_max
     (running max above the start), asian_mean (strike on the time average),
-    or custom_terminal (piecewise-linear table on the terminal value).
-    lipschitz_l: Lipschitz constant in the sup norm.
+    or custom_terminal (piecewise-linear table on the terminal value,
+    extrapolated flat).
+    lipschitz_l: Lipschitz constant in the sup norm; a table steeper than it
+    is rejected.
     """
 
     kind: str
@@ -50,6 +52,31 @@ class PayoffSpec:
                 raise ValueError("table abscissae must be strictly increasing")
             if np.any(pts[:, 1] < 0):
                 raise ValueError("payoff table must be nonnegative")
+            steepest = float(np.max(np.abs(self._table_slopes())))
+            # the relative slack forgives rounding in the table's differences
+            if steepest > self.lipschitz_l * (1.0 + 1e-9):
+                raise ValueError(
+                    f"payoff table slope {steepest:g} exceeds the declared lipschitz_l {self.lipschitz_l:g}"
+                )
+
+    def _table_slopes(self) -> np.ndarray:
+        pts = np.asarray(self.table, dtype=float)
+        return np.diff(pts[:, 1]) / np.diff(pts[:, 0])
+
+    @property
+    def slope_range(self) -> tuple[float, float]:
+        """Smallest and largest slope of the payoff in the fundamental price.
+
+        A super-replicating hedge holds positions in this range: [0, 1] for
+        the call, the lookback and the asian, [-1, 0] for the put, and the
+        table's slopes for custom_terminal, with 0 for its flat extrapolation.
+        """
+        if self.kind == "put":
+            return -1.0, 0.0
+        if self.kind == "custom_terminal":
+            slopes = self._table_slopes()
+            return min(0.0, float(slopes.min())), max(0.0, float(slopes.max()))
+        return 0.0, 1.0
 
     # -- evaluation ---------------------------------------------------------
 

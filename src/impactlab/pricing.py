@@ -202,8 +202,13 @@ def _drawdown_lattice(spec: PayoffSpec, params: MarketParams, augmentation: str)
 class DPGrids:
     """Discretization of the control/position and spread axes.
 
-    Both grids always contain 0; the initial position and spread are
-    inserted so the root value needs no interpolation.  `x_grid` may be
+    `n_x` nodes on [-x_max, x_max], x_max = 2 max(1, lipschitz_l) by
+    default, set the position spacing.  The DP keeps only those that reach
+    half a unit beyond the payoff's slope range stretched to x0, with their
+    exact values (41 of 81, on [-0.5, 1.5], for a call held from flat); the
+    report's `n_x` counts the nodes kept.  An explicit `x_grid` is used
+    whole.  Both grids always contain 0; the initial position and spread
+    are inserted so the root value needs no interpolation.  `x_grid` may be
     passed explicitly (the oracle-comparison tests share it with the brute
     force); `augmentation` 'auto' picks the cheapest lattice for the payoff.
     """
@@ -220,22 +225,35 @@ class DPGrids:
         if self.zeta_max is not None and self.zeta_max <= 0:
             raise ValueError(f"zeta_max must be > 0, got {self.zeta_max}")
 
-    def x_axis(self, spec: PayoffSpec, params: MarketParams) -> np.ndarray:
+    def _nodes(self, spec: PayoffSpec) -> np.ndarray:
         if self.x_grid is not None:
-            g = np.asarray(self.x_grid, float)
-        else:
-            # Positions beyond twice the payoff slope are never optimal for
-            # the instances priced here; the boundary-hit diagnostic guards
-            # the assumption.
-            xm = self.x_max if self.x_max is not None else 2.0 * max(1.0, spec.lipschitz_l)
-            g = np.linspace(-xm, xm, self.n_x)
-        g = np.union1d(g, [0.0, params.x0])
-        return g
+            return np.asarray(self.x_grid, float)
+        xm = self.x_max if self.x_max is not None else 2.0 * max(1.0, spec.lipschitz_l)
+        return np.linspace(-xm, xm, self.n_x)
 
-    def zeta_axis(self, params: MarketParams, x_axis: np.ndarray, collapsed: bool) -> np.ndarray:
+    def x_axis(self, spec: PayoffSpec, params: MarketParams) -> np.ndarray:
+        g = self._nodes(spec)
+        if self.x_grid is None:
+            # A super-replicating hedge holds positions in the payoff's slope
+            # range, once it has traded away from x0, possibly over several
+            # periods.  Keep the nodes from the last at or below lo - 1/2 to
+            # the first at or above hi + 1/2, with the range stretched to x0:
+            # without the margin the argmin sits on the edge as the true
+            # optimum.  The boundary-hit diagnostic guards the range.
+            lo, hi = spec.slope_range
+            lo, hi = min(lo, params.x0), max(hi, params.x0)
+            first = max(np.count_nonzero(g <= lo - 0.5) - 1, 0)
+            g = g[first : len(g) - np.count_nonzero(g >= hi + 0.5) + 1]
+        return np.union1d(g, [0.0, params.x0])
+
+    def zeta_axis(self, spec: PayoffSpec, params: MarketParams, collapsed: bool) -> np.ndarray:
+        """The spread axis.  Its default top follows the widest trade over
+        all `n_x` nodes (or `x_grid`) and x0, not over the nodes `x_axis`
+        keeps, so sizing the position axis to the payoff moves no spread
+        node."""
         if collapsed:
             return np.array([0.0])
-        span = 2.0 * float(np.max(np.abs(x_axis)))
+        span = 2.0 * float(np.max(np.abs(np.append(self._nodes(spec), params.x0))))
         zm = self.zeta_max
         if zm is None:
             zm = params.zeta0 + span / (params.depth * params.resilience)
@@ -395,7 +413,7 @@ def superreplication_cost(
     s = params.step_vol
     xg = grids.x_axis(spec, params)
     collapsed = frictionless or params.resilience == 1.0
-    zg = grids.zeta_axis(params, xg, collapsed)
+    zg = grids.zeta_axis(spec, params, collapsed)
     n_x, n_z = len(xg), len(zg)
 
     # Terminal layer: forced liquidation at the post-shock price, then payoff.

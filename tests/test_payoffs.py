@@ -40,6 +40,27 @@ def test_custom_terminal_table():
     assert evaluate_payoff(spec, sp([0.0], [0.5])) == pytest.approx(0.5)
 
 
+def test_custom_terminal_rejects_table_steeper_than_lipschitz():
+    steep = ((-8.0, 0.0), (0.0, 0.0), (8.0, 24.0))  # slope 3
+    with pytest.raises(ValueError, match=r"slope 3 exceeds the declared lipschitz_l 1\b"):
+        PayoffSpec("custom_terminal", table=steep)
+    assert PayoffSpec("custom_terminal", table=steep, lipschitz_l=3.0).slope_range == (0.0, 3.0)
+    # slopes equal to the constant up to rounding are accepted
+    PayoffSpec("custom_terminal", table=((0.1, 0.0), (0.3, 0.2)))
+
+
+def test_slope_range_by_kind():
+    assert PayoffSpec("call", strike=0.3).slope_range == (0.0, 1.0)
+    assert PayoffSpec("put", strike=0.3).slope_range == (-1.0, 0.0)
+    assert PayoffSpec("lookback_max").slope_range == (0.0, 1.0)
+    assert PayoffSpec("asian_mean").slope_range == (0.0, 1.0)
+    # flat extrapolation puts 0 in every table's range
+    tent = ((-1.0, 0.0), (0.0, 1.0), (1.0, 0.25))
+    assert PayoffSpec("custom_terminal", table=tent).slope_range == (-0.75, 1.0)
+    rising = ((-1.0, 1.0), (1.0, 2.0))
+    assert PayoffSpec("custom_terminal", table=rising).slope_range == (0.0, 0.5)
+
+
 @pytest.mark.parametrize(
     "spec",
     [

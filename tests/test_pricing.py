@@ -231,12 +231,107 @@ def test_zeta_axis_without_position_span():
     # x0 = zeta0 = 0 and a one-node position axis: no trade, no spread
     p = mk(n=2)
     grids = DPGrids(x_grid=[0.0])
-    assert np.array_equal(grids.zeta_axis(p, grids.x_axis(PayoffSpec("call"), p), False), [0.0])
+    assert np.array_equal(grids.zeta_axis(PayoffSpec("call"), p, False), [0.0])
     res = superreplication_cost(p, PayoffSpec("call", strike=0.0), grids)
     assert res.cost == pytest.approx(math.sqrt(2.0), abs=1e-12)
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError, match="zeta_max"):
             DPGrids(zeta_max=bad)
+
+
+AXIS_SPECS = [
+    PayoffSpec("call", strike=0.1),
+    PayoffSpec("put", strike=0.1),
+    PayoffSpec("lookback_max"),
+    PayoffSpec("asian_mean", strike=0.1),
+    ABS_CALL,
+]
+STEEP = PayoffSpec("custom_terminal", table=((-8.0, 0.0), (0.0, 0.0), (8.0, 24.0)), lipschitz_l=3.0)
+
+
+def _full_x_nodes(spec, n_x=81):
+    """The default position nodes before the axis is sized to the payoff."""
+    xm = 2.0 * max(1.0, spec.lipschitz_l)
+    return np.linspace(-xm, xm, n_x)
+
+
+def _full_zeta_axis(spec, p, n_zeta=48):
+    """The default spread axis, its top set by the whole [-2L, 2L] span."""
+    span = 2.0 * float(np.max(np.abs(np.union1d(_full_x_nodes(spec), [0.0, p.x0]))))
+    zm = p.zeta0 + span / (p.depth * p.resilience)
+    g = np.concatenate([[0.0], np.geomspace(max(zm * 2e-4, 1e-12), zm, n_zeta - 1)])
+    return np.union1d(g, [p.zeta0])
+
+
+@pytest.mark.parametrize("spec", AXIS_SPECS + [STEEP], ids=lambda spec: f"{spec.kind}-{spec.lipschitz_l:g}")
+def test_payoff_sized_axis_shape(spec):
+    slope_lo, slope_hi = spec.slope_range
+    assert slope_lo <= 0.0 <= slope_hi
+    cases = ((81, 0.0), (81, 0.37), (81, slope_hi + 0.83), (81, slope_lo - 0.61), (5, 0.0), (41, -0.123))
+    for n_x, x0 in cases:
+        p = mk(n=4, x0=x0, zeta0=0.05)
+        full = _full_x_nodes(spec, n_x)
+        xg = DPGrids(n_x=n_x).x_axis(spec, p)
+        assert np.all(np.isin(xg, np.union1d(full, [0.0, x0])))  # kept nodes keep their bits
+        # reaches half a unit beyond the slope range stretched to x0, or the
+        # end of today's nodes, and no node further
+        lo, hi = min(slope_lo, x0), max(slope_hi, x0)
+        assert xg[0] <= max(lo - 0.5, full[0]) and xg[-1] >= min(hi + 0.5, full[-1])
+        nodes = xg[np.isin(xg, full)]
+        assert nodes[1] > lo - 0.5 and nodes[-2] < hi + 0.5
+        assert np.array_equal(nodes, full[(full >= nodes[0]) & (full <= nodes[-1])])
+        zg = DPGrids().zeta_axis(spec, p, False)
+        assert zg.tobytes() == _full_zeta_axis(spec, p).tobytes()
+    call = PayoffSpec("call")
+    assert np.array_equal(DPGrids(n_x=5).x_axis(call, mk()), [-1.0, 0.0, 1.0, 2.0])
+    xg = DPGrids().x_axis(call, mk())
+    assert len(xg) == 41 and xg[0] == -0.5 and xg[-1] == 1.5
+    # an explicit x_max sets only the span and spacing; an explicit grid is used whole
+    assert np.array_equal(DPGrids(x_max=4.0).x_axis(call, mk()), np.linspace(-4.0, 4.0, 81)[35:56])
+    assert len(DPGrids(x_grid=_full_x_nodes(call)).x_axis(call, mk())) == 81
+
+
+def _assert_same_price(narrow, full):
+    assert repr(narrow.cost) == repr(full.cost)
+    residuals = ("n_x", "max_interp_residual", "x_kink_residual")
+    assert {k: v for k, v in narrow.report.items() if k not in residuals} == {
+        k: v for k, v in full.report.items() if k not in residuals
+    }
+    assert narrow.report["boundary_hits"] == 0
+    assert narrow.report["n_x"] < full.report["n_x"]
+
+
+def test_payoff_sized_axis_prices_as_the_full_axis():
+    endowed = dict(x0=0.37, zeta0=0.123, perm_impact=0.1)
+    for spec in AXIS_SPECS:
+        lo, hi = spec.slope_range
+        full = DPGrids(x_grid=_full_x_nodes(spec))
+        runs = [(mk(n=4, resilience=r, **kw), {}) for r in (0.3, 0.5, 1.0) for kw in ({}, endowed)]
+        runs.append((mk(n=6, **endowed), {}))
+        # an endowment outside the slope range may be sold down over several periods
+        runs += [(mk(n=4, resilience=r, x0=x0), {}) for r in (0.3, 0.5) for x0 in (hi + 0.83, lo - 0.61)]
+        runs.append((mk(n=4, **endowed), {"frictionless": True}))
+        for p, kw in runs:
+            _assert_same_price(superreplication_cost(p, spec, **kw), superreplication_cost(p, spec, full, **kw))
+
+
+def test_steep_table_prices_on_its_declared_axis():
+    # slope 3 needs lipschitz_l = 3; its [-6, 6] nodes then cover [0, 3]
+    p = mk(n=4)
+    res = superreplication_cost(p, STEEP)
+    assert res.report["boundary_hits"] == 0
+    assert res.cost == superreplication_cost(p, STEEP, DPGrids(x_grid=_full_x_nodes(STEEP))).cost
+
+
+def test_payoff_sized_axis_certifies_as_the_full_axis():
+    call, lookback = PayoffSpec("call", strike=0.0), PayoffSpec("lookback_max")
+    for p, spec, kw in ((mk(n=6), call, {}), (mk(n=8), lookback, {"n_paths": 4000, "seed": 7})):
+        narrow = superreplication_cost(p, spec, keep_policy=True)
+        full = superreplication_cost(p, spec, DPGrids(x_grid=_full_x_nodes(spec)), keep_policy=True)
+        _assert_same_price(narrow, full)
+        mine, theirs = certificate_check(narrow, p, spec, **kw), certificate_check(full, p, spec, **kw)
+        assert mine["violations"] == theirs["violations"] == 0
+        assert repr(mine["min_margin"]) == repr(theirs["min_margin"])
 
 
 def test_certificate_counts_repeated_paths():
@@ -289,8 +384,8 @@ def test_bracket_cells_match_binary_search():
 
 def test_spread_cells_match_binary_search():
     rng = np.random.default_rng(6)
-    xg = np.linspace(-2.0, 2.0, 81)
-    base = DPGrids().zeta_axis(mk(), xg, False)
+    call = PayoffSpec("call")
+    base = DPGrids().zeta_axis(call, mk(), False)
     cases = [
         (DPGrids(), mk()),
         (DPGrids(), mk(zeta0=0.0123)),  # off-grid zeta0
@@ -302,7 +397,7 @@ def test_spread_cells_match_binary_search():
         (DPGrids(n_zeta=3), mk(zeta0=0.05)),
         (DPGrids(n_zeta=3), mk()),
     ]
-    axes = [g.zeta_axis(p, xg, False) for g, p in cases] + [DPGrids().zeta_axis(mk(), xg, True)]
+    axes = [g.zeta_axis(call, p, False) for g, p in cases] + [DPGrids().zeta_axis(call, mk(), True)]
     assert {len(zg) for zg in axes} == {1, 2, 3, 4, 10, 48, 49}
     for zg in axes:
         pts = np.concatenate([[0.0, 2.0 * zg[-1], 1e3], _cell_points(zg, 0.0, 1.5 * zg[-1] + 1.0, rng)])
