@@ -18,7 +18,6 @@ from .payoffs import (
     PayoffSpec,
     evaluate_payoff,
     payoff_from_summaries,
-    payoff_on_paths,
     quadratic_claim,
 )
 from .pricing import (

@@ -68,14 +68,7 @@ _DEFAULTS = {
     },
     "payoff": {"kind": "call", "strike": 0.0},
     "run": {"mode": "", "n_list": "8 16 32", "study_id": "default", "seed": 0},
-    "dp": {
-        "x_max": 0.0,  # 0 means automatic
-        "n_x": 81,
-        "n_zeta": 48,
-        "refine": True,
-        "frictionless": False,
-        "augmentation": "auto",
-    },
+    "dp": {"n_x": 81, "n_zeta": 48, "refine": True, "frictionless": False},
     "dual": {"nu_values": "0.8 1.0 1.2", "exact_max_n": 12, "mc_paths": 20000},
     "hjb": {
         "n_space": 601,
@@ -208,14 +201,8 @@ class ExperimentConfig:
         return self._numbers("mc", "thetas")
 
     def dp_grids(self) -> DPGrids:
-        xm = self.get("dp", "x_max")
-        return DPGrids(
-            x_max=None if xm == 0.0 else xm,
-            n_x=self.get("dp", "n_x"),
-            n_zeta=self.get("dp", "n_zeta"),
-            refine=self.get("dp", "refine"),
-            augmentation=self.get("dp", "augmentation"),
-        )
+        g = self.get
+        return DPGrids(n_x=g("dp", "n_x"), n_zeta=g("dp", "n_zeta"), refine=g("dp", "refine"))
 
 
 @dataclass

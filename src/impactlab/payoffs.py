@@ -17,7 +17,6 @@ __all__ = [
     "PayoffSpec",
     "evaluate_payoff",
     "payoff_from_summaries",
-    "payoff_on_paths",
     "quadratic_claim",
 ]
 
@@ -101,15 +100,11 @@ class PayoffSpec:
 
 
 def evaluate_payoff(spec: PayoffSpec, path: SteppedPath) -> float:
-    if spec.kind == "call":
-        return max(path.terminal - spec.strike, 0.0)
-    if spec.kind == "put":
-        return max(spec.strike - path.terminal, 0.0)
-    if spec.kind == "lookback_max":
-        return max(path.sup - path.values[0], 0.0)
-    if spec.kind == "asian_mean":
-        return max(path.integral() - spec.strike, 0.0)
-    return float(spec.terminal_fn(path.terminal))
+    return float(
+        payoff_from_summaries(
+            spec, terminal=path.terminal, rise=path.sup - path.values[0], average=path.integral()
+        )
+    )
 
 
 def payoff_from_summaries(spec: PayoffSpec, terminal=None, rise=None, average=None) -> np.ndarray:
@@ -118,7 +113,7 @@ def payoff_from_summaries(spec: PayoffSpec, terminal=None, rise=None, average=No
     terminal: the final value; rise: the running max minus the start value;
     average: the time average.  Each kind reads one summary (lookback_max
     the rise, asian_mean the average, the rest the terminal value); the
-    others may be omitted.  Same formulas as `evaluate_payoff`.
+    others may be omitted.  `evaluate_payoff` reads a single path through it.
     """
     summary = {"lookback_max": rise, "asian_mean": average}.get(spec.kind, terminal)
     if summary is None:
@@ -128,22 +123,6 @@ def payoff_from_summaries(spec: PayoffSpec, terminal=None, rise=None, average=No
     if spec.kind == "asian_mean":
         return np.maximum(average - spec.strike, 0.0)
     return np.asarray(spec.terminal_fn(terminal), dtype=float)
-
-
-def payoff_on_paths(spec: PayoffSpec, values) -> np.ndarray:
-    """Payoffs of a batch of full walk paths, one per row.
-
-    values: (batch, N+1) prices at the breakpoints n/N, n = 0..N, so each
-    row is the step path `fundamental_path` builds from N shocks; the time
-    average of a row is the mean of its first N values.
-    """
-    values = np.asarray(values, dtype=float)
-    return payoff_from_summaries(
-        spec,
-        terminal=values[:, -1],
-        rise=values.max(axis=1) - values[:, 0],
-        average=values[:, :-1].mean(axis=1),
-    )
 
 
 def quadratic_claim(path: SteppedPath, grid: StoppingGrid, params: MarketParams) -> float:

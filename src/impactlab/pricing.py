@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .market import MarketParams, as_shocks, fundamental_path, spread_step, stopping_grid, trade_cost
-from .payoffs import PayoffSpec, evaluate_payoff, payoff_from_summaries, payoff_on_paths
+from .payoffs import PayoffSpec, evaluate_payoff, payoff_from_summaries
 
 __all__ = [
     "Strategy",
@@ -89,91 +89,71 @@ class _Lattice:
     states: Optional[list] = None  # per depth: (level, aux) int rows, augmented lattices only
 
 
-def _resolve_augmentation(spec: PayoffSpec, augmentation: str) -> str:
-    """'auto' picks the cheapest lattice for the payoff's kind."""
-    return _AUG_BY_KIND.get(spec.kind, "full_tree") if augmentation == "auto" else augmentation
+def _build_lattice(spec: PayoffSpec, params: MarketParams, augmentation: str = "auto") -> _Lattice:
+    """The payoff's price lattice: levels for a terminal payoff, (level,
+    running max) for the lookback, (level, running sum) for the asian.
 
-
-def _build_lattice(spec: PayoffSpec, params: MarketParams, augmentation: str) -> _Lattice:
+    `augmentation` is unused but kept: perfbench/tests/test_spans.py calls
+    `_build_lattice(spec, params, "auto")`.
+    """
     n = params.n_steps
     s = params.step_vol
-    augmentation = _resolve_augmentation(spec, augmentation)
+    aug = _AUG_BY_KIND[spec.kind]
 
-    if augmentation == "none":
+    if aug == "none":
         prices = [params.p0 + s * (2.0 * np.arange(d + 1) - d) for d in range(n + 1)]
         up = [np.arange(d + 1) + 1 for d in range(n)]
         dn = [np.arange(d + 1) for d in range(n)]
         payoff = spec.terminal_fn(prices[n])
-        return _Lattice(prices, up, dn, np.asarray(payoff, float), augmentation)
+        return _Lattice(prices, up, dn, np.asarray(payoff, float), aug)
 
-    if augmentation in ("running_max", "running_sum"):
-        if augmentation == "running_sum" and n > 24:
-            raise ValueError("running_sum lattice limited to n_steps <= 24")
-        states = [[(0, 0)]]  # (level j, aux)
-        for d in range(n):
-            seen = {}
-            nxt = []
-            for (j, a) in states[d]:
-                for dj in (1, -1):
-                    jj = j + dj
-                    aa = max(a, jj) if augmentation == "running_max" else a + j
-                    key = (jj, aa)
-                    if key not in seen:
-                        seen[key] = len(nxt)
-                        nxt.append(key)
-            states.append(nxt)
-        index = [None] * (n + 1)
-        for d in range(n + 1):
-            index[d] = {st: i for i, st in enumerate(states[d])}
-        prices, up, dn = [], [], []
-        for d in range(n + 1):
-            prices.append(params.p0 + s * np.array([j for (j, _) in states[d]], float))
-            if d < n:
-                u = np.empty(len(states[d]), dtype=int)
-                w = np.empty(len(states[d]), dtype=int)
-                for i, (j, a) in enumerate(states[d]):
-                    if augmentation == "running_max":
-                        u[i] = index[d + 1][(j + 1, max(a, j + 1))]
-                        w[i] = index[d + 1][(j - 1, max(a, j - 1))]
-                    else:
-                        u[i] = index[d + 1][(j + 1, a + j)]
-                        w[i] = index[d + 1][(j - 1, a + j)]
-                up.append(u)
-                dn.append(w)
-        states = [np.array(st, dtype=np.int64).reshape(-1, 2) for st in states]
-        aux = states[n][:, 1].astype(float)
-        payoff = payoff_from_summaries(
-            spec,
-            terminal=prices[n],
-            rise=s * aux if augmentation == "running_max" else None,
-            average=params.p0 + s * aux / n if augmentation == "running_sum" else None,
-        )
-        return _Lattice(prices, up, dn, payoff, augmentation, states)
-
-    if augmentation == "full_tree":
-        if n > 16:
-            raise ValueError("full-tree mode limited to n_steps <= 16")
-        levels = [np.zeros(1)]
-        for d in range(n):
-            j = levels[d]
-            nxt = np.empty(2 ** (d + 1))
-            nxt[: 2**d] = j - 1  # bit d of the index: 0 = down
-            nxt[2**d :] = j + 1
-            levels.append(nxt)
-        prices = [params.p0 + s * j for j in levels]
-        up = [np.arange(2**d) + 2**d for d in range(n)]
-        dn = [np.arange(2**d) for d in range(n)]
-        # leaf i descends from node i mod 2^d at depth d
-        leaves = np.arange(2**n)
-        paths = np.stack([prices[d][leaves % 2**d] for d in range(n + 1)], axis=1)
-        return _Lattice(prices, up, dn, payoff_on_paths(spec, paths), augmentation)
-
-    raise ValueError(f"unknown augmentation {augmentation!r}")
+    if aug == "running_sum" and n > 24:
+        raise ValueError("running_sum lattice limited to n_steps <= 24")
+    states = [[(0, 0)]]  # (level j, aux)
+    for d in range(n):
+        seen = {}
+        nxt = []
+        for (j, a) in states[d]:
+            for dj in (1, -1):
+                jj = j + dj
+                aa = max(a, jj) if aug == "running_max" else a + j
+                key = (jj, aa)
+                if key not in seen:
+                    seen[key] = len(nxt)
+                    nxt.append(key)
+        states.append(nxt)
+    index = [None] * (n + 1)
+    for d in range(n + 1):
+        index[d] = {st: i for i, st in enumerate(states[d])}
+    prices, up, dn = [], [], []
+    for d in range(n + 1):
+        prices.append(params.p0 + s * np.array([j for (j, _) in states[d]], float))
+        if d < n:
+            u = np.empty(len(states[d]), dtype=int)
+            w = np.empty(len(states[d]), dtype=int)
+            for i, (j, a) in enumerate(states[d]):
+                if aug == "running_max":
+                    u[i] = index[d + 1][(j + 1, max(a, j + 1))]
+                    w[i] = index[d + 1][(j - 1, max(a, j - 1))]
+                else:
+                    u[i] = index[d + 1][(j + 1, a + j)]
+                    w[i] = index[d + 1][(j - 1, a + j)]
+            up.append(u)
+            dn.append(w)
+    states = [np.array(st, dtype=np.int64).reshape(-1, 2) for st in states]
+    aux = states[n][:, 1].astype(float)
+    payoff = payoff_from_summaries(
+        spec,
+        terminal=prices[n],
+        rise=s * aux if aug == "running_max" else None,
+        average=params.p0 + s * aux / n if aug == "running_sum" else None,
+    )
+    return _Lattice(prices, up, dn, payoff, aug, states)
 
 
-def _drawdown_lattice(spec: PayoffSpec, params: MarketParams, augmentation: str) -> Optional[_Lattice]:
+def _drawdown_lattice(spec: PayoffSpec, params: MarketParams) -> Optional[_Lattice]:
     """The lookback's (level, running max) lattice grouped by drawdown, or
-    None where the grouping does not apply.
+    None for any other payoff.
 
     `lookback_max` pays s a at a terminal node (level j, max a), one-for-one
     with the max.  Shifting every price of a state by k s adds k s to the
@@ -185,13 +165,13 @@ def _drawdown_lattice(spec: PayoffSpec, params: MarketParams, augmentation: str)
     new max), which reads row 0 shifted by s (1 - x); the DP appends that row
     after the d + 2 rows of depth d + 1, as row d + 2.
     """
-    if spec.kind != "lookback_max" or augmentation != "running_max":
+    if spec.kind != "lookback_max":
         return None
     n, s = params.n_steps, params.step_vol
     prices = [params.p0 - s * np.arange(d + 1) for d in range(n + 1)]
     up = [np.append(d + 2, np.arange(d)) for d in range(n)]
     dn = [np.arange(1, d + 2) for d in range(n)]
-    return _Lattice(prices, up, dn, np.zeros(n + 1), augmentation)
+    return _Lattice(prices, up, dn, np.zeros(n + 1), "running_max")
 
 
 # ---------------------------------------------------------------------------
@@ -200,35 +180,30 @@ def _drawdown_lattice(spec: PayoffSpec, params: MarketParams, augmentation: str)
 
 @dataclass
 class DPGrids:
-    """Discretization of the control/position and spread axes.
+    """Discretization of the position and spread axes.
 
-    `n_x` nodes on [-x_max, x_max], x_max = 2 max(1, lipschitz_l) by
-    default, set the position spacing.  The DP keeps only those that reach
-    half a unit beyond the payoff's slope range stretched to x0, with their
-    exact values (41 of 81, on [-0.5, 1.5], for a call held from flat); the
-    report's `n_x` counts the nodes kept.  An explicit `x_grid` is used
-    whole.  Both grids always contain 0; the initial position and spread
-    are inserted so the root value needs no interpolation.  `x_grid` may be
-    passed explicitly (the oracle-comparison tests share it with the brute
-    force); `augmentation` 'auto' picks the cheapest lattice for the payoff.
+    `n_x` nodes on [-2L, 2L], L = max(1, lipschitz_l), set the position
+    spacing.  The DP keeps only those that reach half a unit beyond the
+    payoff's slope range stretched to x0, with their exact values (41 of
+    81, on [-0.5, 1.5], for a call held from flat); the report's `n_x`
+    counts the nodes kept.  An explicit `x_grid` is used whole (the
+    oracle-comparison tests share it with the brute force).  `n_zeta` nodes
+    span the spread axis, 0 and geometric up to the spread the widest trade
+    leaves.  Both axes always contain 0; the initial position and spread
+    are inserted so the root value needs no interpolation.  `refine` turns
+    on golden-section refinement of each minimization.  The price lattice
+    is not a setting: the payoff's kind fixes it.
     """
 
-    x_max: Optional[float] = None
     n_x: int = 81
     n_zeta: int = 48
-    zeta_max: Optional[float] = None
     x_grid: Optional[np.ndarray] = None
-    augmentation: str = "auto"
     refine: bool = True
-
-    def __post_init__(self):
-        if self.zeta_max is not None and self.zeta_max <= 0:
-            raise ValueError(f"zeta_max must be > 0, got {self.zeta_max}")
 
     def _nodes(self, spec: PayoffSpec) -> np.ndarray:
         if self.x_grid is not None:
             return np.asarray(self.x_grid, float)
-        xm = self.x_max if self.x_max is not None else 2.0 * max(1.0, spec.lipschitz_l)
+        xm = 2.0 * max(1.0, spec.lipschitz_l)
         return np.linspace(-xm, xm, self.n_x)
 
     def x_axis(self, spec: PayoffSpec, params: MarketParams) -> np.ndarray:
@@ -247,19 +222,16 @@ class DPGrids:
         return np.union1d(g, [0.0, params.x0])
 
     def zeta_axis(self, spec: PayoffSpec, params: MarketParams, collapsed: bool) -> np.ndarray:
-        """The spread axis.  Its default top follows the widest trade over
-        all `n_x` nodes (or `x_grid`) and x0, not over the nodes `x_axis`
-        keeps, so sizing the position axis to the payoff moves no spread
-        node."""
+        """The spread axis.  Its top follows the widest trade over all `n_x`
+        nodes (or `x_grid`) and x0, not over the nodes `x_axis` keeps, so
+        sizing the position axis to the payoff moves no spread node."""
         if collapsed:
             return np.array([0.0])
         span = 2.0 * float(np.max(np.abs(np.append(self._nodes(spec), params.x0))))
-        zm = self.zeta_max
-        if zm is None:
-            zm = params.zeta0 + span / (params.depth * params.resilience)
-            if zm == 0.0:
-                # no spread to start from and no position to trade to
-                return np.array([0.0])
+        zm = params.zeta0 + span / (params.depth * params.resilience)
+        if zm == 0.0:
+            # no spread to start from and no position to trade to
+            return np.array([0.0])
         lo = max(zm * 2e-4, 1e-12)
         g = np.concatenate([[0.0], np.geomspace(lo, zm, self.n_zeta - 1)])
         return np.union1d(g, [params.zeta0])
@@ -403,11 +375,10 @@ def superreplication_cost(
     grouping.
     """
     grids = grids or DPGrids()
-    augmentation = _resolve_augmentation(spec, grids.augmentation)
-    lattice = _drawdown_lattice(spec, params, augmentation)
+    lattice = _drawdown_lattice(spec, params)
     grouped = lattice is not None
     if not grouped:
-        lattice = _build_lattice(spec, params, augmentation)
+        lattice = _build_lattice(spec, params)
     dp_params = replace(params, perm_impact=0.0)
     n = params.n_steps
     s = params.step_vol
@@ -487,7 +458,7 @@ def superreplication_cost(
         max_resid_x = max(max_resid_x, rx)
 
     ix0 = int(np.searchsorted(xg, params.x0))
-    iz0 = int(np.searchsorted(zg, min(params.zeta0, zg[-1]))) if n_z > 1 else 0
+    iz0 = int(np.searchsorted(zg, params.zeta0)) if n_z > 1 else 0
     cost = float(v[0, ix0, iz0]) - 0.5 * params.perm_impact * params.x0**2
     # Only the spread axis is interpolated during the scan, so its residual
     # is the propagating error; the position axis enters refinement only,
@@ -506,7 +477,7 @@ def superreplication_cost(
     policy = None
     if keep_policy:
         if grouped:
-            lattice = _build_lattice(spec, params, augmentation)
+            lattice = _build_lattice(spec, params)
             tables = [
                 w[top - level] + (top * s)[:, None, None] * (1.0 - x_b)
                 for w, (level, top) in zip(tables, (st.T for st in lattice.states))

@@ -6,7 +6,7 @@ import numpy as np
 
 from impactlab.market import MarketParams, SteppedPath, StoppingGrid, fundamental_path
 from impactlab.dual import DualCertificate, _tilt_step
-from impactlab.payoffs import PayoffSpec, evaluate_payoff, payoff_on_paths
+from impactlab.payoffs import PayoffSpec, evaluate_payoff, payoff_from_summaries
 
 
 def all_paths(n: int) -> np.ndarray:
@@ -23,6 +23,22 @@ def crr_price(params: MarketParams, spec: PayoffSpec) -> float:
         evaluate_payoff(spec, fundamental_path(row, params)) for row in all_paths(n)
     ]
     return float(np.mean(vals))
+
+
+def payoff_on_paths(spec: PayoffSpec, values) -> np.ndarray:
+    """Payoffs of a batch of full walk paths, one per row.
+
+    values: (batch, N+1) prices at the breakpoints n/N, n = 0..N, so each
+    row is the step path `fundamental_path` builds from N shocks; the time
+    average of a row is the mean of its first N values.
+    """
+    values = np.asarray(values, dtype=float)
+    return payoff_from_summaries(
+        spec,
+        terminal=values[:, -1],
+        rise=values.max(axis=1) - values[:, 0],
+        average=values[:, :-1].mean(axis=1),
+    )
 
 
 def matrix_bound(h_vals, alphas, prob, params: MarketParams):

@@ -14,6 +14,7 @@ from impactlab.cli import (
     main,
     run_experiment,
 )
+from impactlab.pricing import DPGrids
 
 
 def write_cfg(tmp_path, body, name="exp.cfg"):
@@ -51,9 +52,21 @@ nu_sq_max = 4.0
 
 
 def test_config_rejects_unknown_key(tmp_path):
-    cfg = write_cfg(tmp_path, BASE.replace("depth = 1.0", "depth = 1.0\nbogus = 1"))
-    with pytest.raises(ConfigError, match="bogus"):
-        ExperimentConfig.load(cfg)
+    # [dp] augmentation and x_max were keys once: a config naming them stops
+    for after, line, key in (
+        ("depth = 1.0", "bogus = 1", "bogus"),
+        ("n_x = 41", "augmentation = auto", "augmentation"),
+        ("n_x = 41", "x_max = 4", "x_max"),
+    ):
+        cfg = write_cfg(tmp_path, BASE.replace(after, f"{after}\n{line}"))
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.load(cfg)
+
+
+def test_shipped_config_loads():
+    cfg = ExperimentConfig.load(os.path.join(os.path.dirname(__file__), "..", "configs", "call_study.cfg"))
+    assert cfg.get("run", "study_id") == "call-base"
+    assert cfg.dp_grids() == DPGrids()
 
 
 def test_config_rejects_unknown_section(tmp_path):

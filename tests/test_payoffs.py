@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from helpers import all_paths, discretize_path, replay_shocks, sup_distance
+from helpers import all_paths, discretize_path, payoff_on_paths, replay_shocks, sup_distance
 from impactlab.market import MarketParams, SteppedPath, fundamental_path, stopping_grid
-from impactlab.payoffs import PayoffSpec, evaluate_payoff, payoff_on_paths, quadratic_claim
+from impactlab.payoffs import PayoffSpec, evaluate_payoff, quadratic_claim
 
 
 def mk(n=16, **kw):

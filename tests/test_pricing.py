@@ -234,9 +234,6 @@ def test_zeta_axis_without_position_span():
     assert np.array_equal(grids.zeta_axis(PayoffSpec("call"), p, False), [0.0])
     res = superreplication_cost(p, PayoffSpec("call", strike=0.0), grids)
     assert res.cost == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    for bad in (0.0, -1.0):
-        with pytest.raises(ValueError, match="zeta_max"):
-            DPGrids(zeta_max=bad)
 
 
 AXIS_SPECS = [
@@ -286,8 +283,7 @@ def test_payoff_sized_axis_shape(spec):
     assert np.array_equal(DPGrids(n_x=5).x_axis(call, mk()), [-1.0, 0.0, 1.0, 2.0])
     xg = DPGrids().x_axis(call, mk())
     assert len(xg) == 41 and xg[0] == -0.5 and xg[-1] == 1.5
-    # an explicit x_max sets only the span and spacing; an explicit grid is used whole
-    assert np.array_equal(DPGrids(x_max=4.0).x_axis(call, mk()), np.linspace(-4.0, 4.0, 81)[35:56])
+    # an explicit grid is used whole
     assert len(DPGrids(x_grid=_full_x_nodes(call)).x_axis(call, mk())) == 81
 
 
@@ -391,13 +387,16 @@ def test_spread_cells_match_binary_search():
         (DPGrids(), mk(zeta0=0.0123)),  # off-grid zeta0
         (DPGrids(), mk(zeta0=float(np.nextafter(base[7], np.inf)))),  # a hair above a node
         (DPGrids(), mk(zeta0=1e-9)),  # below the geometric part
-        (DPGrids(zeta_max=0.7, n_zeta=9), mk(zeta0=2.5)),  # user zeta_max, zeta0 beyond it
         (DPGrids(n_zeta=1), mk(zeta0=0.4)),
         (DPGrids(n_zeta=2), mk()),
         (DPGrids(n_zeta=3), mk(zeta0=0.05)),
         (DPGrids(n_zeta=3), mk()),
     ]
-    axes = [g.zeta_axis(call, p, False) for g, p in cases] + [DPGrids().zeta_axis(call, mk(), True)]
+    axes = [g.zeta_axis(call, p, False) for g, p in cases] + [
+        DPGrids().zeta_axis(call, mk(), True),
+        # a last node far past the geometric part
+        np.union1d(np.concatenate([[0.0], np.geomspace(0.7 * 2e-4, 0.7, 8)]), [2.5]),
+    ]
     assert {len(zg) for zg in axes} == {1, 2, 3, 4, 10, 48, 49}
     for zg in axes:
         pts = np.concatenate([[0.0, 2.0 * zg[-1], 1e3], _cell_points(zg, 0.0, 1.5 * zg[-1] + 1.0, rng)])
@@ -636,28 +635,6 @@ def test_strategy_positions_reject_non_flat_plan():
 # -- path-dependent lattices ---------------------------------------------------
 
 
-def test_full_tree_mode_agrees_with_running_max():
-    p = mk(n=6, depth=1.5, resilience=0.6)
-    spec = PayoffSpec("lookback_max")
-    fast = superreplication_cost(p, spec, DPGrids(n_x=41, n_zeta=24))
-    slow = superreplication_cost(p, spec, DPGrids(n_x=41, n_zeta=24, augmentation="full_tree"))
-    assert slow.cost == pytest.approx(fast.cost, abs=1e-10)
-    assert slow.report["augmentation"] == "full_tree"
-
-
-def test_forced_augmentation_prices_the_given_payoff():
-    # An augmented lattice still pays the spec's payoff, not its own kind's.
-    p = mk(n=5, depth=1.5, resilience=0.6)
-    grids = DPGrids(n_x=41, n_zeta=24)
-    for spec in (PayoffSpec("call", strike=0.1), PayoffSpec("put", strike=-0.2)):
-        plain = superreplication_cost(p, spec, grids)
-        for aug in ("running_max", "running_sum"):
-            forced = superreplication_cost(p, spec, replace(grids, augmentation=aug))
-            assert forced.cost == pytest.approx(plain.cost, abs=1e-10)
-    with pytest.raises(ValueError):
-        superreplication_cost(p, PayoffSpec("asian_mean"), replace(grids, augmentation="running_max"))
-
-
 def test_asian_dp_frictionless_matches_path_average_oracle():
     p = mk(n=6)
     spec = PayoffSpec("asian_mean", strike=0.0)
@@ -666,9 +643,12 @@ def test_asian_dp_frictionless_matches_path_average_oracle():
     assert res.cost == pytest.approx(crr_price(p, spec), abs=1e-3)
 
 
-def test_asian_dp_with_costs_matches_bruteforce():
+@pytest.mark.parametrize(
+    "spec", [PayoffSpec("asian_mean", strike=0.0), PayoffSpec("lookback_max")], ids=lambda spec: spec.kind
+)
+def test_asian_dp_with_costs_matches_bruteforce(spec):
+    # the lookback DP solves drawdown states; brute force walks the full tree
     p = mk(n=3, depth=1.0, resilience=0.5)
-    spec = PayoffSpec("asian_mean", strike=0.0)
     grid = np.linspace(-2.0, 2.0, 41)
     bf = brute_force_cost(p, spec, grid)
     res = superreplication_cost(p, spec, DPGrids(x_grid=grid, n_zeta=160, refine=False))
