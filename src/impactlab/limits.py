@@ -105,13 +105,26 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
     the fraction of nodes where the cap binds is reported and flags the
     result above `cap_flag_fraction`.  Boundaries carry zero curvature.
 
-    A step whose scaled curvature q = V_pp / (4c) stays inside the clip
-    band on every node skips the clip: there the clipped u equals q, so
-    the Hamiltonian term (q - u + q) u is q * q to the last bit.  Only the
-    first steps near a payoff kink need the clip; `grid["clipped_steps"]`
-    counts them.  Step constants are 0-d arrays, which numpy takes without
-    converting a Python float on each call; the doubles, and so the
-    results, are the same.
+    The clip stops mattering after the first steps near a payoff kink, by
+    a discrete max principle.  On a step that clips nothing, the scaled
+    curvature q = V_pp / (4c) moves as
+
+        q_i' = (1 - l b+ - l b-) q_i + l b+ q_{i+1} + l b- q_{i-1},
+
+    with l = dt / (4 dp^2), b+- = a*_i + a*_{i+-1} in [0, 2 a_max], and the
+    fixed boundary nodes acting as a ghost q = 0.  The stability bound
+    a_max dt / dp^2 <= 1/2 makes this a convex combination, so the range of
+    q and 0 never widens.  Once every node's q lies inside the clip band
+    [-sigma^2, a_max - sigma^2), shrunk on both sides by a bound on the
+    float drift over the remaining steps, and that band holds 0, no later
+    step can clip or hit the cap.  From that step, `grid["clip_free_from"]`
+    (n_time if it never comes, as at a_max = sigma^2), each step is six
+    array calls, v += r (A r + B) for the raw second difference r, with no
+    per-step reduction.  Before it, every step clips, which changes no bit
+    where nothing leaves the band; `grid["clipped_steps"]` counts the steps
+    where something does.  After the switch, a tripwire checks the band
+    without the shrink every ~n_time/256 steps and raises RuntimeError if
+    it fails.
     """
     grid = grid or HJBGrid()
     spec = problem.payoff
@@ -149,6 +162,20 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
     u_cap = cap_tol - s2
     # boundary nodes hold a* = sigma^2, a cap hit only when a_max ~ sigma^2
     edge_hits = 2 if s2 >= cap_tol else 0
+    # Clip-free from the first step whose q lies in the band shrunk by
+    # `margin` on every node, when that band holds 0 (the boundaries' ghost
+    # q): see the docstring.  A step rounds each v to within eps max|v| / 2,
+    # which moves q = k_q (v+ - 2v + v-) by at most 2 eps k_q max|v|; the
+    # margin allows 16 eps k_q max|v| a step over all n_t steps.  The
+    # scheme is monotone and fixes constants, so max|v| never exceeds its
+    # terminal value and one margin serves every step.
+    margin = n_t * 16.0 * np.finfo(float).eps * float(k_q) * max(1.0, float(np.max(np.abs(v))))
+    band_lo, band_hi = -s2 + margin, u_cap - margin
+    can_switch = band_lo <= 0.0 <= band_hi
+    # v_in += c dt (q q + 2 sigma^2 q) with q = k_q r, r the raw second
+    # difference, is v_in += r (A r + B)
+    lean_a = np.array(c * dt * float(k_q) ** 2)
+    lean_b = np.array(2.0 * s2 * c * dt * float(k_q))
     d = np.empty(n_sp - 1)
     q, u, w, tmp = (np.empty(n_sp - 2) for _ in range(4))
     at_cap = np.empty(n_sp - 2, dtype=bool)
@@ -156,39 +183,60 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
     sub, add, mul, at_least, at_most = np.subtract, np.add, np.multiply, np.maximum, np.minimum
     cap_hits = 0
     clipped_steps = 0
-    if keep_control:
-        # control snapshots on a thinned time grid (at most ~257 slices)
-        stride = max(1, n_t // 256)
-        snaps = []
+    # control snapshots and tripwire tests on a thinned time grid (at most
+    # ~257 slices)
+    stride = max(1, n_t // 256)
+    snaps = []
+
+    def snapshot(step):
+        a_star = np.full(n_sp, s2)
+        add(u, s2, a_star[1:-1])
+        snaps.append((1.0 - (step + 1) * dt, a_star))
+
+    clip_free_from = n_t
     for step in range(n_t):
         sub(v_hi, v_lo, d)
         sub(d_hi, d_lo, q)
         mul(q, k_q, q)
-        # q inside [u_lo, u_cap) on every node: the clamp would leave
-        # u == q, so (q - u) + q is q and the term is q * q to the last bit,
-        # with no cap hit.  NaN or inf fails the test and clips as before.
-        # Snapshot steps clip anyway, since the control needs u.
-        inside = q[q.argmax()] < u_cap and q[q.argmin()] >= u_lo
-        clipped_steps += not inside
-        snap = keep_control and step % stride == 0
-        if inside and not snap:
-            mul(q, q, w)
-        else:
-            at_least(q, u_lo, out=u)
-            at_most(u, u_hi, out=u)
-            np.greater_equal(u, u_cap, out=at_cap)
-            cap_hits += int(np.count_nonzero(at_cap))
-            sub(q, u, w)
-            add(w, q, w)
-            mul(w, u, w)
+        q_min, q_max = q[q.argmin()], q[q.argmax()]
+        if can_switch and q_min >= band_lo and q_max <= band_hi:
+            clip_free_from = step
+            break
+        # NaN or inf fails both tests, so it clips and counts as clipped
+        clipped_steps += not (q_min >= u_lo and q_max < u_cap)
+        # when nothing clips u == q, so (q - u) + q is q and the term is
+        # q * q to the last bit, with no cap hit
+        at_least(q, u_lo, out=u)
+        at_most(u, u_hi, out=u)
+        np.greater_equal(u, u_cap, out=at_cap)
+        cap_hits += int(np.count_nonzero(at_cap))
+        sub(q, u, w)
+        add(w, q, w)
+        mul(w, u, w)
         mul(q, two_s2, tmp)
         add(w, tmp, w)
         mul(w, c_dt, w)
         add(v_in, w, v_in)
-        if snap:
-            a_star = np.full(n_sp, s2)
-            add(u, s2, a_star[1:-1])
-            snaps.append((1.0 - (step + 1) * dt, a_star))
+        if keep_control and step % stride == 0:
+            snapshot(step)
+    r = q
+    for step in range(clip_free_from, n_t):
+        sub(v_hi, v_lo, d)
+        sub(d_hi, d_lo, r)
+        if step % stride == 0:
+            # tripwire: the band without the margin must still hold
+            mul(r, k_q, u)
+            if not (u[u.argmin()] >= u_lo and u[u.argmax()] < u_cap):
+                raise RuntimeError(
+                    f"hjb_value: curvature left the clip band at step {step}, "
+                    f"after the clip-free switch at step {clip_free_from}"
+                )
+            if keep_control:
+                snapshot(step)
+        mul(r, lean_a, w)
+        add(w, lean_b, w)
+        mul(w, r, w)
+        add(v_in, w, v_in)
     cap_hits += edge_hits * n_t
     cap_fraction = cap_hits / (n_t * n_sp)
     value = float(np.interp(problem.p0, p_ax, v)) - problem.endowment
@@ -232,7 +280,10 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
         value=value,
         cap_fraction=cap_fraction,
         flagged=cap_fraction > grid.cap_flag_fraction,
-        grid={"n_space": n_sp, "n_time": n_t, "dp": dp, "dt": dt, "clipped_steps": clipped_steps},
+        grid={
+            "n_space": n_sp, "n_time": n_t, "dp": dp, "dt": dt,
+            "clipped_steps": clipped_steps, "clip_free_from": clip_free_from,
+        },
         surface=v,
         p_axis=p_ax,
         control=control,

@@ -215,10 +215,7 @@ class DPGrids:
             # the first at or above hi + 1/2, with the range stretched to x0:
             # without the margin the argmin sits on the edge as the true
             # optimum.  The boundary-hit diagnostic guards the range.
-            lo, hi = spec.slope_range
-            lo, hi = min(lo, params.x0), max(hi, params.x0)
-            first = max(np.count_nonzero(g <= lo - 0.5) - 1, 0)
-            g = g[first : len(g) - np.count_nonzero(g >= hi + 0.5) + 1]
+            g = g[_hedge_span(g, spec, params)]
         return np.union1d(g, [0.0, params.x0])
 
     def zeta_axis(self, spec: PayoffSpec, params: MarketParams, collapsed: bool) -> np.ndarray:
@@ -235,6 +232,16 @@ class DPGrids:
         lo = max(zm * 2e-4, 1e-12)
         g = np.concatenate([[0.0], np.geomspace(lo, zm, self.n_zeta - 1)])
         return np.union1d(g, [params.zeta0])
+
+
+def _hedge_span(g: np.ndarray, spec: PayoffSpec, params: MarketParams) -> slice:
+    """The nodes of the sorted axis `g` from the last at or below lo - 1/2
+    to the first at or above hi + 1/2, for the payoff's slope range [lo, hi]
+    stretched to x0 (all of `g` where it ends sooner)."""
+    lo, hi = spec.slope_range
+    lo, hi = min(lo, params.x0), max(hi, params.x0)
+    first = max(np.count_nonzero(g <= lo - 0.5) - 1, 0)
+    return slice(first, len(g) - np.count_nonzero(g >= hi + 0.5) + 1)
 
 
 @dataclass
@@ -408,6 +415,10 @@ def superreplication_cost(
         zp_by_pair[jxp] = z_cells(spread_step(zg[None, :], (xg[jxp] - xg)[:, None], dp_params))
 
     order = np.argsort(np.abs(xg), kind="stable")
+    # Residuals are measured only where a hedge goes: on the nodes the
+    # default axis keeps (all of that axis), so a wider explicit axis
+    # cannot raise them, or the flag, through nodes no hedge visits.
+    hedged = _hedge_span(xg, spec, params)
     new_max = s * (1.0 - xg)[:, None]
 
     for depth in range(n - 1, -1, -1):
@@ -453,7 +464,7 @@ def superreplication_cost(
         v = best
         if keep_policy:
             tables[depth] = v
-        rz, rx = _interp_residual(v, xg, zg)
+        rz, rx = _interp_residual(v[:, hedged], xg[hedged], zg)
         max_resid = max(max_resid, rz)
         max_resid_x = max(max_resid_x, rx)
 
@@ -646,7 +657,7 @@ def brute_force_cost(
             best = min(best, cost + worst)
         return best
 
-    return rec((), params.p0, params.x0, params.zeta0, 0)
+    return float(rec((), params.p0, params.x0, params.zeta0, 0))
 
 
 # ---------------------------------------------------------------------------

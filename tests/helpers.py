@@ -179,3 +179,90 @@ def stopping_indices_loop(path: SteppedPath, epsilon: float, params: MarketParam
         hit = min(hit_price, anchor + time_hit, n_cap)
         indices.append(hit)
     return indices
+
+
+def fused_hjb(problem, grid, keep_control=False):
+    """The explicit HJB scheme as one fused loop that tests the clip band on
+    every step (the oracle for `hjb_value`'s switch to the lean step): the
+    same grid, step formulas, cap count and control snapshots, skipping the
+    clip on each step where no node leaves the band.
+
+    Returns (value, surface, cap_fraction, clipped_steps, last_clipped,
+    times, tables); last_clipped is the last step that clips (-1 if none),
+    and times/tables are None without `keep_control`.
+    """
+    spec = problem.payoff
+    c = problem.penalty_c
+    s2 = problem.sigma_sq
+    a_max = problem.nu_sq_max
+    half = grid.p_halfwidth * math.sqrt(s2)
+    n_sp = grid.n_space if grid.n_space % 2 == 1 else grid.n_space + 1
+    p_ax = problem.p0 + np.linspace(-half, half, n_sp)
+    dp = p_ax[1] - p_ax[0]
+    if grid.n_time is None:
+        dt_max = 0.5 * dp * dp / a_max
+        n_t = int(math.ceil(1.0 / dt_max))
+    else:
+        n_t = grid.n_time
+    dt = 1.0 / n_t
+
+    v = np.array(spec.terminal_fn(p_ax), dtype=float)
+    k_q = np.array(1.0 / (4.0 * c * dp * dp))
+    c_dt = np.array(c * dt)
+    two_s2 = np.array(2.0 * s2)
+    u_lo, u_hi = np.array(-s2), np.array(a_max - s2)
+    cap_tol = a_max * (1.0 - 1e-12)
+    u_cap = cap_tol - s2
+    # boundary nodes hold a* = sigma^2, a cap hit only when a_max ~ sigma^2
+    edge_hits = 2 if s2 >= cap_tol else 0
+    d = np.empty(n_sp - 1)
+    q, u, w, tmp = (np.empty(n_sp - 2) for _ in range(4))
+    at_cap = np.empty(n_sp - 2, dtype=bool)
+    v_hi, v_lo, v_in, d_hi, d_lo = v[1:], v[:-1], v[1:-1], d[1:], d[:-1]
+    sub, add, mul, at_least, at_most = np.subtract, np.add, np.multiply, np.maximum, np.minimum
+    cap_hits = 0
+    clipped_steps = 0
+    last_clipped = -1
+    if keep_control:
+        # control snapshots on a thinned time grid (at most ~257 slices)
+        stride = max(1, n_t // 256)
+        snaps = []
+    for step in range(n_t):
+        sub(v_hi, v_lo, d)
+        sub(d_hi, d_lo, q)
+        mul(q, k_q, q)
+        # q inside [u_lo, u_cap) on every node: the clamp would leave
+        # u == q, so (q - u) + q is q and the term is q * q to the last bit,
+        # with no cap hit.  NaN or inf fails the test and clips as before.
+        # Snapshot steps clip anyway, since the control needs u.
+        inside = q[q.argmax()] < u_cap and q[q.argmin()] >= u_lo
+        clipped_steps += not inside
+        if not inside:
+            last_clipped = step
+        snap = keep_control and step % stride == 0
+        if inside and not snap:
+            mul(q, q, w)
+        else:
+            at_least(q, u_lo, out=u)
+            at_most(u, u_hi, out=u)
+            np.greater_equal(u, u_cap, out=at_cap)
+            cap_hits += int(np.count_nonzero(at_cap))
+            sub(q, u, w)
+            add(w, q, w)
+            mul(w, u, w)
+        mul(q, two_s2, tmp)
+        add(w, tmp, w)
+        mul(w, c_dt, w)
+        add(v_in, w, v_in)
+        if snap:
+            a_star = np.full(n_sp, s2)
+            add(u, s2, a_star[1:-1])
+            snaps.append((1.0 - (step + 1) * dt, a_star))
+    cap_hits += edge_hits * n_t
+    cap_fraction = cap_hits / (n_t * n_sp)
+    value = float(np.interp(problem.p0, p_ax, v)) - problem.endowment
+    times = tables = None
+    if keep_control:
+        times = np.array([t for t, _ in snaps][::-1])
+        tables = np.array([a for _, a in snaps][::-1])
+    return value, v, cap_fraction, clipped_steps, last_clipped, times, tables

@@ -105,6 +105,7 @@ def test_kusuoka_bound_weak_duality_vs_bruteforce(endowment):
             for kind in ("call", "lookback_max"):
                 spec = PayoffSpec(kind, strike=0.0)
                 bf = brute_force_cost(p, spec, np.linspace(-2, 2, 21))
+                assert type(bf) is float
                 for nu in (0.8, 1.0, 1.2, 1.6, 2.0):
                     (rec,) = kusuoka_lower_bound(constant_profile(nu, 1.0), spec, p, n_list=[n])
                     assert rec["mode"] == "exact" and rec["certified"]

@@ -1,10 +1,11 @@
-"""HJB solver (against the unfused scheme), Bachelier oracle and policy-search MC."""
+"""HJB solver (against the unfused scheme and the fused per-step-clip loop), Bachelier oracle and policy-search MC."""
 
 import math
 
 import numpy as np
 import pytest
 
+from helpers import fused_hjb
 from impactlab.limits import (
     HJBGrid,
     LimitProblem,
@@ -302,3 +303,38 @@ def test_hjb_step_matches_unfused_scheme(spec, c, nu_sq_max, binds):
         it = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 1)
         for p in (-1.3, 0.0, 0.02, 2.5):
             assert abs(res.control(t, p) - float(np.interp(p, res.p_axis, tables[it]))) <= 1e-12
+
+
+_SWITCH_CASES = [
+    (PayoffSpec("call", strike=0.0), 0.5 / 12.0, 16.0, 301),
+    (PayoffSpec("put", strike=0.3), 0.2, 4.0, 301),
+    (_TENT, 0.05, 4.0, 301),
+    (PayoffSpec("call", strike=0.0), 0.01, 1.2, 301),
+    (PayoffSpec("call", strike=0.0), 0.1, 1.0, 301),  # a_max = sigma^2: never switches
+    (PayoffSpec("call", strike=0.0), 1.0 / 24.0, 16.0, 1201),  # the limit_side solve
+]
+
+
+@pytest.mark.parametrize("spec, c, nu_sq_max, n_space", _SWITCH_CASES)
+def test_clip_free_switch_matches_the_fused_loop(spec, c, nu_sq_max, n_space):
+    prob = LimitProblem(payoff=spec, penalty_c=c, sigma_sq=1.0, nu_sq_max=nu_sq_max)
+    grid = HJBGrid(n_space=n_space)
+    res = hjb_value(prob, grid, keep_control=True)
+    value, surface, cap_fraction, clipped, last_clipped, times, tables = fused_hjb(prob, grid, keep_control=True)
+    assert abs(res.value - value) <= 1e-12
+    assert np.max(np.abs(res.surface - surface)) <= 1e-12
+    assert res.cap_fraction == cap_fraction
+    assert res.grid["clipped_steps"] == clipped
+    switch, n_t = res.grid["clip_free_from"], res.grid["n_time"]
+    assert last_clipped < switch <= n_t  # no step clips after the switch
+    if nu_sq_max == prob.sigma_sq:
+        assert switch == n_t  # the band [-sigma^2, a_max - sigma^2) excludes 0
+    if spec.kind == "call" and nu_sq_max == 16.0:
+        assert switch - last_clipped <= 4  # switches right after the kink stops clipping
+    for t in (0.0, 0.37, 0.999):
+        it = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 1)
+        for p in (-1.3, 0.0, 0.02, 2.5):
+            assert abs(res.control(t, p) - float(np.interp(p, res.p_axis, tables[it]))) <= 1e-12
+    bare = hjb_value(prob, grid)
+    assert bare.surface.tobytes() == res.surface.tobytes()
+    assert bare.grid == res.grid and bare.cap_fraction == res.cap_fraction

@@ -316,7 +316,15 @@ def test_steep_table_prices_on_its_declared_axis():
     p = mk(n=4)
     res = superreplication_cost(p, STEEP)
     assert res.report["boundary_hits"] == 0
-    assert res.cost == superreplication_cost(p, STEEP, DPGrids(x_grid=_full_x_nodes(STEEP))).cost
+    full = superreplication_cost(p, STEEP, DPGrids(x_grid=_full_x_nodes(STEEP)))
+    assert repr(res.cost) == repr(full.cost) == "5.060555555555557"
+    # residuals are measured on the nodes a hedge visits, [-0.6, 3.6]; the
+    # full axis's others would raise the spread residual to 0.141 and flag
+    # the run
+    assert full.report["n_x"] > res.report["n_x"]
+    for key in ("max_interp_residual", "x_kink_residual", "flagged"):
+        assert full.report[key] == res.report[key]
+    assert 0.05 < res.report["max_interp_residual"] < 0.1 and not res.report["flagged"]
 
 
 def test_payoff_sized_axis_certifies_as_the_full_axis():
