@@ -2,10 +2,8 @@
 
 from .market import (
     MarketParams,
-    PortfolioState,
     SteppedPath,
     StoppingGrid,
-    cash_step,
     fundamental_path,
     liquidity_cost,
     spread_closed_form,

@@ -64,7 +64,6 @@ _DEFAULTS = {
         "perm_impact": 0.0,
         "x0": 0.0,
         "zeta0": 0.0,
-        "xi0": 0.0,
     },
     "payoff": {"kind": "call", "strike": 0.0},
     "run": {"mode": "", "n_list": "8 16 32", "study_id": "default", "seed": 0},
@@ -78,6 +77,16 @@ _DEFAULTS = {
     },
     "mc": {"paths": 20000, "n_steps": 128, "family": "constant", "thetas": "0.8 1.0 1.2"},
     "output": {"results": "results.csv"},
+}
+
+# Count keys and the least value each admits.
+_MINIMUM = {
+    ("dp", "n_x"): 1,
+    ("dp", "n_zeta"): 1,
+    ("dual", "mc_paths"): 1,
+    ("hjb", "n_space"): 3,
+    ("mc", "paths"): 1,
+    ("mc", "n_steps"): 2,  # the step-halving check runs n_steps // 2 steps
 }
 
 _MODES = ("primal_dp", "dual_bound", "limit_hjb", "limit_mc", "convergence_study", "identity_suite")
@@ -121,6 +130,9 @@ class ExperimentConfig:
                     values[(section, key)] = _parse_bool(raw) if typ is bool else typ(raw)
                 except ValueError as exc:
                     raise ConfigError(f"[{section}] {key}: {exc}") from exc
+        for (section, key), least in _MINIMUM.items():
+            if values[(section, key)] < least:
+                raise ConfigError(f"[{section}] {key} must be >= {least}")
         mode = values[("run", "mode")]
         if mode and mode not in _MODES:
             raise ConfigError(f"unknown mode {mode!r}; expected one of {_MODES}")
@@ -159,7 +171,6 @@ class ExperimentConfig:
                 perm_impact=g("market", "perm_impact"),
                 x0=g("market", "x0"),
                 zeta0=g("market", "zeta0"),
-                xi0=g("market", "xi0"),
             )
         except ValueError as exc:
             raise ConfigError(f"[market] {exc}") from exc
@@ -342,7 +353,7 @@ def _identity_rows(cfg: ExperimentConfig, emit) -> list:
         shocks = rng.choice([-1, 1], size=n)
         pos = np.cumsum(trades) + p.x0
         worst["wealth"] = max(
-            worst["wealth"], abs(terminal_wealth(pos, shocks, p) - iterate_cash(pos, shocks, p).cash)
+            worst["wealth"], abs(terminal_wealth(pos, shocks, p) - iterate_cash(pos, shocks, p))
         )
         vals = fundamental_path(shocks, p).values
         l, m_hi = sorted(rng.choice(np.arange(n + 1), size=2, replace=False)) if n >= 1 else (0, 0)
@@ -362,7 +373,8 @@ def _primal_rows(cfg: ExperimentConfig, emit) -> list:
     frictionless = cfg.get("dp", "frictionless")
     rows = []
     for n in cfg.n_list():
-        res = superreplication_cost(cfg.market(n), spec, grids, frictionless=frictionless)
+        params = cfg.market(n)
+        res = superreplication_cost(params.frictionless() if frictionless else params, spec, grids)
         rows.append(
             emit(
                 "primal_dp",

@@ -127,7 +127,7 @@ def _all_shocks(n: int) -> np.ndarray:
 # tilt construction
 
 
-def _tilt_step(profile, k, n, values, prev, xi_prev, sigma, margin=_MARGIN):
+def _tilt_step(profile, k, n, values, prev, xi_prev, sigma):
     """One period of the tilt chain, on a batch of tree nodes or sampled paths.
 
     alpha = (nu^2 - sigma^2) / (2 sigma), with nu read at t = k/N on the
@@ -140,14 +140,14 @@ def _tilt_step(profile, k, n, values, prev, xi_prev, sigma, margin=_MARGIN):
     c = profile.c_bound
     nu = np.asarray(profile.nu(k / n, values), dtype=float)
     raw = (nu**2 - sigma**2) / (2.0 * sigma)
-    if np.any(sigma + raw <= margin):
+    if np.any(sigma + raw <= _MARGIN):
         raise ValueError("profile drives sigma + alpha below the margin")
     alpha = np.clip(raw, -c, c)
     if prev is not None:
         step_bound = c / math.sqrt(n)
         alpha = np.clip(alpha, prev - step_bound, prev + step_bound)
     denom = sigma + alpha
-    if np.any(denom <= margin):
+    if np.any(denom <= _MARGIN):
         raise ValueError("clipped tilt degenerates the martingale condition")
     if prev is None:
         q = np.full(len(values), 0.5)
@@ -157,7 +157,7 @@ def _tilt_step(profile, k, n, values, prev, xi_prev, sigma, margin=_MARGIN):
     return alpha, q_clipped, int(np.count_nonzero(alpha != raw)), int(np.count_nonzero(q_clipped != q))
 
 
-def kusuoka_certificate(profile: VolProfile, params: MarketParams, margin: float = _MARGIN) -> DualCertificate:
+def kusuoka_certificate(profile: VolProfile, params: MarketParams) -> DualCertificate:
     """Tilted walk measure whose shadow price is an exact tree martingale.
 
     Every node takes its tilt and up-probability from `_tilt_step`, the step
@@ -179,7 +179,7 @@ def kusuoka_certificate(profile: VolProfile, params: MarketParams, margin: float
             idx = np.arange(2**k)
             prev = alpha[idx % (2 ** (k - 1))]
             xi_last = np.where((idx >> (k - 1)) & 1 == 1, 1.0, -1.0)
-        alpha, q, n_alpha, n_q = _tilt_step(profile, k, n, values, prev, xi_last, params.sigma, margin)
+        alpha, q, n_alpha, n_q = _tilt_step(profile, k, n, values, prev, xi_last, params.sigma)
         clip_alpha += n_alpha
         clip_q += n_q
         q_list.append(q)

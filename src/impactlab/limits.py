@@ -75,15 +75,15 @@ def limit_from_market(params: MarketParams, spec: PayoffSpec, nu_sq_max=None) ->
 
 @dataclass
 class HJBGrid:
-    """Space-time grid for the explicit scheme.
+    """Space grid for the explicit scheme.
 
-    The time step is derived from the diffusion stability bound
-    nu_sq_max * dt / dp^2 <= 1/2 unless n_time is forced explicitly.
+    The time grid is not a setting: `hjb_value` takes the fewest steps the
+    diffusion stability bound nu_sq_max * dt / dp^2 <= 1/2 allows and
+    reports their count as `grid["n_time"]`.
     """
 
     p_halfwidth: float = 8.0  # in units of sigma * sqrt(T)
     n_space: int = 601
-    n_time: Optional[int] = None
     cap_flag_fraction: float = 0.3
 
 
@@ -137,13 +137,8 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
     n_sp = grid.n_space if grid.n_space % 2 == 1 else grid.n_space + 1
     p_ax = problem.p0 + np.linspace(-half, half, n_sp)
     dp = p_ax[1] - p_ax[0]
-    if grid.n_time is None:
-        dt_max = 0.5 * dp * dp / a_max
-        n_t = int(math.ceil(1.0 / dt_max))
-    else:
-        n_t = grid.n_time
-        if a_max * (1.0 / n_t) / dp**2 > 0.5 + 1e-12:
-            raise ValueError("n_time violates the stability bound a_max*dt/dp^2 <= 1/2")
+    dt_max = 0.5 * dp * dp / a_max
+    n_t = int(math.ceil(1.0 / dt_max))
     dt = 1.0 / n_t
 
     v = np.array(spec.terminal_fn(p_ax), dtype=float)

@@ -9,13 +9,13 @@ test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = [
     "MarketParams",
-    "PortfolioState",
     "SteppedPath",
     "StoppingGrid",
     "as_shocks",
@@ -23,7 +23,6 @@ __all__ = [
     "spread_step",
     "spread_closed_form",
     "trade_cost",
-    "cash_step",
     "liquidity_cost",
     "terminal_wealth",
     "iterate_cash",
@@ -79,18 +78,11 @@ class MarketParams:
         """Price move per step, sigma / sqrt(N)."""
         return self.sigma / np.sqrt(self.n_steps)
 
-
-@dataclass(frozen=True)
-class PortfolioState:
-    """Position, half-spread and cash triple evolved by the dynamics."""
-
-    position: float
-    half_spread: float
-    cash: float
-
-    def __post_init__(self):
-        if self.half_spread < -1e-15:
-            raise ValueError("half_spread must be >= 0")
+    def frictionless(self) -> "MarketParams":
+        """The same market without the spread: infinite depth, full
+        resilience (permanent impact is kept).  Every trade's spread leg is
+        then +0.0, and the spread stays 0 after the first trade."""
+        return replace(self, depth=math.inf, resilience=1.0)
 
 
 @dataclass(frozen=True)
@@ -205,31 +197,20 @@ def spread_closed_form(trades, params: MarketParams, n: int) -> float:
     return decay**n * params.zeta0 + float(np.dot(powers, np.abs(trades[:n]))) / params.depth
 
 
-def trade_cost(price, x_old, x_new, zeta, params: MarketParams, frictionless: bool = False):
+def trade_cost(price, x_old, x_new, zeta, params: MarketParams):
     """Cash paid to move the position x_old -> x_new at mid price `price`
     when the half-spread before the trade's period is zeta.
 
     The trade fills gradually between the pre- and post-transaction mid
     price and spread, which is what the averaged terms encode: the mid leg
     (price + iota (x_old + x_new)/2) dx plus the spread leg
-    ((1-r) zeta + |dx|/(2 delta)) |dx|, the latter dropped when
-    `frictionless`.  Scalars or broadcasting arrays.
+    ((1-r) zeta + |dx|/(2 delta)) |dx|, which is +0.0 in the frictionless
+    market (`MarketParams.frictionless`).  Scalars or broadcasting arrays.
     """
     dx = x_new - x_old
-    cost = (price + 0.5 * params.perm_impact * (x_new + x_old)) * dx
-    if not frictionless:
-        adx = abs(dx)
-        cost = cost + ((1.0 - params.resilience) * zeta + adx / (2.0 * params.depth)) * adx
-    return cost
-
-
-def cash_step(state: PortfolioState, p_prev: float, x_new: float, params: MarketParams) -> PortfolioState:
-    """Execute one trade at pre-shock price p_prev, returning the new state."""
-    return PortfolioState(
-        position=x_new,
-        half_spread=spread_step(state.half_spread, x_new - state.position, params),
-        cash=state.cash - trade_cost(p_prev, state.position, x_new, state.half_spread, params),
-    )
+    adx = abs(dx)
+    mid = (price + 0.5 * params.perm_impact * (x_new + x_old)) * dx
+    return mid + ((1.0 - params.resilience) * zeta + adx / (2.0 * params.depth)) * adx
 
 
 def _spread_path(trades: np.ndarray, params: MarketParams) -> np.ndarray:
@@ -272,8 +253,10 @@ def liquidity_cost(trades, params: MarketParams, n: int) -> tuple[float, float]:
     return direct, spread
 
 
-def iterate_cash(positions, shocks, params: MarketParams) -> PortfolioState:
-    """Run the trade-by-trade cash recursion along one path.
+def iterate_cash(positions, shocks, params: MarketParams) -> float:
+    """Cash after the N trades by the trade-by-trade recursion along one
+    path: each trade pays `trade_cost` at the pre-shock price, then the
+    spread moves by `spread_step`.
 
     positions: X_1..X_N chosen before each shock; shocks: the N shocks.
     """
@@ -282,10 +265,12 @@ def iterate_cash(positions, shocks, params: MarketParams) -> PortfolioState:
     if len(positions) != len(shocks):
         raise ValueError("positions and shocks must have equal length")
     prices = params.p0 + params.step_vol * np.concatenate([[0.0], np.cumsum(shocks)])
-    state = PortfolioState(position=params.x0, half_spread=params.zeta0, cash=params.xi0)
+    x, zeta, cash = params.x0, params.zeta0, params.xi0
     for m, x_new in enumerate(positions):
-        state = cash_step(state, prices[m], x_new, params)
-    return state
+        cash = cash - trade_cost(prices[m], x, x_new, zeta, params)
+        zeta = spread_step(zeta, x_new - x, params)
+        x = x_new
+    return float(cash)
 
 
 def terminal_wealth(positions, shocks, params: MarketParams) -> float:

@@ -4,8 +4,9 @@ The price of a claim is the least initial cash such that some predictable
 position plan ends with cash covering the payoff on every path.  Positions
 X_1..X_N are chosen one period ahead and traded at the pre-shock price; the
 residual position is liquidated at the post-shock terminal price (one extra
-trading period with no price move), so that with costs disabled the price
-collapses to the classical backward-induction value with q = 1/2.
+trading period with no price move), so that in the frictionless market
+(`MarketParams.frictionless`) the price collapses to the classical
+backward-induction value with q = 1/2.
 
 A full-tree brute force over grid-valued strategies serves as the oracle
 for small instances.  The explicit quadratic-claim hedge lives here too.
@@ -189,10 +190,12 @@ class DPGrids:
     counts the nodes kept.  An explicit `x_grid` is used whole (the
     oracle-comparison tests share it with the brute force).  `n_zeta` nodes
     span the spread axis, 0 and geometric up to the spread the widest trade
-    leaves.  Both axes always contain 0; the initial position and spread
-    are inserted so the root value needs no interpolation.  `refine` turns
-    on golden-section refinement of each minimization.  The price lattice
-    is not a setting: the payoff's kind fixes it.
+    leaves; at full resilience, and so in the frictionless market
+    (`MarketParams.frictionless`), the spread axis is the one node 0.  Both
+    axes always contain 0; the initial position and (below full resilience)
+    spread are inserted so the root value needs no interpolation.  `refine`
+    turns on golden-section refinement of each minimization.  The price
+    lattice is not a setting: the payoff's kind fixes it.
     """
 
     n_x: int = 81
@@ -218,11 +221,13 @@ class DPGrids:
             g = g[_hedge_span(g, spec, params)]
         return np.union1d(g, [0.0, params.x0])
 
-    def zeta_axis(self, spec: PayoffSpec, params: MarketParams, collapsed: bool) -> np.ndarray:
-        """The spread axis.  Its top follows the widest trade over all `n_x`
-        nodes (or `x_grid`) and x0, not over the nodes `x_axis` keeps, so
-        sizing the position axis to the payoff moves no spread node."""
-        if collapsed:
+    def zeta_axis(self, spec: PayoffSpec, params: MarketParams) -> np.ndarray:
+        """The spread axis: the one node 0 at full resilience, where the
+        spread's memory dies and a trade's cost never reads it.  Otherwise
+        its top follows the widest trade over all `n_x` nodes (or `x_grid`)
+        and x0, not over the nodes `x_axis` keeps, so sizing the position
+        axis to the payoff moves no spread node."""
+        if params.resilience == 1.0:
             return np.array([0.0])
         span = 2.0 * float(np.max(np.abs(np.append(self._nodes(spec), params.x0))))
         zm = params.zeta0 + span / (params.depth * params.resilience)
@@ -261,7 +266,6 @@ class DPPolicy:
     lattice: _Lattice
     x_axis: np.ndarray
     zeta_axis: np.ndarray
-    frictionless: bool
 
 
 # Golden-section steps per one-step minimization: the bracket shrinks by at
@@ -353,7 +357,6 @@ def superreplication_cost(
     params: MarketParams,
     spec: PayoffSpec,
     grids: DPGrids | None = None,
-    frictionless: bool = False,
     keep_policy: bool = False,
 ) -> PriceResult:
     """Minimax backward induction for the super-replication cost.
@@ -390,15 +393,14 @@ def superreplication_cost(
     n = params.n_steps
     s = params.step_vol
     xg = grids.x_axis(spec, params)
-    collapsed = frictionless or params.resilience == 1.0
-    zg = grids.zeta_axis(spec, params, collapsed)
+    zg = grids.zeta_axis(spec, params)
     n_x, n_z = len(xg), len(zg)
 
     # Terminal layer: forced liquidation at the post-shock price, then payoff.
     p_term = lattice.prices[n][:, None, None]
     x_b = xg[None, :, None]
     z_b = zg[None, None, :]
-    v = trade_cost(p_term, x_b, 0.0, z_b, dp_params, frictionless) + lattice.payoff[:, None, None]
+    v = trade_cost(p_term, x_b, 0.0, z_b, dp_params) + lattice.payoff[:, None, None]
     v = np.broadcast_to(v, (len(lattice.prices[n]), n_x, n_z)).copy()
 
     tables = [None] * (n + 1)
@@ -439,7 +441,7 @@ def superreplication_cost(
             ].reshape(m, n_x, n_z) * w
             # plus the trade: its mid leg (m, n_x, 1) and spread leg
             # (1, n_x, n_z) meet in one full-size add inside trade_cost
-            cand += trade_cost(prices, x_b, xg[jxp], z_b, dp_params, frictionless)
+            cand += trade_cost(prices, x_b, xg[jxp], z_b, dp_params)
             take_j = cand < best - _TIE_EPS
             np.minimum(best, cand, out=best)
             best_j[take_j] = jxp
@@ -457,7 +459,7 @@ def superreplication_cost(
 
         if grids.refine and n_x >= 3:
             refined = _refine_layer(
-                best_j, v, lattice.up[depth], lattice.dn[depth], prices, xg, zg, z_cells, dp_params, frictionless
+                best_j, v, lattice.up[depth], lattice.dn[depth], prices, xg, zg, z_cells, dp_params
             )
             np.minimum(best, refined, out=best)
 
@@ -493,7 +495,7 @@ def superreplication_cost(
                 w[top - level] + (top * s)[:, None, None] * (1.0 - x_b)
                 for w, (level, top) in zip(tables, (st.T for st in lattice.states))
             ]
-        policy = DPPolicy(tables=tables, lattice=lattice, x_axis=xg, zeta_axis=zg, frictionless=frictionless)
+        policy = DPPolicy(tables=tables, lattice=lattice, x_axis=xg, zeta_axis=zg)
     return PriceResult(cost=cost, report=report, policy=policy)
 
 
@@ -529,7 +531,7 @@ def _branch_max(vnext, up_rows, dn_rows, x_cells, z_cells, xp, zp):
     return np.maximum(up, branch(), out=up)
 
 
-def _one_step_objective(vnext, up_rows, dn_rows, price, x_old, zeta, z_cells, params, frictionless):
+def _one_step_objective(vnext, up_rows, dn_rows, price, x_old, zeta, z_cells, params):
     """Cost of moving x_old -> xp plus the worse branch's continuation, as a
     function of xp and the lookup `x_cells` of its position cell: the
     objective every one-step minimization shares.  `z_cells` is the spread
@@ -542,7 +544,7 @@ def _one_step_objective(vnext, up_rows, dn_rows, price, x_old, zeta, z_cells, pa
         value = _branch_max(
             vnext, up_rows, dn_rows, x_cells, z_cells, xp, spread_step(zeta, xp - x_old, params)
         )
-        value += trade_cost(price, x_old, xp, zeta, params, frictionless)
+        value += trade_cost(price, x_old, xp, zeta, params)
         return value
 
     return objective
@@ -571,7 +573,7 @@ def _golden_min(objective, lo, hi):
     return objective(mid), mid
 
 
-def _refine_layer(best_j, v, up, dn, prices, xg, zg, z_cells, params, frictionless):
+def _refine_layer(best_j, v, up, dn, prices, xg, zg, z_cells, params):
     """Vectorized golden-section search around the grid argmin, one cell
     each side.
 
@@ -580,7 +582,7 @@ def _refine_layer(best_j, v, up, dn, prices, xg, zg, z_cells, params, frictionle
     """
     objective = _one_step_objective(
         v, up[:, None, None], dn[:, None, None], prices,
-        xg[None, :, None], zg[None, None, :], z_cells, params, frictionless,
+        xg[None, :, None], zg[None, None, :], z_cells, params,
     )
     lo, hi, cells = _bracket(xg, best_j)
     return _golden_min(lambda x: objective(x, cells), lo, hi)[0]
@@ -609,7 +611,6 @@ def brute_force_cost(
     params: MarketParams,
     spec: PayoffSpec,
     control_grid,
-    frictionless: bool = False,
 ) -> float:
     """Exhaustive minimax over grid-valued predictable strategies.
 
@@ -633,12 +634,12 @@ def brute_force_cost(
         return payoff_cache[shocks]
 
     def leaf_cost(shocks: tuple, price: float, x: float, zeta: float) -> float:
-        return trade_cost(price, x, 0.0, zeta, params, frictionless) + payoff(shocks)
+        return trade_cost(price, x, 0.0, zeta, params) + payoff(shocks)
 
     def rec(shocks: tuple, price: float, x: float, zeta: float, depth: int) -> float:
         if depth == n - 1:
             # Vectorize the final decision over the control grid.
-            cost = trade_cost(price, x, grid, zeta, params, frictionless)
+            cost = trade_cost(price, x, grid, zeta, params)
             z_next = spread_step(zeta, grid - x, params)
             res = np.empty(len(grid))
             for i, xp in enumerate(grid):
@@ -648,7 +649,7 @@ def brute_force_cost(
             return float(np.min(res))
         best = math.inf
         for xp in grid:
-            cost = trade_cost(price, x, xp, zeta, params, frictionless)
+            cost = trade_cost(price, x, xp, zeta, params)
             z_next = spread_step(zeta, xp - x, params)
             worst = max(
                 rec(shocks + (1,), price + s, xp, z_next, depth + 1),
@@ -683,6 +684,8 @@ def certificate_check(
     than the DP's: after the first trade its states lie off the grid, where
     the DP's scan, tabulated per grid state, has no entry.  Trades are
     chosen on the DP's objective at iota = 0 and paid with the true iota.
+    `params` is the market the DP priced, its `frictionless()` copy
+    included.
     """
     if result.policy is None:
         raise ValueError("price result was computed without keep_policy=True")
@@ -702,7 +705,6 @@ def certificate_check(
     z_cells = _spread_cells(zg)
     dp_params = replace(params, perm_impact=0.0)
     s = params.step_vol
-    frictionless = pol.frictionless
 
     node = np.zeros(count, dtype=int)
     x = np.full(count, params.x0)
@@ -715,7 +717,7 @@ def certificate_check(
         up_idx = pol.lattice.up[depth][node]
         dn_idx = pol.lattice.dn[depth][node]
         objective = _one_step_objective(
-            pol.tables[depth + 1], up_idx, dn_idx, price, x, zeta, z_cells, dp_params, frictionless
+            pol.tables[depth + 1], up_idx, dn_idx, price, x, zeta, z_cells, dp_params
         )
 
         best = np.full(count, np.inf)
@@ -730,14 +732,14 @@ def certificate_check(
             lo, hi, cells = _bracket(xg, best_jx)
             f_mid, mid = _golden_min(lambda x_new: objective(x_new, cells), lo, hi)
             best_x = np.where(f_mid < objective(best_x, _node_cells(xg, best_jx)), mid, best_x)
-        cash -= trade_cost(price, x, best_x, zeta, params, frictionless)
+        cash -= trade_cost(price, x, best_x, zeta, params)
         zeta = spread_step(zeta, best_x - x, params)
         x = best_x
         price = price + s * shocks[:, depth]
         node = np.where(shocks[:, depth] == 1, up_idx, dn_idx)
 
     # liquidation at the terminal price
-    cash -= trade_cost(price, x, 0.0, zeta, params, frictionless)
+    cash -= trade_cost(price, x, 0.0, zeta, params)
     payoff = pol.lattice.payoff[node]
     margin = (cash - payoff)[inverse.reshape(-1)]
     return {

@@ -199,11 +199,8 @@ def fused_hjb(problem, grid, keep_control=False):
     n_sp = grid.n_space if grid.n_space % 2 == 1 else grid.n_space + 1
     p_ax = problem.p0 + np.linspace(-half, half, n_sp)
     dp = p_ax[1] - p_ax[0]
-    if grid.n_time is None:
-        dt_max = 0.5 * dp * dp / a_max
-        n_t = int(math.ceil(1.0 / dt_max))
-    else:
-        n_t = grid.n_time
+    dt_max = 0.5 * dp * dp / a_max
+    n_t = int(math.ceil(1.0 / dt_max))
     dt = 1.0 / n_t
 
     v = np.array(spec.terminal_fn(p_ax), dtype=float)

@@ -79,7 +79,7 @@ def test_criterion_1_algebraic_identity_suite():
         pos = np.cumsum(trades) + p.x0
         worst["wealth"] = max(
             worst["wealth"],
-            abs(terminal_wealth(pos, shocks, p) - iterate_cash(pos, shocks, p).cash),
+            abs(terminal_wealth(pos, shocks, p) - iterate_cash(pos, shocks, p)),
         )
         vals = fundamental_path(shocks, p).values
         lo, hi = sorted(rng.choice(np.arange(n + 1), size=2, replace=False))
@@ -108,7 +108,7 @@ def test_criterion_2_frictionless_reduction():
     for spec in (PayoffSpec("call", strike=0.0), PayoffSpec("put", strike=0.0), PayoffSpec("lookback_max")):
         for n in (2, 8):
             p = mk(n, perm_impact=0.0, x0=0.0)
-            res = superreplication_cost(p, spec, frictionless=True)
+            res = superreplication_cost(p.frictionless(), spec)
             ref = crr_price(p, spec)
             tol = 1e-3 + res.report["max_interp_residual"]
             good = abs(res.cost - ref) <= tol

@@ -1,6 +1,7 @@
 """Config parsing, experiment dispatch, caching and reproducibility."""
 
 import os
+import re
 import time
 
 import numpy as np
@@ -52,15 +53,41 @@ nu_sq_max = 4.0
 
 
 def test_config_rejects_unknown_key(tmp_path):
-    # [dp] augmentation and x_max were keys once: a config naming them stops
+    # [dp] augmentation and x_max and [market] xi0 were keys once: a config
+    # naming them stops
     for after, line, key in (
         ("depth = 1.0", "bogus = 1", "bogus"),
         ("n_x = 41", "augmentation = auto", "augmentation"),
         ("n_x = 41", "x_max = 4", "x_max"),
+        ("depth = 1.0", "xi0 = 1.0", "xi0"),
     ):
         cfg = write_cfg(tmp_path, BASE.replace(after, f"{after}\n{line}"))
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.load(cfg)
+
+
+def _with_key(section, key, value):
+    """BASE with `key = value` in [section], replacing the key if set."""
+    line = f"{key} = {value}"
+    if re.search(rf"^{key} = ", BASE, re.M):
+        return re.sub(rf"^{key} = .*$", line, BASE, flags=re.M)
+    if f"[{section}]" in BASE:
+        return BASE.replace(f"[{section}]", f"[{section}]\n{line}")
+    return BASE + f"\n[{section}]\n{line}\n"
+
+
+@pytest.mark.parametrize(
+    "section, key, least",
+    [("dp", "n_x", 1), ("dp", "n_zeta", 1), ("mc", "n_steps", 2), ("mc", "paths", 1),
+     ("dual", "mc_paths", 1), ("hjb", "n_space", 3)],
+)
+def test_config_rejects_count_below_its_least(tmp_path, section, key, least):
+    # below these a run crashes (n_steps = 1, n_zeta = 0) or stores NaN rows
+    # with no flag (paths = 0, mc_paths = 0)
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
+        ExperimentConfig.load(write_cfg(tmp_path, _with_key(section, key, least - 1)))
+    cfg = ExperimentConfig.load(write_cfg(tmp_path, _with_key(section, key, least)))
+    assert cfg.get(section, key) == least
 
 
 def test_shipped_config_loads():

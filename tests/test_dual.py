@@ -61,10 +61,11 @@ def test_kusuoka_martingale_exact_on_tree():
 
 def test_kusuoka_rejects_profile_below_margin():
     # alpha = (nu^2 - sigma^2)/(2 sigma) >= -sigma/2, so sigma + alpha >= sigma/2;
-    # a margin above that floor must reject a near-vanishing profile.
-    p = mk(n=4)
-    with pytest.raises(ValueError):
-        kusuoka_certificate(constant_profile(1e-6, 1.0), p, margin=0.6)
+    # at sigma = 1e-10 that floor, 5e-11, lies below the 1e-9 margin, so a
+    # near-vanishing profile must be rejected.
+    p = MarketParams(p0=0.0, sigma=1e-10, n_steps=4, depth=1.0, resilience=0.5)
+    with pytest.raises(ValueError, match="margin"):
+        kusuoka_certificate(constant_profile(1e-13, 1e-10), p)
 
 
 def test_kusuoka_bound_reference_profile_attains_expected_payoff():

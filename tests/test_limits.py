@@ -104,12 +104,6 @@ def test_hjb_rejects_path_dependent_payoffs():
         hjb_value(prob)
 
 
-def test_hjb_rejects_unstable_time_grid():
-    prob = LimitProblem(payoff=PayoffSpec("call"), penalty_c=0.1, sigma_sq=1.0, nu_sq_max=4.0)
-    with pytest.raises(ValueError):
-        hjb_value(prob, HJBGrid(n_space=401, n_time=10))
-
-
 def test_pointwise_optimizer_matches_scan():
     rng = np.random.default_rng(2)
     c, s2, a_max = 0.37, 1.3, 6.0

@@ -14,9 +14,7 @@ from helpers import (
 from impactlab import market
 from impactlab.market import (
     MarketParams,
-    PortfolioState,
     SteppedPath,
-    cash_step,
     fundamental_path,
     iterate_cash,
     liquidity_cost,
@@ -113,26 +111,39 @@ def test_spread_recursion_matches_closed_form_randomized():
 
 
 def test_cash_step_zero_trade_only_decays_spread():
-    p = mk(resilience=0.4, zeta0=1.0)
-    s = PortfolioState(position=2.0, half_spread=1.0, cash=5.0)
-    out = cash_step(s, 100.0, 2.0, p)
-    assert out.cash == 5.0
-    assert out.half_spread == pytest.approx(0.6)
+    # one trade of size 0 from position 2 at price 100 with half-spread 1
+    p = mk(p0=100.0, n_steps=1, resilience=0.4, x0=2.0, zeta0=1.0, xi0=5.0)
+    assert iterate_cash([2.0], [1], p) == 5.0
+    assert spread_step(1.0, 2.0 - 2.0, p) == pytest.approx(0.6)
 
 
 def test_cash_step_buy_one_share():
-    p = mk(depth=1.0, perm_impact=0.0, resilience=0.5)
-    s = PortfolioState(position=0.0, half_spread=0.0, cash=0.0)
-    out = cash_step(s, 100.0, 1.0, p)
-    assert out.cash == pytest.approx(-100.5)
+    p = mk(p0=100.0, n_steps=1, depth=1.0, perm_impact=0.0, resilience=0.5)
+    assert iterate_cash([1.0], [1], p) == pytest.approx(-100.5)
 
 
 def test_cash_step_sell_one_share_with_permanent_impact():
-    p = mk(depth=1.0, perm_impact=2.0, resilience=0.5)
-    s = PortfolioState(position=1.0, half_spread=0.0, cash=0.0)
-    out = cash_step(s, 100.0, 0.0, p)
+    p = mk(p0=100.0, n_steps=1, depth=1.0, perm_impact=2.0, resilience=0.5, x0=1.0)
     # (100 + 1)(0-1) = -101 received back, minus 0.5 liquidity.
-    assert out.cash == pytest.approx(100.5)
+    assert iterate_cash([0.0], [1], p) == pytest.approx(100.5)
+    assert type(iterate_cash([0.0], [1], p)) is float
+    # cross-check with the wealth oracle: one-trade strategy on any path
+    assert terminal_wealth([0.0], [1], p) == pytest.approx(100.5)
+
+
+def test_frictionless_trade_cost_is_the_mid_leg_to_the_bit():
+    # infinite depth and full resilience make the spread leg +0.0
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        p = mk(depth=rng.uniform(0.2, 5.0), resilience=rng.uniform(0.05, 1.0),
+               perm_impact=rng.uniform(0.0, 0.5)).frictionless()
+        assert (p.depth, p.resilience) == (np.inf, 1.0)
+        price = rng.normal(size=(3, 4, 1))
+        x_old = rng.normal(size=(3, 4, 1))
+        x_new = rng.normal(size=(1, 4, 5))
+        zeta = rng.uniform(0.0, 2.0, size=(1, 4, 5))
+        mid = (price + 0.5 * p.perm_impact * (x_new + x_old)) * (x_new - x_old)
+        assert trade_cost(price, x_old, x_new, zeta, p).tobytes() == mid.tobytes()
     # cross-check with the wealth oracle: one-trade strategy on any path
     p1 = MarketParams(p0=100.0, sigma=1.0, n_steps=1, depth=1.0, resilience=0.5, perm_impact=2.0, x0=1.0)
     assert terminal_wealth([0.0], [1], p1) == pytest.approx(100.5)
@@ -175,12 +186,12 @@ def test_kernels_broadcast_like_scalar_calls():
     x_old = rng.normal(size=(a, b, 1))
     x_new = rng.normal(size=(1, b, c))
     zeta = rng.uniform(0.0, 1.0, size=(1, b, c))
-    for frictionless in (False, True):
-        cost = trade_cost(price, x_old, x_new, zeta, p, frictionless)
+    for params in (p, p.frictionless()):
+        cost = trade_cost(price, x_old, x_new, zeta, params)
         assert cost.shape == (a, b, c)
         for i, j, k in np.ndindex(a, b, c):
             args = (float(price[i, j, 0]), float(x_old[i, j, 0]), float(x_new[0, j, k]), float(zeta[0, j, k]))
-            assert cost[i, j, k] == trade_cost(*args, p, frictionless)
+            assert cost[i, j, k] == trade_cost(*args, params)
     spread = spread_step(zeta, x_new - x_old, p)
     assert spread.shape == (a, b, c)
     for i, j, k in np.ndindex(a, b, c):
@@ -247,9 +258,7 @@ def test_wealth_identity_randomized():
         )
         shocks = rng.choice([-1, 1], size=n)
         pos = rng.normal(size=n)
-        assert terminal_wealth(pos, shocks, p) == pytest.approx(
-            iterate_cash(pos, shocks, p).cash, abs=1e-9
-        )
+        assert terminal_wealth(pos, shocks, p) == pytest.approx(iterate_cash(pos, shocks, p), abs=1e-9)
 
 
 def test_random_walk_square_identity():

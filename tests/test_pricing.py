@@ -54,9 +54,9 @@ def test_price_n1_no_hedge_possible():
 def test_price_n2_frictionless_call_matches_crr():
     p = mk(n=2, sigma=np.sqrt(2.0))
     spec = PayoffSpec("call", strike=0.0)
-    res = superreplication_cost(p, spec, frictionless=True)
+    res = superreplication_cost(p.frictionless(), spec)
     assert res.cost == pytest.approx(0.5, abs=1e-3)
-    bf = brute_force_cost(p, spec, np.linspace(-2, 2, 81), frictionless=True)
+    bf = brute_force_cost(p.frictionless(), spec, np.linspace(-2, 2, 81))
     assert bf == pytest.approx(0.5, abs=1e-9)
     assert crr_price(p, spec) == pytest.approx(0.5)
 
@@ -208,9 +208,23 @@ def test_certificate_with_permanent_impact(kind, frictionless):
     spec = PayoffSpec(kind)
     for iota in (0.1, 0.5, 1.0):
         p = mk(n=6, perm_impact=iota)
-        res = superreplication_cost(p, spec, frictionless=frictionless, keep_policy=True)
+        if frictionless:
+            p = p.frictionless()
+        res = superreplication_cost(p, spec, keep_policy=True)
         out = certificate_check(res, p, spec)
         assert out["paths"] == 64 and out["violations"] == 0
+
+
+def test_frictionless_dp_has_one_spread_node():
+    # the frictionless copy of a market with memory and a standing spread:
+    # full resilience leaves the spread axis one node, and the replay in the
+    # same market certifies the price
+    call = PayoffSpec("call", strike=0.0)
+    p = mk(n=6, resilience=0.5, zeta0=0.3, x0=0.2).frictionless()
+    res = superreplication_cost(p, call, keep_policy=True)
+    assert res.report["n_zeta"] == 1
+    out = certificate_check(res, p, call)
+    assert out["paths"] == 64 and out["violations"] == 0
 
 
 def test_permanent_impact_is_paid_at_the_root():
@@ -231,7 +245,7 @@ def test_zeta_axis_without_position_span():
     # x0 = zeta0 = 0 and a one-node position axis: no trade, no spread
     p = mk(n=2)
     grids = DPGrids(x_grid=[0.0])
-    assert np.array_equal(grids.zeta_axis(PayoffSpec("call"), p, False), [0.0])
+    assert np.array_equal(grids.zeta_axis(PayoffSpec("call"), p), [0.0])
     res = superreplication_cost(p, PayoffSpec("call", strike=0.0), grids)
     assert res.cost == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
@@ -277,7 +291,7 @@ def test_payoff_sized_axis_shape(spec):
         nodes = xg[np.isin(xg, full)]
         assert nodes[1] > lo - 0.5 and nodes[-2] < hi + 0.5
         assert np.array_equal(nodes, full[(full >= nodes[0]) & (full <= nodes[-1])])
-        zg = DPGrids().zeta_axis(spec, p, False)
+        zg = DPGrids().zeta_axis(spec, p)
         assert zg.tobytes() == _full_zeta_axis(spec, p).tobytes()
     call = PayoffSpec("call")
     assert np.array_equal(DPGrids(n_x=5).x_axis(call, mk()), [-1.0, 0.0, 1.0, 2.0])
@@ -306,7 +320,7 @@ def test_payoff_sized_axis_prices_as_the_full_axis():
         runs.append((mk(n=6, **endowed), {}))
         # an endowment outside the slope range may be sold down over several periods
         runs += [(mk(n=4, resilience=r, x0=x0), {}) for r in (0.3, 0.5) for x0 in (hi + 0.83, lo - 0.61)]
-        runs.append((mk(n=4, **endowed), {"frictionless": True}))
+        runs.append((mk(n=4, **endowed).frictionless(), {}))
         for p, kw in runs:
             _assert_same_price(superreplication_cost(p, spec, **kw), superreplication_cost(p, spec, full, **kw))
 
@@ -389,7 +403,7 @@ def test_bracket_cells_match_binary_search():
 def test_spread_cells_match_binary_search():
     rng = np.random.default_rng(6)
     call = PayoffSpec("call")
-    base = DPGrids().zeta_axis(call, mk(), False)
+    base = DPGrids().zeta_axis(call, mk())
     cases = [
         (DPGrids(), mk()),
         (DPGrids(), mk(zeta0=0.0123)),  # off-grid zeta0
@@ -400,8 +414,8 @@ def test_spread_cells_match_binary_search():
         (DPGrids(n_zeta=3), mk(zeta0=0.05)),
         (DPGrids(n_zeta=3), mk()),
     ]
-    axes = [g.zeta_axis(call, p, False) for g, p in cases] + [
-        DPGrids().zeta_axis(call, mk(), True),
+    axes = [g.zeta_axis(call, p) for g, p in cases] + [
+        DPGrids().zeta_axis(call, mk(zeta0=0.4).frictionless()),
         # a last node far past the geometric part
         np.union1d(np.concatenate([[0.0], np.geomspace(0.7 * 2e-4, 0.7, 8)]), [2.5]),
     ]
@@ -437,7 +451,7 @@ def test_dp_matches_binary_search_lookups(monkeypatch):
         off = mk(n=4, x0=0.37, zeta0=0.123, perm_impact=0.1)
         runs.append((off, spec, {"grids": grids}))
         runs.append((off, spec, {"grids": DPGrids(x_grid=np.linspace(-1.5, 1.5, 13))}))
-        runs.append((off, spec, {"grids": grids, "frictionless": True}))
+        runs.append((off.frictionless(), spec, {"grids": grids}))
 
     def price_all():
         return [repr((r.cost, r.report)) for r in (superreplication_cost(p, s, **kw) for p, s, kw in runs)]
@@ -485,7 +499,7 @@ def test_drawdown_solve_matches_running_max_lattice(monkeypatch):
     off = mk(n=5, x0=0.37, zeta0=0.123, perm_impact=0.1)
     runs += [
         (off, {"grids": grids}),
-        (off, {"grids": grids, "frictionless": True}),
+        (off.frictionless(), {"grids": grids}),
         (off, {"grids": DPGrids(x_grid=np.linspace(-1.5, 1.5, 13))}),
         # a binding position bound: boundary hits count per lattice state
         (off, {"grids": DPGrids(x_grid=np.linspace(-0.4, 0.4, 9))}),
@@ -646,7 +660,7 @@ def test_strategy_positions_reject_non_flat_plan():
 def test_asian_dp_frictionless_matches_path_average_oracle():
     p = mk(n=6)
     spec = PayoffSpec("asian_mean", strike=0.0)
-    res = superreplication_cost(p, spec, frictionless=True)
+    res = superreplication_cost(p.frictionless(), spec)
     assert res.report["augmentation"] == "running_sum"
     assert res.cost == pytest.approx(crr_price(p, spec), abs=1e-3)
 
