@@ -3,7 +3,6 @@
 from .market import (
     MarketParams,
     SteppedPath,
-    StoppingGrid,
     fundamental_path,
     liquidity_cost,
     spread_closed_form,
@@ -22,7 +21,6 @@ from .pricing import (
     DPGrids,
     PriceResult,
     Strategy,
-    brute_force_cost,
     doob_quadratic_hedge,
     superreplication_cost,
 )
@@ -36,7 +34,6 @@ from .dual import (
 from .limits import (
     HJBGrid,
     LimitProblem,
-    bachelier_reference,
     hjb_value,
     limit_from_market,
     limit_value_mc,

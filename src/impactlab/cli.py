@@ -79,14 +79,16 @@ _DEFAULTS = {
     "output": {"results": "results.csv"},
 }
 
-# Count keys and the least value each admits.
+# Keys with the least value each admits.
 _MINIMUM = {
     ("dp", "n_x"): 1,
     ("dp", "n_zeta"): 1,
     ("dual", "mc_paths"): 1,
     ("hjb", "n_space"): 3,
+    ("hjb", "nu_sq_max"): 1.0,  # the variance cap is at least sigma^2
     ("mc", "paths"): 1,
     ("mc", "n_steps"): 2,  # the step-halving check runs n_steps // 2 steps
+    ("run", "seed"): 0,
 }
 
 _MODES = ("primal_dp", "dual_bound", "limit_hjb", "limit_mc", "convergence_study", "identity_suite")
@@ -130,13 +132,19 @@ class ExperimentConfig:
                     values[(section, key)] = _parse_bool(raw) if typ is bool else typ(raw)
                 except ValueError as exc:
                     raise ConfigError(f"[{section}] {key}: {exc}") from exc
+                if typ is float and not math.isfinite(values[(section, key)]):
+                    raise ConfigError(f"[{section}] {key} must be finite")
         for (section, key), least in _MINIMUM.items():
             if values[(section, key)] < least:
-                raise ConfigError(f"[{section}] {key} must be >= {least}")
+                raise ConfigError(f"[{section}] {key} must be >= {least:g}")
+        if values[("hjb", "p_halfwidth")] <= 0:
+            raise ConfigError("[hjb] p_halfwidth must be > 0")
         mode = values[("run", "mode")]
         if mode and mode not in _MODES:
             raise ConfigError(f"unknown mode {mode!r}; expected one of {_MODES}")
         seed = int(seed_override) if seed_override is not None else values[("run", "seed")]
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got --seed {seed}")
         if values[("dual", "exact_max_n")] > _EXACT_MAX_N:
             raise ConfigError(f"[dual] exact_max_n must be <= {_EXACT_MAX_N} (the exact tree's limit)")
         family = values[("mc", "family")]

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -49,13 +49,12 @@ __all__ = [
     "constant_profile",
     "kusuoka_certificate",
     "kusuoka_lower_bound",
-    "certificate_martingale_gaps",
 ]
 
 _EXACT_MAX_N = 14
 
 # Conditional probabilities are clipped to [_Q_MIN, 1 - _Q_MIN]; any clip
-# marks the certificate approximate.
+# leaves the bound uncertified.
 _Q_MIN = 1e-6
 # sigma + alpha at or below this margin degenerates the martingale condition.
 _MARGIN = 1e-9
@@ -94,14 +93,13 @@ class VolProfile:
     nu: Callable[[float, np.ndarray], np.ndarray]
     c_bound: float
     lip_const: float = 0.0
-    label: str = "profile"
 
     def __post_init__(self):
         if self.c_bound <= 0:
             raise ValueError("c_bound must be > 0")
 
 
-def constant_profile(nu_value: float, sigma: float, label: Optional[str] = None) -> VolProfile:
+def constant_profile(nu_value: float, sigma: float) -> VolProfile:
     """Constant-volatility profile with a tight declared class constant."""
     if nu_value <= 0:
         raise ValueError("nu_value must be > 0")
@@ -111,16 +109,7 @@ def constant_profile(nu_value: float, sigma: float, label: Optional[str] = None)
     def nu(t, values):
         return np.full(np.shape(values)[0] if np.ndim(values) > 1 else 1, nu_value)
 
-    return VolProfile(nu=nu, c_bound=c, lip_const=0.0, label=label or f"nu={nu_value:g}")
-
-
-# ---------------------------------------------------------------------------
-# tree utilities
-
-
-def _all_shocks(n: int) -> np.ndarray:
-    bits = (np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1
-    return np.where(bits == 1, 1, -1).astype(np.int64)
+    return VolProfile(nu=nu, c_bound=c, lip_const=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +152,8 @@ def kusuoka_certificate(profile: VolProfile, params: MarketParams) -> DualCertif
     Every node takes its tilt and up-probability from `_tilt_step`, the step
     the Monte Carlo sampler runs too: alpha = (nu^2 - sigma^2) / (2 sigma)
     within the class bounds, q solving the one-step martingale condition.
-    Any clipped probability marks the certificate approximate.
+    `meta` counts the clipped tilts (`clip_alpha`) and probabilities
+    (`clip_q`); any clipped probability leaves the bound uncertified.
     """
     n = params.n_steps
     if n > _EXACT_MAX_N:
@@ -194,39 +184,8 @@ def kusuoka_certificate(profile: VolProfile, params: MarketParams) -> DualCertif
     return DualCertificate(
         q=q_list,
         alpha=alpha_list,
-        meta={
-            "c_bound": profile.c_bound,
-            "clip_alpha": clip_alpha,
-            "clip_q": clip_q,
-            "approximate": clip_q > 0,
-            "profile": profile.label,
-        },
+        meta={"clip_alpha": clip_alpha, "clip_q": clip_q},
     )
-
-
-def certificate_martingale_gaps(cert: DualCertificate, params: MarketParams) -> float:
-    """Largest |E_Q[dM | node]| over the tree; zero for exact certificates."""
-    n = cert.n_steps
-    s = params.step_vol
-    root_n = math.sqrt(n)
-
-    def tilt_values(k: int) -> np.ndarray:
-        idx = np.arange(2**k)
-        if k == 0:
-            return np.full(1, params.p0)
-        prices = params.p0 + s * _all_shocks(k).sum(axis=1)
-        xi = np.where((idx >> (k - 1)) & 1 == 1, 1.0, -1.0)
-        parent = idx % (2 ** (k - 1))
-        return prices + cert.alpha[k - 1][parent] * xi / root_n
-
-    worst = 0.0
-    m_next = tilt_values(n)
-    for k in range(n - 1, -1, -1):
-        idx = np.arange(2**k)
-        closed = cert.q[k][idx] * m_next[idx + (1 << k)] + (1.0 - cert.q[k][idx]) * m_next[idx]
-        m_next = tilt_values(k)
-        worst = max(worst, float(np.max(np.abs(closed - m_next))))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +296,6 @@ def kusuoka_lower_bound(
                 "mode": mode,
                 "clip_q": int(clip_q),
                 "certified": clip_q == 0,
-                "profile": profile.label,
             }
         )
     return out

@@ -27,7 +27,6 @@ __all__ = [
     "HJBGrid",
     "HJBResult",
     "hjb_value",
-    "bachelier_reference",
     "limit_value_mc",
     "limit_from_market",
     "penalty_weight",
@@ -285,58 +284,36 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
     )
 
 
-def bachelier_reference(kind: str, p0: float, strike: float, sigma: float, t: float) -> float:
-    """Closed-form vanilla price under arithmetic Brownian motion."""
-    if sigma <= 0 or t <= 0:
-        raise ValueError("sigma and t must be > 0")
-    sd = sigma * math.sqrt(t)
-    d = (p0 - strike) / sd
-    phi = math.exp(-0.5 * d * d) / math.sqrt(2.0 * math.pi)
-    cdf = 0.5 * (1.0 + math.erf(d / math.sqrt(2.0)))
-    call = (p0 - strike) * cdf + sd * phi
-    if kind == "call":
-        return call
-    if kind == "put":
-        return call - (p0 - strike)
-    raise ValueError("kind must be 'call' or 'put'")
-
-
 @dataclass
 class PolicyFamily:
-    """Parameterized feedback variance a(t, state; theta) >= 0.
+    """Parameterized feedback variance a(t, p; theta) >= 0.
 
-    `builder(theta)` returns a callable mapping (t, prices, running_max,
-    running_avg) arrays to the controlled variance for each path.
+    `variance(theta, t, p)` maps a time and an array of current prices to
+    the controlled variance of each path.
     """
 
     name: str
     thetas: list
-    builder: Callable[[object], Callable]
+    variance: Callable[[float, float, np.ndarray], np.ndarray]
 
 
 def constant_family(values) -> PolicyFamily:
-    def builder(theta):
-        def feedback(t, p, running_max, running_avg):
-            return np.full_like(p, float(theta) ** 2)
+    def variance(theta, t, p):
+        return np.full_like(p, float(theta) ** 2)
 
-        return feedback
-
-    return PolicyFamily(name="constant", thetas=list(values), builder=builder)
+    return PolicyFamily(name="constant", thetas=list(values), variance=variance)
 
 
-def hjb_feedback_family(result: HJBResult, scales=(0.85, 1.0, 1.15), sigma_sq: float = 1.0) -> PolicyFamily:
-    """Scales the deviation of the HJB optimizer around the reference variance."""
+def hjb_feedback_family(result: HJBResult, scales, sigma_sq: float) -> PolicyFamily:
+    """Scales the deviation of the HJB optimizer around the variance
+    `sigma_sq`, the limit problem's sigma^2, by each of `scales`."""
     if result.control is None:
         raise ValueError("hjb_value must be called with keep_control=True")
 
-    def builder(theta):
-        def feedback(t, p, running_max, running_avg):
-            base = result.control(t, p)
-            return np.maximum(sigma_sq + theta * (base - sigma_sq), 0.0)
+    def variance(theta, t, p):
+        return np.maximum(sigma_sq + theta * (result.control(t, p) - sigma_sq), 0.0)
 
-        return feedback
-
-    return PolicyFamily(name="hjb_feedback", thetas=list(scales), builder=builder)
+    return PolicyFamily(name="hjb_feedback", thetas=list(scales), variance=variance)
 
 
 @dataclass
@@ -367,7 +344,6 @@ def limit_value_mc(problem: LimitProblem, family: PolicyFamily, cfg: MCConfig | 
         return zz
 
     def run(theta, zz):
-        feedback = family.builder(theta)
         n_steps = len(zz)
         dt = 1.0 / n_steps
         p = np.full(cfg.n_paths, problem.p0)
@@ -376,7 +352,7 @@ def limit_value_mc(problem: LimitProblem, family: PolicyFamily, cfg: MCConfig | 
         penalty = np.zeros(cfg.n_paths)
         for j in range(n_steps):
             t = j * dt
-            a = np.clip(feedback(t, p, run_max, run_avg), 0.0, problem.nu_sq_max)
+            a = np.clip(family.variance(theta, t, p), 0.0, problem.nu_sq_max)
             penalty += problem.penalty_c * (a - problem.sigma_sq) ** 2 * dt
             run_avg += p * dt
             p = p + np.sqrt(a * dt) * zz[j]

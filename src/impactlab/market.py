@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "MarketParams",
     "SteppedPath",
-    "StoppingGrid",
     "as_shocks",
     "fundamental_path",
     "spread_step",
@@ -130,19 +129,6 @@ class SteppedPath:
         return float(np.dot(self.values, widths))
 
 
-@dataclass(frozen=True)
-class StoppingGrid:
-    """Space-time stop indices of a path, capped at 1 - N^(-2/3).
-
-    `indices[k]` is the step index of the k-th stop (indices[0] == 0, the
-    last entry is the cap index).  Stored as integers so no float time
-    comparisons are needed downstream.
-    """
-
-    indices: np.ndarray
-    epsilon: float
-
-
 def as_shocks(seq) -> np.ndarray:
     """Validate a +/-1 shock sequence and return it as an int array."""
     arr = np.asarray(seq, dtype=int)
@@ -246,6 +232,11 @@ def liquidity_cost(trades, params: MarketParams, n: int) -> tuple[float, float]:
     )
     if n == 0:
         return 0.0, 0.0
+    if math.isinf(params.depth):
+        # trades leave no spread, so the spread form below is depth times
+        # sums that vanish; its limit as the depth grows is the direct form
+        # (0 in the frictionless market)
+        return direct, direct
     inner = float(np.dot(zetas[1:-1], zetas[1:-1]))  # m = 1..n-1
     spread = 0.5 * params.depth * (
         zetas[-1] ** 2 + (1.0 - decay**2) * inner - decay**2 * params.zeta0**2
@@ -294,13 +285,13 @@ def terminal_wealth(positions, shocks, params: MarketParams) -> float:
     return params.xi0 - trade_leg - perm_leg - kappa
 
 
-def stopping_grid(path: SteppedPath, epsilon: float, params: MarketParams) -> StoppingGrid:
+def stopping_grid(path: SteppedPath, epsilon: float, params: MarketParams) -> np.ndarray:
     """Space-time stops: leave a band of width epsilon or wait epsilon^2.
 
-    Stops are taken on the discrete grid {0, 1/N, ...} and capped at the
-    last step index not exceeding 1 - N^(-2/3).  Between consecutive
-    non-capped stops either the price displacement is >= epsilon or the
-    elapsed time is >= epsilon^2.
+    Returns the int step index of each stop: the first is 0 and the last
+    the cap, the last step index not exceeding 1 - N^(-2/3).  Between
+    consecutive non-capped stops either the price displacement is >= epsilon
+    or the elapsed time is >= epsilon^2.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
@@ -319,5 +310,5 @@ def stopping_grid(path: SteppedPath, epsilon: float, params: MarketParams) -> St
         if abs(v - a) >= price_tol or t - anchor >= time_hit or t == n_cap:
             indices.append(t)
             anchor, a = t, v
-    return StoppingGrid(indices=np.asarray(indices, dtype=int), epsilon=epsilon)
+    return np.asarray(indices, dtype=int)
 

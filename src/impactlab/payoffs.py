@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import MarketParams, SteppedPath, StoppingGrid
+from .market import MarketParams, SteppedPath
 
 __all__ = [
     "PayoffSpec",
@@ -125,10 +125,10 @@ def payoff_from_summaries(spec: PayoffSpec, terminal=None, rise=None, average=No
     return np.asarray(spec.terminal_fn(terminal), dtype=float)
 
 
-def quadratic_claim(path: SteppedPath, grid: StoppingGrid, params: MarketParams) -> float:
+def quadratic_claim(path: SteppedPath, stops: np.ndarray, params: MarketParams) -> float:
     """Squared frozen-path excursion plus squared stop increments plus
-    elapsed stop times."""
-    stop_vals = path.value_at(grid.indices / params.n_steps)
-    dts = np.diff(grid.indices) / params.n_steps
+    elapsed stop times, at the stop indices `stops` of `stopping_grid`."""
+    stop_vals = path.value_at(stops / params.n_steps)
+    dts = np.diff(stops) / params.n_steps
     dps = np.diff(stop_vals)
     return float(np.max((stop_vals - params.p0) ** 2) + np.sum(dps**2) + np.sum(dts))

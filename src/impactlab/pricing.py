@@ -1,4 +1,4 @@
-"""Super-replication pricing: minimax DP, brute-force oracle, hedges.
+"""Super-replication pricing: minimax DP, its policy replay, hedges.
 
 The price of a claim is the least initial cash such that some predictable
 position plan ends with cash covering the payoff on every path.  Positions
@@ -8,8 +8,7 @@ trading period with no price move), so that in the frictionless market
 (`MarketParams.frictionless`) the price collapses to the classical
 backward-induction value with q = 1/2.
 
-A full-tree brute force over grid-valued strategies serves as the oracle
-for small instances.  The explicit quadratic-claim hedge lives here too.
+The explicit quadratic-claim hedge lives here too.
 """
 
 from __future__ import annotations
@@ -21,14 +20,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .market import MarketParams, as_shocks, fundamental_path, spread_step, stopping_grid, trade_cost
-from .payoffs import PayoffSpec, evaluate_payoff, payoff_from_summaries
+from .payoffs import PayoffSpec, payoff_from_summaries
 
 __all__ = [
     "Strategy",
     "DPGrids",
     "PriceResult",
     "superreplication_cost",
-    "brute_force_cost",
     "doob_quadratic_hedge",
     "certificate_check",
     "DOOB_LAMBDA_MAX",
@@ -484,7 +482,6 @@ def superreplication_cost(
         "max_interp_residual": max_resid,
         "x_kink_residual": max_resid_x,
         "boundary_hits": boundary_hits,
-        "refined": bool(grids.refine),
         "flagged": bool(boundary_hits > 0 or max_resid > _RESIDUAL_TOL),
     }
     policy = None
@@ -604,64 +601,6 @@ def _interp_residual(v, xg, zg) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle
-
-
-def brute_force_cost(
-    params: MarketParams,
-    spec: PayoffSpec,
-    control_grid,
-) -> float:
-    """Exhaustive minimax over grid-valued predictable strategies.
-
-    Full-tree recursion with exact spread states; positions are restricted
-    to `control_grid` and the residual is liquidated at the terminal price.
-    Feasible only for a handful of periods.
-    """
-    n = params.n_steps
-    if n > 4:
-        raise ValueError("brute force limited to n_steps <= 4")
-    grid = np.asarray(control_grid, dtype=float)
-    s = params.step_vol
-
-    payoff_cache = {}
-
-    def payoff(shocks: tuple) -> float:
-        if shocks not in payoff_cache:
-            payoff_cache[shocks] = evaluate_payoff(
-                spec, fundamental_path(np.asarray(shocks), params)
-            )
-        return payoff_cache[shocks]
-
-    def leaf_cost(shocks: tuple, price: float, x: float, zeta: float) -> float:
-        return trade_cost(price, x, 0.0, zeta, params) + payoff(shocks)
-
-    def rec(shocks: tuple, price: float, x: float, zeta: float, depth: int) -> float:
-        if depth == n - 1:
-            # Vectorize the final decision over the control grid.
-            cost = trade_cost(price, x, grid, zeta, params)
-            z_next = spread_step(zeta, grid - x, params)
-            res = np.empty(len(grid))
-            for i, xp in enumerate(grid):
-                up = leaf_cost(shocks + (1,), price + s, xp, z_next[i])
-                dn = leaf_cost(shocks + (-1,), price - s, xp, z_next[i])
-                res[i] = cost[i] + max(up, dn)
-            return float(np.min(res))
-        best = math.inf
-        for xp in grid:
-            cost = trade_cost(price, x, xp, zeta, params)
-            z_next = spread_step(zeta, xp - x, params)
-            worst = max(
-                rec(shocks + (1,), price + s, xp, z_next, depth + 1),
-                rec(shocks + (-1,), price - s, xp, z_next, depth + 1),
-            )
-            best = min(best, cost + worst)
-        return best
-
-    return float(rec((), params.p0, params.x0, params.zeta0, 0))
-
-
-# ---------------------------------------------------------------------------
 # policy certificate
 
 
@@ -773,7 +712,7 @@ def doob_quadratic_hedge(lam: float, epsilon: float, params: MarketParams) -> St
 
     def vector_fn(shocks: np.ndarray) -> np.ndarray:
         path = fundamental_path(shocks, params)
-        idx = stopping_grid(path, epsilon, params).indices
+        idx = stopping_grid(path, epsilon, params)
         prices = path.values
         p0 = params.p0
         cap = idx[-1]

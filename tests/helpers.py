@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from impactlab.market import MarketParams, SteppedPath, StoppingGrid, fundamental_path
+from impactlab.market import MarketParams, SteppedPath, fundamental_path, spread_step, trade_cost
 from impactlab.dual import DualCertificate, _tilt_step
 from impactlab.payoffs import PayoffSpec, evaluate_payoff, payoff_from_summaries
 
@@ -23,6 +23,101 @@ def crr_price(params: MarketParams, spec: PayoffSpec) -> float:
         evaluate_payoff(spec, fundamental_path(row, params)) for row in all_paths(n)
     ]
     return float(np.mean(vals))
+
+
+def brute_force_cost(
+    params: MarketParams,
+    spec: PayoffSpec,
+    control_grid,
+) -> float:
+    """Exhaustive minimax over grid-valued predictable strategies.
+
+    Full-tree recursion with exact spread states; positions are restricted
+    to `control_grid` and the residual is liquidated at the terminal price.
+    Feasible only for a handful of periods.
+    """
+    n = params.n_steps
+    if n > 4:
+        raise ValueError("brute force limited to n_steps <= 4")
+    grid = np.asarray(control_grid, dtype=float)
+    s = params.step_vol
+
+    payoff_cache = {}
+
+    def payoff(shocks: tuple) -> float:
+        if shocks not in payoff_cache:
+            payoff_cache[shocks] = evaluate_payoff(
+                spec, fundamental_path(np.asarray(shocks), params)
+            )
+        return payoff_cache[shocks]
+
+    def leaf_cost(shocks: tuple, price: float, x: float, zeta: float) -> float:
+        return trade_cost(price, x, 0.0, zeta, params) + payoff(shocks)
+
+    def rec(shocks: tuple, price: float, x: float, zeta: float, depth: int) -> float:
+        if depth == n - 1:
+            # Vectorize the final decision over the control grid.
+            cost = trade_cost(price, x, grid, zeta, params)
+            z_next = spread_step(zeta, grid - x, params)
+            res = np.empty(len(grid))
+            for i, xp in enumerate(grid):
+                up = leaf_cost(shocks + (1,), price + s, xp, z_next[i])
+                dn = leaf_cost(shocks + (-1,), price - s, xp, z_next[i])
+                res[i] = cost[i] + max(up, dn)
+            return float(np.min(res))
+        best = math.inf
+        for xp in grid:
+            cost = trade_cost(price, x, xp, zeta, params)
+            z_next = spread_step(zeta, xp - x, params)
+            worst = max(
+                rec(shocks + (1,), price + s, xp, z_next, depth + 1),
+                rec(shocks + (-1,), price - s, xp, z_next, depth + 1),
+            )
+            best = min(best, cost + worst)
+        return best
+
+    return float(rec((), params.p0, params.x0, params.zeta0, 0))
+
+
+def certificate_martingale_gaps(cert: DualCertificate, params: MarketParams) -> float:
+    """Largest |E_Q[dM | node]| over the tree; zero for exact certificates."""
+    n = cert.n_steps
+    s = params.step_vol
+    root_n = math.sqrt(n)
+
+    def tilt_values(k: int) -> np.ndarray:
+        idx = np.arange(2**k)
+        if k == 0:
+            return np.full(1, params.p0)
+        prices = params.p0 + s * all_paths(k).sum(axis=1)
+        xi = np.where((idx >> (k - 1)) & 1 == 1, 1.0, -1.0)
+        parent = idx % (2 ** (k - 1))
+        return prices + cert.alpha[k - 1][parent] * xi / root_n
+
+    worst = 0.0
+    m_next = tilt_values(n)
+    for k in range(n - 1, -1, -1):
+        idx = np.arange(2**k)
+        closed = cert.q[k][idx] * m_next[idx + (1 << k)] + (1.0 - cert.q[k][idx]) * m_next[idx]
+        m_next = tilt_values(k)
+        worst = max(worst, float(np.max(np.abs(closed - m_next))))
+    return worst
+
+
+def bachelier_reference(kind: str, p0: float, strike: float, sigma: float, t: float) -> float:
+    """Closed-form vanilla price under arithmetic Brownian motion."""
+    if sigma <= 0 or t <= 0:
+        raise ValueError("sigma and t must be > 0")
+    sd = sigma * math.sqrt(t)
+    d = (p0 - strike) / sd
+    phi = math.exp(-0.5 * d * d) / math.sqrt(2.0 * math.pi)
+    cdf = 0.5 * (1.0 + math.erf(d / math.sqrt(2.0)))
+    call = (p0 - strike) * cdf + sd * phi
+    if kind == "call":
+        return call
+    if kind == "put":
+        return call - (p0 - strike)
+    raise ValueError("kind must be 'call' or 'put'")
 
 
 def payoff_on_paths(spec: PayoffSpec, values) -> np.ndarray:
@@ -119,9 +214,9 @@ def ks_distance_to_normal(samples: np.ndarray, mean: float, std: float) -> float
     return float(max(upper, lower))
 
 
-def discretize_path(path: SteppedPath, grid: StoppingGrid, params: MarketParams) -> SteppedPath:
+def discretize_path(path: SteppedPath, stops: np.ndarray, params: MarketParams) -> SteppedPath:
     """Freeze the path at its stop values; hold the cap value to t = 1."""
-    times = grid.indices / params.n_steps
+    times = stops / params.n_steps
     return SteppedPath(times=times, values=path.value_at(times))
 
 

@@ -10,14 +10,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import crr_price
+from helpers import bachelier_reference, brute_force_cost, certificate_martingale_gaps, crr_price
 from impactlab.dual import (
-    certificate_martingale_gaps,
     constant_profile,
     kusuoka_certificate,
     kusuoka_lower_bound,
 )
-from impactlab.limits import HJBGrid, LimitProblem, bachelier_reference, hjb_value, limit_from_market
+from impactlab.limits import HJBGrid, LimitProblem, hjb_value, limit_from_market
 from impactlab.market import (
     MarketParams,
     fundamental_path,
@@ -32,7 +31,6 @@ from impactlab.payoffs import PayoffSpec, quadratic_claim
 from impactlab.pricing import (
     DOOB_LAMBDA_MAX,
     DPGrids,
-    brute_force_cost,
     doob_quadratic_hedge,
     superreplication_cost,
 )

@@ -79,15 +79,47 @@ def _with_key(section, key, value):
 @pytest.mark.parametrize(
     "section, key, least",
     [("dp", "n_x", 1), ("dp", "n_zeta", 1), ("mc", "n_steps", 2), ("mc", "paths", 1),
-     ("dual", "mc_paths", 1), ("hjb", "n_space", 3)],
+     ("dual", "mc_paths", 1), ("hjb", "n_space", 3), ("hjb", "nu_sq_max", 1.0), ("run", "seed", 0)],
 )
 def test_config_rejects_count_below_its_least(tmp_path, section, key, least):
-    # below these a run crashes (n_steps = 1, n_zeta = 0) or stores NaN rows
-    # with no flag (paths = 0, mc_paths = 0)
+    # below these a run crashes (n_steps = 1, n_zeta = 0, nu_sq_max = 0,
+    # seed = -1 on a sampled bound) or stores NaN rows with no flag
+    # (paths = 0, mc_paths = 0)
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
         ExperimentConfig.load(write_cfg(tmp_path, _with_key(section, key, least - 1)))
     cfg = ExperimentConfig.load(write_cfg(tmp_path, _with_key(section, key, least)))
     assert cfg.get(section, key) == least
+
+
+def test_config_rejects_p_halfwidth_not_positive(tmp_path):
+    # p_halfwidth = 0 once died in hjb_value with an OverflowError
+    for value in (0.0, -1.0):
+        with pytest.raises(ConfigError, match=r"\[hjb\] p_halfwidth"):
+            ExperimentConfig.load(write_cfg(tmp_path, _with_key("hjb", "p_halfwidth", value)))
+    cfg = ExperimentConfig.load(write_cfg(tmp_path, _with_key("hjb", "p_halfwidth", 1e-3)))
+    assert cfg.get("hjb", "p_halfwidth") == 1e-3
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("market", "sigma", "nan"), ("market", "depth", "inf"), ("payoff", "strike", "inf"),
+     ("payoff", "strike", "-inf"), ("hjb", "p_halfwidth", "inf"), ("hjb", "cap_fraction_max", "nan")],
+)
+def test_config_rejects_non_finite_float(tmp_path, section, key, value):
+    # sigma = nan once stored a nan price row, and strike = inf printed a
+    # limit of 0 as [ok]
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must be finite"):
+        ExperimentConfig.load(write_cfg(tmp_path, _with_key(section, key, value)))
+
+
+def test_negative_seed_option_is_a_config_error(tmp_path, capsys):
+    # numpy rejected a negative seed only once a Monte Carlo bound ran
+    cfg = write_cfg(tmp_path, BASE.replace("n_list = 2 3", "n_list = 16").replace("[dual]", "[dual]\nmc_paths = 50"))
+    assert main(["bound", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--seed" in err
+    assert not os.path.exists(tmp_path / "out" / "results.csv")
+    assert main(["bound", "--config", cfg, "--seed", "0", "--out", str(tmp_path / "out")]) == 0
 
 
 def test_shipped_config_loads():

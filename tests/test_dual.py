@@ -6,19 +6,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import all_paths, ks_distance_to_normal, matrix_bound, tilted_matrix
+from helpers import (
+    all_paths,
+    bachelier_reference,
+    brute_force_cost,
+    certificate_martingale_gaps,
+    ks_distance_to_normal,
+    matrix_bound,
+    tilted_matrix,
+)
 from impactlab.dual import (
     VolProfile,
     _walk,
-    certificate_martingale_gaps,
     constant_profile,
     kusuoka_certificate,
     kusuoka_lower_bound,
 )
-from impactlab.limits import bachelier_reference, penalty_weight
+from impactlab.limits import penalty_weight
 from impactlab.market import MarketParams
 from impactlab.payoffs import PayoffSpec
-from impactlab.pricing import brute_force_cost, superreplication_cost
+from impactlab.pricing import superreplication_cost
 
 
 def mk(n=2, **kw):
@@ -247,7 +254,7 @@ def test_kusuoka_clip_bounds_hold_by_construction():
 
 def test_sampler_passes_history_only_when_declared():
     # The sampler hands nu the whole (batch, k+1) price history when the
-    # profile declares `lip_const > 0`; a "custom..." label alone does not.
+    # profile declares `lip_const > 0`, and only the current price when not.
     p = mk(n=6)
     spec = PayoffSpec("call", strike=0.0)
 
@@ -258,10 +265,10 @@ def test_sampler_passes_history_only_when_declared():
 
         return nu
 
-    history, custom = [], []
+    history, current = [], []
     _walk(spec, p, VolProfile(nu=recording(history), c_bound=2.0, lip_const=1.0), 5, seed=1)
     assert [v.shape for v in history] == [(5, k + 1) for k in range(6)]
-    _walk(spec, p, VolProfile(nu=recording(custom), c_bound=2.0, label="custom feedback"), 5, seed=1)
-    assert [v.shape for v in custom] == [(5, 1)] * 6
+    _walk(spec, p, VolProfile(nu=recording(current), c_bound=2.0), 5, seed=1)
+    assert [v.shape for v in current] == [(5, 1)] * 6
 
 

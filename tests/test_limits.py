@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import fused_hjb
+from helpers import bachelier_reference, fused_hjb
 from impactlab.limits import (
     HJBGrid,
     LimitProblem,
     MCConfig,
-    bachelier_reference,
     constant_family,
     hjb_feedback_family,
     hjb_value,
@@ -157,7 +156,6 @@ def _reference_mc(problem, family, cfg):
     z = rng.standard_normal((cfg.n_paths, 2 * cfg.n_steps))
 
     def run(theta, n_steps):
-        feedback = family.builder(theta)
         dt = 1.0 / n_steps
         stride = (2 * cfg.n_steps) // n_steps
         zz = z[:, : stride * n_steps].reshape(cfg.n_paths, n_steps, stride).sum(axis=2)
@@ -167,7 +165,7 @@ def _reference_mc(problem, family, cfg):
         run_avg = np.zeros(cfg.n_paths)
         penalty = np.zeros(cfg.n_paths)
         for j in range(n_steps):
-            a = np.clip(feedback(j * dt, p, run_max, run_avg), 0.0, problem.nu_sq_max)
+            a = np.clip(family.variance(theta, j * dt, p), 0.0, problem.nu_sq_max)
             penalty += problem.penalty_c * (a - problem.sigma_sq) ** 2 * dt
             run_avg += p * dt
             p = p + np.sqrt(a * dt) * zz[:, j]
@@ -195,7 +193,7 @@ def test_mc_matches_per_theta_noise_loop():
     lookback = LimitProblem(payoff=PayoffSpec("lookback_max"), penalty_c=0.3, sigma_sq=1.0)
     asian = LimitProblem(payoff=PayoffSpec("asian_mean", strike=0.1), penalty_c=0.3, sigma_sq=1.0, endowment=0.05)
     for prob, fam, n_steps in (
-        (call, hjb_feedback_family(res, scales=(0.8, 1.0, 1.2)), 32),
+        (call, hjb_feedback_family(res, scales=(0.8, 1.0, 1.2), sigma_sq=1.0), 32),
         (lookback, constant_family([0.9, 1.1]), 32),
         (asian, constant_family([1.0, 1.2]), 37),  # odd: the coarse run drops the last normals
     ):

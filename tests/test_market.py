@@ -1,5 +1,7 @@
 """Dynamics identities and path-discretization behaviour."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,22 @@ def test_liquidity_cost_single_trade_both_forms():
         assert spread == pytest.approx(2.0)
 
 
+def test_liquidity_cost_frictionless_market_is_zero_without_warnings():
+    # at depth inf the spread form once read inf * 0: (0.0, nan) with a
+    # RuntimeWarning
+    rng = np.random.default_rng(12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for zeta0 in (0.0, 0.4):
+            p = mk(n_steps=6, zeta0=zeta0, perm_impact=0.2).frictionless()
+            trades = rng.normal(size=6)
+            for n in range(7):
+                assert liquidity_cost(trades, p, n) == (0.0, 0.0)
+            pos = np.append(np.cumsum(trades[:5]), 0.0)
+            shocks = rng.choice([-1, 1], size=6)
+            assert terminal_wealth(pos, shocks, p) == pytest.approx(iterate_cash(pos, shocks, p), abs=1e-12)
+
+
 def test_liquidity_cost_identity_randomized():
     rng = np.random.default_rng(11)
     for _ in range(300):
@@ -296,7 +314,7 @@ def test_stopping_grid_time_trigger_only():
     expect = [0]
     while expect[-1] < n_cap:
         expect.append(min(expect[-1] + 4, n_cap))
-    assert grid.indices.tolist() == expect
+    assert grid.tolist() == expect
 
 
 def test_stopping_grid_every_step_trigger():
@@ -306,17 +324,18 @@ def test_stopping_grid_every_step_trigger():
     path = fundamental_path(shocks, p)
     grid = stopping_grid(path, epsilon=p.step_vol, params=p)
     n_cap = int(np.floor(n * (1 - n ** (-2 / 3))))
-    assert grid.indices.tolist() == list(range(n_cap + 1))
+    assert grid.tolist() == list(range(n_cap + 1))
 
 
 def test_stopping_grid_monotone_path_hand_walk():
     p = mk(n_steps=100, sigma=1.0)
     path = fundamental_path(np.ones(100, dtype=int), p)
     grid = stopping_grid(path, epsilon=0.3, params=p)
-    assert grid.indices[1] == 3
-    assert grid.indices[2] == 6
+    assert grid.dtype.kind == "i"
+    assert grid[1] == 3
+    assert grid[2] == 6
     n_cap = int(np.floor(100 * (1 - 100 ** (-2 / 3))))
-    assert grid.indices[-1] == n_cap == 95
+    assert grid[-1] == n_cap == 95
 
 
 def test_stopping_grid_rejects_bad_epsilon():
@@ -334,12 +353,12 @@ def test_stopping_grid_guarantee_randomized():
         path = fundamental_path(rng.choice([-1, 1], size=n), p)
         eps = rng.uniform(0.1, 1.0)
         grid = stopping_grid(path, eps, p)
-        vals = path.value_at(grid.indices / n)
-        for k in range(1, len(grid.indices)):
-            if grid.indices[k] == grid.indices[-1]:
+        vals = path.value_at(grid / n)
+        for k in range(1, len(grid)):
+            if grid[k] == grid[-1]:
                 continue  # capped stop carries no guarantee
             moved = abs(vals[k] - vals[k - 1]) >= eps * (1 - 1e-9)
-            waited = (grid.indices[k] - grid.indices[k - 1]) / n >= eps**2 * (1 - 1e-9)
+            waited = (grid[k] - grid[k - 1]) / n >= eps**2 * (1 - 1e-9)
             assert moved or waited
 
 
@@ -352,7 +371,7 @@ def test_stopping_grid_matches_per_anchor_search():
             for shocks in replay_shocks(n, rng):
                 path = fundamental_path(shocks, p)
                 for eps in REPLAY_EPSILONS:
-                    idx = stopping_grid(path, eps, p).indices.tolist()
+                    idx = stopping_grid(path, eps, p).tolist()
                     assert idx == stopping_indices_loop(path, eps, p)
                     # which triggers fired at the stops before the cap
                     time_hit = int(np.ceil(eps**2 * n * (1 - 1e-9)))
@@ -418,7 +437,7 @@ def test_discretize_every_step_equals_path_up_to_cap():
     path = fundamental_path(shocks, p)
     grid = stopping_grid(path, epsilon=p.step_vol, params=p)
     disc = discretize_path(path, grid, p)
-    n_cap = grid.indices[-1]
+    n_cap = grid[-1]
     ts = np.arange(n_cap + 1) / n
     assert np.allclose(disc.value_at(ts), path.value_at(ts))
 

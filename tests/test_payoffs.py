@@ -135,7 +135,7 @@ def test_quadratic_claim_matches_discretized_path_formula():
                     expect = float(
                         np.max((stop_vals - p.p0) ** 2)
                         + np.sum(np.diff(stop_vals) ** 2)
-                        + np.sum(np.diff(grid.indices) / n)
+                        + np.sum(np.diff(grid) / n)
                     )
                     assert quadratic_claim(path, grid, p) == expect
                     checked += 1

@@ -11,6 +11,7 @@ from helpers import (
     REPLAY_N,
     REPLAY_RESILIENCE,
     all_paths,
+    brute_force_cost,
     crr_price,
     interp_weights,
     replay_shocks,
@@ -23,7 +24,6 @@ from impactlab.pricing import (
     GOLDEN_STEPS,
     DPGrids,
     Strategy,
-    brute_force_cost,
     certificate_check,
     doob_quadratic_hedge,
     superreplication_cost,

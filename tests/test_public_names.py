@@ -1,0 +1,64 @@
+"""Every public name has a reader outside the tests.
+
+A name in a module's `__all__` must be read somewhere in the library
+outside its own definition, by the benchmark harness (`perfbench/`, which
+also wraps library functions by their attribute names), or by the console
+entry point in `pyproject.toml`.  Re-exports in `impactlab/__init__.py` do
+not count as readers; oracles that only the tests call belong in
+`tests/helpers.py`.
+"""
+
+import ast
+import importlib
+import pathlib
+import re
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "impactlab"
+MODULES = ("market", "payoffs", "pricing", "dual", "limits", "cli")
+
+
+def _reads(tree: ast.AST, strings: bool) -> set:
+    """Names a module reads: loaded names and attributes, each outside a
+    top-level definition of the same name, and with `strings` also string
+    constants (the benchmark wraps library functions by attribute name)."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and owner is None:
+            owner = node.name
+        name = None
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        if name is not None and name != owner:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def _read_names() -> set:
+    """Every name the library (re-exports aside), the benchmark and the
+    entry points read."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            names |= _reads(ast.parse(path.read_text()), strings=False)
+    for path in (ROOT / "perfbench").rglob("*.py"):
+        names |= _reads(ast.parse(path.read_text()), strings=True)
+    # entry points name their target as "impactlab.<module>:<name>"
+    return names | set(re.findall(r'"impactlab\.\w+:(\w+)"', (ROOT / "pyproject.toml").read_text()))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_name_has_a_reader_outside_the_tests(module):
+    unread = sorted(set(importlib.import_module(f"impactlab.{module}").__all__) - _read_names())
+    assert unread == [], f"impactlab.{module} exports names that no library, benchmark or entry-point code reads: {unread}"
