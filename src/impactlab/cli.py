@@ -30,7 +30,6 @@ from .limits import (
     HJBGrid,
     MCConfig,
     constant_family,
-    hjb_feedback_family,
     hjb_value,
     limit_from_market,
     limit_value_mc,
@@ -54,7 +53,8 @@ class ConfigError(Exception):
     pass
 
 
-# Every config key with its default; a key's type is its default's type.
+# Every config key with its default; a key's type is its default's type,
+# and a tuple's items take the type of its first item.
 _DEFAULTS = {
     "market": {
         "p0": 0.0,
@@ -66,47 +66,52 @@ _DEFAULTS = {
         "zeta0": 0.0,
     },
     "payoff": {"kind": "call", "strike": 0.0},
-    "run": {"mode": "", "n_list": "8 16 32", "study_id": "default", "seed": 0},
-    "dp": {"n_x": 81, "n_zeta": 48, "refine": True, "frictionless": False},
-    "dual": {"nu_values": "0.8 1.0 1.2", "exact_max_n": 12, "mc_paths": 20000},
+    "run": {"n_list": (8, 16, 32), "study_id": "default", "seed": 0},
+    "dp": {"n_x": 81, "n_zeta": 48, "frictionless": False},
+    "dual": {"nu_values": (0.8, 1.0, 1.2), "exact_max_n": 12, "mc_paths": 20000},
     "hjb": {
         "n_space": 601,
         "p_halfwidth": 8.0,
         "nu_sq_max": 16.0,  # multiple of sigma^2
         "cap_fraction_max": 0.3,
     },
-    "mc": {"paths": 20000, "n_steps": 128, "family": "constant", "thetas": "0.8 1.0 1.2"},
+    "mc": {"paths": 20000, "n_steps": 128, "thetas": (0.8, 1.0, 1.2)},
     "output": {"results": "results.csv"},
 }
 
-# Keys with the least value each admits.
+# Keys with the least value each admits (each item's, for a list).
 _MINIMUM = {
+    ("run", "n_list"): 1,
     ("dp", "n_x"): 1,
     ("dp", "n_zeta"): 1,
     ("dual", "mc_paths"): 1,
-    ("hjb", "n_space"): 3,
     ("hjb", "nu_sq_max"): 1.0,  # the variance cap is at least sigma^2
     ("mc", "paths"): 1,
     ("mc", "n_steps"): 2,  # the step-halving check runs n_steps // 2 steps
     ("run", "seed"): 0,
 }
 
-_MODES = ("primal_dp", "dual_bound", "limit_hjb", "limit_mc", "convergence_study", "identity_suite")
-_FAMILIES = ("constant", "hjb_feedback")
 
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+def _parse(raw: str, default):
+    """`raw` as a value of the default's type; ValueError if it is not one."""
+    if isinstance(default, tuple):
+        items = tuple(map(type(default[0]), raw.split()))
+        if not items:
+            raise ValueError("needs at least one value")
+        return items
+    if isinstance(default, bool):
+        low = raw.strip().lower()
+        if low in ("1", "true", "yes", "on"):
+            return True
+        if low in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(f"not a boolean: {raw!r}")
+    return type(default)(raw)
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description."""
+    """Validated experiment description: every value has its final type."""
 
     values: dict = field(default_factory=dict)
     seed: int = 0
@@ -127,34 +132,28 @@ class ExperimentConfig:
             for key, raw in parser.items(section):
                 if key not in _DEFAULTS[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                typ = type(_DEFAULTS[section][key])
+                default = _DEFAULTS[section][key]
                 try:
-                    values[(section, key)] = _parse_bool(raw) if typ is bool else typ(raw)
+                    value = values[(section, key)] = _parse(raw, default)
                 except ValueError as exc:
                     raise ConfigError(f"[{section}] {key}: {exc}") from exc
-                if typ is float and not math.isfinite(values[(section, key)]):
+                if isinstance(default, (float, tuple)) and not all(map(math.isfinite, np.atleast_1d(value))):
                     raise ConfigError(f"[{section}] {key} must be finite")
         for (section, key), least in _MINIMUM.items():
-            if values[(section, key)] < least:
+            if min(np.atleast_1d(values[(section, key)])) < least:
                 raise ConfigError(f"[{section}] {key} must be >= {least:g}")
-        if values[("hjb", "p_halfwidth")] <= 0:
-            raise ConfigError("[hjb] p_halfwidth must be > 0")
-        mode = values[("run", "mode")]
-        if mode and mode not in _MODES:
-            raise ConfigError(f"unknown mode {mode!r}; expected one of {_MODES}")
+        if min(values[("dual", "nu_values")]) <= 0:
+            raise ConfigError("[dual] nu_values must be > 0")
         seed = int(seed_override) if seed_override is not None else values[("run", "seed")]
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got --seed {seed}")
         if values[("dual", "exact_max_n")] > _EXACT_MAX_N:
             raise ConfigError(f"[dual] exact_max_n must be <= {_EXACT_MAX_N} (the exact tree's limit)")
-        family = values[("mc", "family")]
-        if family not in _FAMILIES:
-            raise ConfigError(f"[mc] family: unknown policy family {family!r}; expected one of {_FAMILIES}")
         cfg = cls(values=values, seed=seed)
         # surface invalid values before any experiment body runs
         cfg.market()
-        cfg.nu_values()
-        cfg.thetas()
+        cfg.payoff()
+        cfg.hjb_grid()
         return cfg
 
     def get(self, section, key):
@@ -192,36 +191,19 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"[payoff] {exc}") from exc
 
-    def n_list(self) -> list[int]:
+    def hjb_grid(self) -> HJBGrid:
         try:
-            ns = [int(tok) for tok in str(self.get("run", "n_list")).split()]
+            return HJBGrid(
+                p_halfwidth=self.get("hjb", "p_halfwidth"),
+                n_space=self.get("hjb", "n_space"),
+                cap_flag_fraction=self.get("hjb", "cap_fraction_max"),
+            )
         except ValueError as exc:
-            raise ConfigError(f"[run] n_list: {exc}") from exc
-        if not ns or any(n < 1 for n in ns):
-            raise ConfigError("[run] n_list must hold positive integers")
-        return ns
-
-    def _numbers(self, section, key) -> list[float]:
-        try:
-            vals = [float(tok) for tok in str(self.get(section, key)).split()]
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}") from exc
-        if not vals or not all(map(math.isfinite, vals)):
-            raise ConfigError(f"[{section}] {key} must hold finite numbers")
-        return vals
-
-    def nu_values(self) -> list[float]:
-        nus = self._numbers("dual", "nu_values")
-        if any(nu <= 0 for nu in nus):
-            raise ConfigError("[dual] nu_values must be > 0")
-        return nus
-
-    def thetas(self) -> list[float]:
-        return self._numbers("mc", "thetas")
+            raise ConfigError(f"[hjb] {exc}") from exc
 
     def dp_grids(self) -> DPGrids:
         g = self.get
-        return DPGrids(n_x=g("dp", "n_x"), n_zeta=g("dp", "n_zeta"), refine=g("dp", "refine"))
+        return DPGrids(n_x=g("dp", "n_x"), n_zeta=g("dp", "n_zeta"))
 
 
 @dataclass
@@ -380,7 +362,7 @@ def _primal_rows(cfg: ExperimentConfig, emit) -> list:
     grids = cfg.dp_grids()
     frictionless = cfg.get("dp", "frictionless")
     rows = []
-    for n in cfg.n_list():
+    for n in cfg.get("run", "n_list"):
         params = cfg.market(n)
         res = superreplication_cost(params.frictionless() if frictionless else params, spec, grids)
         rows.append(
@@ -399,13 +381,14 @@ def _primal_rows(cfg: ExperimentConfig, emit) -> list:
 def _dual_rows(cfg: ExperimentConfig, emit) -> list:
     spec = cfg.payoff()
     sigma = cfg.get("market", "sigma")
+    n_list = cfg.get("run", "n_list")
     rows = []
-    for nu in cfg.nu_values():
+    for nu in cfg.get("dual", "nu_values"):
         recs = kusuoka_lower_bound(
             constant_profile(nu, sigma),
             spec,
-            cfg.market(max(cfg.n_list())),
-            n_list=cfg.n_list(),
+            cfg.market(max(n_list)),
+            n_list=n_list,
             exact_max_n=cfg.get("dual", "exact_max_n"),
             mc_paths=cfg.get("dual", "mc_paths"),
             seed=cfg.seed,
@@ -424,22 +407,13 @@ def _dual_rows(cfg: ExperimentConfig, emit) -> list:
     return rows
 
 
-def _limit_setup(cfg: ExperimentConfig):
-    """The limit problem and the HJB grid that the [hjb] section describes."""
-    params = cfg.market(max(cfg.n_list()))
-    problem = limit_from_market(
-        params, cfg.payoff(), nu_sq_max=cfg.get("hjb", "nu_sq_max") * params.sigma**2
-    )
-    grid = HJBGrid(
-        p_halfwidth=cfg.get("hjb", "p_halfwidth"),
-        n_space=cfg.get("hjb", "n_space"),
-        cap_flag_fraction=cfg.get("hjb", "cap_fraction_max"),
-    )
-    return problem, grid
+def _limit_problem(cfg: ExperimentConfig):
+    params = cfg.market(max(cfg.get("run", "n_list")))
+    return limit_from_market(params, cfg.payoff(), nu_sq_max=cfg.get("hjb", "nu_sq_max") * params.sigma**2)
 
 
 def _hjb_rows(cfg: ExperimentConfig, emit) -> list:
-    problem, grid = _limit_setup(cfg)
+    problem, grid = _limit_problem(cfg), cfg.hjb_grid()
     res = hjb_value(problem, grid)
     fine = hjb_value(problem, replace(grid, n_space=2 * grid.n_space - 1))
     refinement_change = abs(fine.value - res.value)
@@ -456,19 +430,12 @@ def _hjb_rows(cfg: ExperimentConfig, emit) -> list:
 
 
 def _mc_rows(cfg: ExperimentConfig, emit) -> list:
-    problem, grid = _limit_setup(cfg)
-    thetas = cfg.thetas()
-    flagged = False
-    if cfg.get("mc", "family") == "hjb_feedback":
-        base = hjb_value(problem, grid, keep_control=True)
-        flagged = base.flagged
-        family = hjb_feedback_family(base, scales=thetas, sigma_sq=problem.sigma_sq)
-    else:
-        family = constant_family(thetas)
     out = limit_value_mc(
-        problem, family, MCConfig(n_paths=cfg.get("mc", "paths"), n_steps=cfg.get("mc", "n_steps"), seed=cfg.seed)
+        _limit_problem(cfg),
+        constant_family(cfg.get("mc", "thetas")),
+        MCConfig(n_paths=cfg.get("mc", "paths"), n_steps=cfg.get("mc", "n_steps"), seed=cfg.seed),
     )
-    return [emit("limit_mc", 0, f"theta={out['theta']:g}", out["value"], out["std_error"], flagged)]
+    return [emit("limit_mc", 0, f"theta={out['theta']:g}", out["value"], out["std_error"], False)]
 
 
 _BODIES = {
@@ -482,21 +449,26 @@ _BODIES = {
 _STUDY_MODES = ("primal_dp", "dual_bound", "limit_hjb")
 
 
-def run_experiment(config_path, mode=None, seed=None, no_cache=False, out_dir=".") -> tuple[int, list]:
+def run_experiment(config_path, mode, seed=None, no_cache=False, out_dir=".") -> tuple[int, list]:
     """Run (or serve from cache) the experiment described by a config file.
 
+    `mode` names a row kind (a key of `_BODIES`), "convergence_study", or
+    "limit": the HJB limit for a terminal-value payoff, the Monte Carlo
+    estimate for a path-dependent one.
     Returns (exit_code, rows): 0 fine, 2 if any numerical flag fired.
     Config problems raise ConfigError (the CLI maps them to exit 1).
     """
     cfg = ExperimentConfig.load(config_path, seed_override=seed)
-    cfg_mode = cfg.get("run", "mode")
-    if mode is not None and cfg_mode and cfg_mode != mode:
-        raise ConfigError(f"config requests mode {cfg_mode!r} but the subcommand runs {mode!r}")
-    mode = mode or cfg_mode
-    if not mode:
-        raise ConfigError("no mode given (set [run] mode or use a subcommand)")
+    spec = cfg.payoff()
+    if mode == "limit":
+        mode = "limit_mc" if spec.path_dependent else "limit_hjb"
     if mode not in _BODIES and mode != "convergence_study":
         raise ConfigError(f"unknown mode {mode!r}")
+    if mode in ("limit_hjb", "convergence_study") and spec.path_dependent:
+        raise ConfigError(
+            f"mode {mode!r} needs the HJB limit, which takes terminal-value payoffs only; "
+            f"payoff {spec.kind!r} is path-dependent: `impactlab limit` gives its Monte Carlo limit"
+        )
 
     os.makedirs(out_dir, exist_ok=True)
     store = os.path.join(out_dir, cfg.get("output", "results"))
@@ -530,12 +502,6 @@ def run_experiment(config_path, mode=None, seed=None, no_cache=False, out_dir=".
         rows.append(row)
         return row
 
-    spec = cfg.payoff()
-    if mode in ("limit_hjb", "convergence_study") and spec.path_dependent:
-        raise ConfigError(
-            f"mode {mode!r} needs the HJB limit, which takes terminal-value payoffs only; "
-            f"payoff {spec.kind!r} is path-dependent: for its limit use mode = limit_mc"
-        )
     _check_store_tail(store)  # fail before the body computes rows it could not store
     t_prev = time.perf_counter()
     for m in missing:
@@ -599,7 +565,7 @@ def _write_plot_csv(records, path):
 _SUBCOMMAND_MODE = {
     "price": "primal_dp",
     "bound": "dual_bound",
-    "limit": None,  # limit_hjb unless the config says limit_mc
+    "limit": "limit",  # run_experiment picks the solver the payoff admits
     "study": "convergence_study",
     "verify": "identity_suite",
 }
@@ -608,7 +574,7 @@ _SUBCOMMAND_MODE = {
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="impactlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("price", "bound", "limit", "study", "verify"):
+    for name in _SUBCOMMAND_MODE:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True)
         cmd.add_argument("--seed", type=int, default=None)
@@ -616,13 +582,9 @@ def main(argv=None) -> int:
         cmd.add_argument("--out", default="results")
     args = parser.parse_args(argv)
 
-    mode = _SUBCOMMAND_MODE[args.command]
     try:
-        if args.command == "limit":
-            cfg_mode = ExperimentConfig.load(args.config).get("run", "mode")
-            mode = cfg_mode if cfg_mode in ("limit_hjb", "limit_mc") else "limit_hjb"
         code, rows = run_experiment(
-            args.config, mode=mode, seed=args.seed, no_cache=args.no_cache, out_dir=args.out
+            args.config, _SUBCOMMAND_MODE[args.command], args.seed, no_cache=args.no_cache, out_dir=args.out
         )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

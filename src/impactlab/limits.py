@@ -85,6 +85,14 @@ class HJBGrid:
     n_space: int = 601
     cap_flag_fraction: float = 0.3
 
+    def __post_init__(self):
+        if not (math.isfinite(self.p_halfwidth) and self.p_halfwidth > 0):
+            raise ValueError("p_halfwidth must be finite and > 0")
+        if self.n_space < 3:
+            raise ValueError("n_space must be >= 3")
+        if not math.isfinite(self.cap_flag_fraction):
+            raise ValueError("cap_flag_fraction must be finite")
+
 
 @dataclass
 class HJBResult:
@@ -130,7 +138,7 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
     if spec.path_dependent:
         raise ValueError("hjb_value handles terminal-value payoffs only; use limit_value_mc")
     c = problem.penalty_c
-    s2 = problem.sigma_sq
+    s2 = float(problem.sigma_sq)  # an int sigma^2 would make the control snapshots int
     a_max = problem.nu_sq_max
     half = grid.p_halfwidth * math.sqrt(s2)
     n_sp = grid.n_space if grid.n_space % 2 == 1 else grid.n_space + 1

@@ -59,11 +59,14 @@ class MarketParams:
     xi0: float = 0.0
 
     def __post_init__(self):
+        for name in ("p0", "sigma", "perm_impact", "x0", "zeta0", "xi0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.sigma <= 0:
             raise ValueError("sigma must be > 0")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if self.depth <= 0:
+        if not self.depth > 0:  # NaN fails too; inf is the frictionless market
             raise ValueError("depth must be > 0")
         if not 0.0 < self.resilience <= 1.0:
             raise ValueError("resilience must be in (0, 1]")
@@ -139,6 +142,11 @@ def as_shocks(seq) -> np.ndarray:
     return arr
 
 
+def _price_walk(shocks: np.ndarray, params: MarketParams) -> np.ndarray:
+    """Fundamental price before the first shock and after each one."""
+    return params.p0 + params.step_vol * np.concatenate([[0.0], np.cumsum(shocks)])
+
+
 def fundamental_path(prefix, params: MarketParams) -> SteppedPath:
     """Scaled-walk price path p0 + sigma/sqrt(N) * cumsum(shocks).
 
@@ -149,7 +157,7 @@ def fundamental_path(prefix, params: MarketParams) -> SteppedPath:
     if n > params.n_steps:
         raise ValueError(f"prefix length {n} exceeds n_steps {params.n_steps}")
     times = np.arange(n + 1) / params.n_steps
-    values = params.p0 + params.step_vol * np.concatenate([[0.0], np.cumsum(shocks)])
+    values = _price_walk(shocks, params)
     return SteppedPath(times=times, values=values)
 
 
@@ -255,7 +263,7 @@ def iterate_cash(positions, shocks, params: MarketParams) -> float:
     shocks = as_shocks(shocks)
     if len(positions) != len(shocks):
         raise ValueError("positions and shocks must have equal length")
-    prices = params.p0 + params.step_vol * np.concatenate([[0.0], np.cumsum(shocks)])
+    prices = _price_walk(shocks, params)
     x, zeta, cash = params.x0, params.zeta0, params.xi0
     for m, x_new in enumerate(positions):
         cash = cash - trade_cost(prices[m], x, x_new, zeta, params)
@@ -276,7 +284,7 @@ def terminal_wealth(positions, shocks, params: MarketParams) -> float:
     n = len(shocks)
     if len(positions) != n:
         raise ValueError("strategy must give one position per shock")
-    prices = params.p0 + params.step_vol * np.concatenate([[0.0], np.cumsum(shocks)])
+    prices = _price_walk(shocks, params)
     x_full = np.concatenate([[params.x0], positions])
     dx = np.diff(x_full)
     trade_leg = float(np.dot(prices[:-1], dx))

@@ -1,5 +1,6 @@
 """Config parsing, experiment dispatch, caching and reproducibility."""
 
+import configparser
 import os
 import re
 import time
@@ -53,13 +54,16 @@ nu_sq_max = 4.0
 
 
 def test_config_rejects_unknown_key(tmp_path):
-    # [dp] augmentation and x_max and [market] xi0 were keys once: a config
-    # naming them stops
+    # [dp] augmentation, x_max and refine, [market] xi0, [run] mode and [mc]
+    # family were keys once: a config naming them stops
     for after, line, key in (
         ("depth = 1.0", "bogus = 1", "bogus"),
         ("n_x = 41", "augmentation = auto", "augmentation"),
         ("n_x = 41", "x_max = 4", "x_max"),
+        ("n_x = 41", "refine = true", "refine"),
         ("depth = 1.0", "xi0 = 1.0", "xi0"),
+        ("seed = 42", "mode = limit_mc", "mode"),
+        ("nu_sq_max = 4.0", "[mc]\nfamily = constant", "family"),
     ):
         cfg = write_cfg(tmp_path, BASE.replace(after, f"{after}\n{line}"))
         with pytest.raises(ConfigError, match=key):
@@ -122,10 +126,23 @@ def test_negative_seed_option_is_a_config_error(tmp_path, capsys):
     assert main(["bound", "--config", cfg, "--seed", "0", "--out", str(tmp_path / "out")]) == 0
 
 
+SHIPPED = os.path.join(os.path.dirname(__file__), "..", "configs", "call_study.cfg")
+
+
 def test_shipped_config_loads():
-    cfg = ExperimentConfig.load(os.path.join(os.path.dirname(__file__), "..", "configs", "call_study.cfg"))
+    cfg = ExperimentConfig.load(SHIPPED)
     assert cfg.get("run", "study_id") == "call-base"
     assert cfg.dp_grids() == DPGrids()
+
+
+def test_shipped_config_names_every_key_at_its_default():
+    # the annotated config is complete, and names no key the loader dropped
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read(SHIPPED)
+    assert {s: set(parser[s]) for s in parser.sections()} == {s: set(keys) for s, keys in cli._DEFAULTS.items()}
+    cfg = ExperimentConfig.load(SHIPPED)
+    differ = {k for k, v in cfg.values.items() if v != cli._DEFAULTS[k[0]][k[1]]}
+    assert differ <= {("run", "n_list"), ("run", "study_id"), ("run", "seed")}
 
 
 def test_config_rejects_unknown_section(tmp_path):
@@ -152,6 +169,28 @@ def test_digest_depends_on_values_and_seed(tmp_path):
     c = ExperimentConfig.load(write_cfg(tmp_path, BASE, "c.cfg"), seed_override=7)
     assert a.digest() != b.digest()
     assert a.digest() != c.digest()
+
+
+def test_digest_ignores_list_key_spelling(tmp_path):
+    # list keys are typed at load, so equal values share a digest
+    a = ExperimentConfig.load(write_cfg(tmp_path, BASE, "a.cfg"))
+    b = ExperimentConfig.load(
+        write_cfg(tmp_path, BASE.replace("n_list = 2 3", "n_list = 2   3").replace("1.0 1.2", "1 1.20"), "b.cfg")
+    )
+    assert b.get("run", "n_list") == (2, 3) and b.get("dual", "nu_values") == (1.0, 1.2)
+    assert a.digest() == b.digest()
+
+
+@pytest.mark.parametrize("command", ["price", "bound", "limit", "study", "verify"])
+@pytest.mark.parametrize("n_list", ["2 x", "2.5", "0 2", ""])
+def test_malformed_n_list_fails_at_load(tmp_path, capsys, command, n_list):
+    # verify never reads n_list, and once ran on such a config
+    cfg = write_cfg(tmp_path, BASE.replace("n_list = 2 3", f"n_list = {n_list}"))
+    with pytest.raises(ConfigError, match=r"\[run\] n_list"):
+        ExperimentConfig.load(cfg)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "n_list" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "results.csv")
 
 
 def test_identity_suite_passes(tmp_path):
@@ -248,12 +287,6 @@ def test_reproducibility_bit_for_bit(tmp_path):
     rows_a = run_experiment(cfg, mode="dual_bound", out_dir=str(tmp_path / "a"))[1]
     rows_b = run_experiment(cfg, mode="dual_bound", out_dir=str(tmp_path / "b"))[1]
     assert [r.key_fields() for r in rows_a] == [r.key_fields() for r in rows_b]
-
-
-def test_mode_mismatch_is_config_error(tmp_path):
-    cfg = write_cfg(tmp_path, BASE.replace("study_id = unit", "study_id = unit\nmode = limit_hjb"))
-    with pytest.raises(ConfigError, match="mode"):
-        run_experiment(cfg, mode="primal_dp", out_dir=str(tmp_path / "out"))
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -373,32 +406,20 @@ SMOKE = BASE.replace("n_space = 201", "n_space = 101").replace(
 @pytest.mark.parametrize("command", ["price", "bound", "limit", "study", "verify"])
 def test_cli_smoke_matrix(tmp_path, capsys, command, kind):
     # Every subcommand on every advertised payoff ends in an exit code, never
-    # a traceback; the HJB limit refuses path-dependent payoffs by name.
+    # a traceback.  `limit` picks the solver the payoff admits; the study's
+    # HJB limit refuses path-dependent payoffs by name.
     cfg = write_cfg(tmp_path, SMOKE.replace("kind = call", f"kind = {kind}"))
     code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    if command in ("limit", "study") and kind in ("lookback_max", "asian_mean"):
+    out, err = capsys.readouterr()
+    path_dependent = kind in ("lookback_max", "asian_mean")
+    if command == "study" and path_dependent:
         assert code == 1
-        assert err.startswith("config error:") and kind in err and "limit_mc" in err
+        assert err.startswith("config error:") and kind in err and "impactlab limit" in err
     else:
         assert code in (0, 2), err
-
-
-def test_limit_mc_feedback_solves_on_the_configured_grid(tmp_path, monkeypatch):
-    body = SMOKE.replace("nu_sq_max = 4.0", "nu_sq_max = 4.0\np_halfwidth = 6\ncap_fraction_max = 1e-9")
-    cfg = write_cfg(tmp_path, body + "family = hjb_feedback\nthetas = 1.0\n")
-    grids = []
-    solve = cli.hjb_value
-
-    def spy(problem, grid=None, keep_control=False):
-        grids.append(grid)
-        return solve(problem, grid, keep_control=keep_control)
-
-    monkeypatch.setattr(cli, "hjb_value", spy)
-    code, rows = run_experiment(cfg, mode="limit_mc", out_dir=str(tmp_path / "out"))
-    assert [(g.p_halfwidth, g.n_space, g.cap_flag_fraction) for g in grids] == [(6.0, 101, 1e-9)]
-    # the call's kink binds the cap early, above the 1e-9 the config allows
-    assert code == 2 and rows[0].flag == "WARN"
+    if command == "limit":
+        solver = "limit_mc" if path_dependent else "limit_hjb"
+        assert [line.split()[1] for line in out.splitlines()] == [solver]
 
 
 @pytest.mark.parametrize(
@@ -408,7 +429,7 @@ def test_limit_mc_feedback_solves_on_the_configured_grid(tmp_path, monkeypatch):
         ("study", "dual", "nu_values = -1", "nu_values"),
         ("bound", "dual", "exact_max_n = 15", "exact_max_n"),
         ("limit", "mc", "thetas = 1.0 x", "thetas"),
-        ("limit", "mc", "family = bogus", "family"),
+        ("limit", "mc", "family = bogus", "family"),  # no longer a key
     ],
 )
 def test_malformed_list_keys_fail_before_any_body(tmp_path, capsys, monkeypatch, command, section, line, key):
@@ -420,7 +441,7 @@ def test_malformed_list_keys_fail_before_any_body(tmp_path, capsys, monkeypatch,
     if section == "dual":
         body = BASE.replace("nu_values = 1.0 1.2", line if key == "nu_values" else f"nu_values = 1.0 1.2\n{line}")
     else:
-        body = BASE.replace("study_id = unit", "study_id = unit\nmode = limit_mc") + f"\n[mc]\n{line}\n"
+        body = BASE + f"\n[mc]\n{line}\n"
     cfg = write_cfg(tmp_path, body)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err

@@ -103,6 +103,32 @@ def test_hjb_rejects_path_dependent_payoffs():
         hjb_value(prob)
 
 
+@pytest.mark.parametrize(
+    "name, bad",
+    [("p_halfwidth", 0.0), ("p_halfwidth", -1.0), ("p_halfwidth", math.inf), ("p_halfwidth", math.nan),
+     ("n_space", 2), ("n_space", 1), ("cap_flag_fraction", math.nan), ("cap_flag_fraction", math.inf)],
+)
+def test_hjb_grid_rejects_invalid_fields(name, bad):
+    # p_halfwidth = 0 once died in hjb_value with an OverflowError, and
+    # n_space = 1 with an IndexError
+    with pytest.raises(ValueError, match=name):
+        HJBGrid(**{name: bad})
+
+
+def test_int_sigma_solves_as_float_sigma():
+    # an int sigma once made the kept control int, and keep_control crashed
+    def solve(sigma):
+        params = MarketParams(p0=0, sigma=sigma, n_steps=4, depth=1, resilience=1)
+        return hjb_value(limit_from_market(params, PayoffSpec("call")), HJBGrid(n_space=101), keep_control=True)
+
+    a, b = solve(1), solve(1.0)
+    assert repr(a.value) == repr(b.value) == "0.47882545746821226"
+    assert np.array_equal(a.surface, b.surface)
+    t = np.linspace(0.0, 1.0, 41)
+    p = np.linspace(-3.0, 3.0, 41)
+    assert np.array_equal(a.control(t, p), b.control(t, p))
+
+
 def test_pointwise_optimizer_matches_scan():
     rng = np.random.default_rng(2)
     c, s2, a_max = 0.37, 1.3, 6.0

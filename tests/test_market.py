@@ -1,5 +1,6 @@
 """Dynamics identities and path-discretization behaviour."""
 
+import math
 import warnings
 
 import numpy as np
@@ -45,6 +46,22 @@ def test_params_validation():
         mk(resilience=1.5)
     with pytest.raises(ValueError):
         mk(zeta0=-0.1)
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [(name, bad) for name in ("p0", "sigma", "perm_impact", "x0", "zeta0", "xi0") for bad in (math.nan, math.inf, -math.inf)]
+    + [("depth", math.nan), ("depth", -math.inf)],
+)
+def test_params_reject_non_finite(name, bad):
+    # NaN fails every `<=` test: a NaN-sigma market once priced to nan
+    with pytest.raises(ValueError, match=name):
+        mk(**{name: bad})
+
+
+def test_params_accept_infinite_depth():
+    # the frictionless market's depth
+    assert mk(depth=math.inf).depth == mk().frictionless().depth == math.inf
 
 
 def test_fundamental_path_empty_prefix_is_constant():
