@@ -2,7 +2,6 @@
 
 from .market import (
     MarketParams,
-    SteppedPath,
     fundamental_path,
     liquidity_cost,
     spread_closed_form,

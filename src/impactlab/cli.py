@@ -139,6 +139,8 @@ class ExperimentConfig:
                     raise ConfigError(f"[{section}] {key}: {exc}") from exc
                 if isinstance(default, (float, tuple)) and not all(map(math.isfinite, np.atleast_1d(value))):
                     raise ConfigError(f"[{section}] {key} must be finite")
+                if isinstance(default, tuple) and len(set(value)) < len(value):
+                    raise ConfigError(f"[{section}] {key} repeats a value")
         for (section, key), least in _MINIMUM.items():
             if min(np.atleast_1d(values[(section, key)])) < least:
                 raise ConfigError(f"[{section}] {key} must be >= {least:g}")
@@ -345,7 +347,7 @@ def _identity_rows(cfg: ExperimentConfig, emit) -> list:
         worst["wealth"] = max(
             worst["wealth"], abs(terminal_wealth(pos, shocks, p) - iterate_cash(pos, shocks, p))
         )
-        vals = fundamental_path(shocks, p).values
+        vals = fundamental_path(shocks, p)
         l, m_hi = sorted(rng.choice(np.arange(n + 1), size=2, replace=False)) if n >= 1 else (0, 0)
         lhs = float(np.dot(vals[l:m_hi], np.diff(vals[l : m_hi + 1])))
         rhs = 0.5 * (vals[m_hi] ** 2 - vals[l] ** 2 - p.sigma**2 * (m_hi - l) / n)
@@ -523,9 +525,14 @@ def convergence_table(store_path, study_id, digest=None) -> tuple[str, list[dict
     if rows:
         digest = digest or rows[-1].digest
         rows = [r for r in rows if r.digest == digest]
-    primal = {r.n: r.value for r in rows if r.mode == "primal_dp"}
-    if not primal:
+    if not any(r.mode == "primal_dp" for r in rows):
         raise ConfigError(f"no primal rows for study {study_id!r} in {store_path}")
+    return _tabulate(rows)
+
+
+def _tabulate(rows) -> tuple[str, list[dict]]:
+    """The study table of one config's rows, with one record per N."""
+    primal = {r.n: r.value for r in rows if r.mode == "primal_dp"}
     duals: dict[int, float] = {}
     for r in rows:
         if r.mode == "dual_bound":
@@ -593,15 +600,10 @@ def main(argv=None) -> int:
         status = row.flag or "ok"
         print(f"[{status}] {row.mode} N={row.n} {row.label}: {row.value:.8g} (err {row.err:.3g})")
     if args.command == "study":
-        study_id = rows[0].study_id if rows else "default"
-        store = os.path.join(args.out, ExperimentConfig.load(args.config).get("output", "results"))
-        try:
-            text, records = convergence_table(store, study_id, rows[0].digest if rows else None)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
+        # a study's rows hold a primal row per N, so the table is never empty
+        text, records = _tabulate(rows)
         print(text)
-        _write_plot_csv(records, os.path.join(args.out, f"study_{study_id}.csv"))
+        _write_plot_csv(records, os.path.join(args.out, f"study_{rows[0].study_id}.csv"))
     return code
 
 

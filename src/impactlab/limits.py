@@ -251,12 +251,13 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
         widths = np.diff(p_ax)
         inv_dp = 1.0 / dp
 
-        def interp(k, p):
-            """np.interp(p, p_ax, tables[k]) to the last bit, flat outside
-            the axis: the uniform axis gives the cell by one product, biased
-            low by far more than its rounding, and one comparison with the
-            real node corrects it."""
-            row = tables[k]
+        def control(t, p):
+            """The optimal variance at time t (a float) on an array of prices
+            p: np.interp(p, p_ax, table) to the last bit for the snapshot at
+            or before t, flat outside the axis.  The uniform axis gives the
+            cell by one product, biased low by far more than its rounding,
+            and one comparison with the real node corrects it."""
+            row = tables[np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 1)]
             # np.interp's slopes, built per call as it does (one row is
             # cheap; a table per snapshot would double the kept control),
             # and 0 past the last node so the end node reads its own value
@@ -265,18 +266,6 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
             j = ((x - p_ax[0]) * inv_dp - 1e-6).astype(np.int64)
             j += x >= upper[j]
             return slopes[j] * (x - p_ax[j]) + row[j]
-
-        def control(t, p):
-            it = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 1)
-            if np.ndim(p) == 0:
-                return float(interp(it, p))
-            if np.ndim(it) == 0:
-                return interp(it, p)
-            out = np.empty(np.shape(p))
-            for k in np.unique(it):
-                mask = it == k
-                out[mask] = interp(k, np.asarray(p)[mask])
-            return out
 
     return HJBResult(
         value=value,

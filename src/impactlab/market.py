@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "MarketParams",
-    "SteppedPath",
     "as_shocks",
     "fundamental_path",
     "spread_step",
@@ -87,51 +86,6 @@ class MarketParams:
         return replace(self, depth=math.inf, resilience=1.0)
 
 
-@dataclass(frozen=True)
-class SteppedPath:
-    """Piecewise-constant right-continuous path on [0, 1].
-
-    `values[k]` holds on [times[k], times[k+1]); the final value extends to
-    t = 1.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or v.shape != t.shape:
-            raise ValueError("times and values must be 1-d arrays of equal length")
-        if t.size == 0 or t[0] != 0.0:
-            raise ValueError("times must start at 0")
-        if np.any(np.diff(t) < 0):
-            raise ValueError("times must be nondecreasing")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-
-    def value_at(self, t):
-        """Right-continuous evaluation; scalar or array t."""
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        idx = np.clip(idx, 0, len(self.values) - 1)
-        return self.values[idx]
-
-    @property
-    def terminal(self) -> float:
-        return float(self.values[-1])
-
-    @property
-    def sup(self) -> float:
-        return float(np.max(self.values))
-
-    def integral(self) -> float:
-        """Exact integral of the step function over [0, 1]."""
-        widths = np.diff(np.append(self.times, 1.0))
-        return float(np.dot(self.values, widths))
-
-
 def as_shocks(seq) -> np.ndarray:
     """Validate a +/-1 shock sequence and return it as an int array."""
     arr = np.asarray(seq, dtype=int)
@@ -147,18 +101,14 @@ def _price_walk(shocks: np.ndarray, params: MarketParams) -> np.ndarray:
     return params.p0 + params.step_vol * np.concatenate([[0.0], np.cumsum(shocks)])
 
 
-def fundamental_path(prefix, params: MarketParams) -> SteppedPath:
-    """Scaled-walk price path p0 + sigma/sqrt(N) * cumsum(shocks).
-
-    Breakpoints sit at n/N for n = 0..len(prefix).
+def fundamental_path(prefix, params: MarketParams) -> np.ndarray:
+    """Scaled-walk prices p0 + sigma/sqrt(N) * cumsum(shocks) at the trading
+    times n/N, n = 0..len(prefix): a float array of len(prefix) + 1 prices.
     """
     shocks = as_shocks(prefix)
-    n = len(shocks)
-    if n > params.n_steps:
-        raise ValueError(f"prefix length {n} exceeds n_steps {params.n_steps}")
-    times = np.arange(n + 1) / params.n_steps
-    values = _price_walk(shocks, params)
-    return SteppedPath(times=times, values=values)
+    if len(shocks) > params.n_steps:
+        raise ValueError(f"prefix length {len(shocks)} exceeds n_steps {params.n_steps}")
+    return _price_walk(shocks, params)
 
 
 def spread_step(zeta_prev, trade, params: MarketParams):
@@ -293,9 +243,10 @@ def terminal_wealth(positions, shocks, params: MarketParams) -> float:
     return params.xi0 - trade_leg - perm_leg - kappa
 
 
-def stopping_grid(path: SteppedPath, epsilon: float, params: MarketParams) -> np.ndarray:
+def stopping_grid(path: np.ndarray, epsilon: float, params: MarketParams) -> np.ndarray:
     """Space-time stops: leave a band of width epsilon or wait epsilon^2.
 
+    path: the N+1 prices of a full walk (`fundamental_path` of N shocks).
     Returns the int step index of each stop: the first is 0 and the last
     the cap, the last step index not exceeding 1 - N^(-2/3).  Between
     consecutive non-capped stops either the price displacement is >= epsilon
@@ -304,9 +255,11 @@ def stopping_grid(path: SteppedPath, epsilon: float, params: MarketParams) -> np
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
     n = params.n_steps
+    if len(path) != n + 1:
+        raise ValueError(f"path has {len(path)} prices, expected n_steps + 1 = {n + 1}")
     cap_time = 1.0 - n ** (-2.0 / 3.0)
     n_cap = int(np.floor(n * cap_time + _HIT_TOL))
-    values = path.value_at(np.arange(n_cap + 1) / n).tolist()
+    values = path[: n_cap + 1].tolist()
     price_tol = epsilon * (1.0 - _HIT_TOL)
     time_hit = int(np.ceil(epsilon**2 * n * (1.0 - _HIT_TOL)))
     # one forward pass: stop at the first price hit, time hit or the cap

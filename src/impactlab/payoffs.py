@@ -1,4 +1,6 @@
-"""Payoff functionals on step-function paths and on batches of paths.
+"""Payoff functionals on price paths and on batches of paths.
+
+A path is the array of its N+1 prices at the trading times n/N.
 
 Built-in payoffs are nonnegative and 1-Lipschitz in the sup norm (hence in
 the weaker time-deformation metric used for path regularity).  The module
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import MarketParams, SteppedPath
+from .market import MarketParams
 
 __all__ = [
     "PayoffSpec",
@@ -99,11 +101,11 @@ class PayoffSpec:
         return self.kind in ("lookback_max", "asian_mean")
 
 
-def evaluate_payoff(spec: PayoffSpec, path: SteppedPath) -> float:
+def evaluate_payoff(spec: PayoffSpec, path: np.ndarray) -> float:
+    """Payoff of one full path of N+1 prices; its time average is the mean
+    of the first N prices (each holds for 1/N)."""
     return float(
-        payoff_from_summaries(
-            spec, terminal=path.terminal, rise=path.sup - path.values[0], average=path.integral()
-        )
+        payoff_from_summaries(spec, terminal=path[-1], rise=path.max() - path[0], average=path[:-1].mean())
     )
 
 
@@ -125,10 +127,10 @@ def payoff_from_summaries(spec: PayoffSpec, terminal=None, rise=None, average=No
     return np.asarray(spec.terminal_fn(terminal), dtype=float)
 
 
-def quadratic_claim(path: SteppedPath, stops: np.ndarray, params: MarketParams) -> float:
+def quadratic_claim(path: np.ndarray, stops: np.ndarray, params: MarketParams) -> float:
     """Squared frozen-path excursion plus squared stop increments plus
     elapsed stop times, at the stop indices `stops` of `stopping_grid`."""
-    stop_vals = path.value_at(stops / params.n_steps)
+    stop_vals = path[stops]
     dts = np.diff(stops) / params.n_steps
     dps = np.diff(stop_vals)
     return float(np.max((stop_vals - params.p0) ** 2) + np.sum(dps**2) + np.sum(dts))

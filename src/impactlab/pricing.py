@@ -711,9 +711,8 @@ def doob_quadratic_hedge(lam: float, epsilon: float, params: MarketParams) -> St
     n = params.n_steps
 
     def vector_fn(shocks: np.ndarray) -> np.ndarray:
-        path = fundamental_path(shocks, params)
-        idx = stopping_grid(path, epsilon, params)
-        prices = path.values
+        prices = fundamental_path(shocks, params)
+        idx = stopping_grid(prices, epsilon, params)
         p0 = params.p0
         cap = idx[-1]
         anchor = prices[idx[:-1]] - p0  # frozen path at each interval's start stop

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from impactlab.market import MarketParams, SteppedPath, fundamental_path, spread_step, trade_cost
+from impactlab.market import MarketParams, fundamental_path, spread_step, trade_cost
 from impactlab.dual import DualCertificate, _tilt_step
 from impactlab.payoffs import PayoffSpec, evaluate_payoff, payoff_from_summaries
 
@@ -124,7 +124,7 @@ def payoff_on_paths(spec: PayoffSpec, values) -> np.ndarray:
     """Payoffs of a batch of full walk paths, one per row.
 
     values: (batch, N+1) prices at the breakpoints n/N, n = 0..N, so each
-    row is the step path `fundamental_path` builds from N shocks; the time
+    row is the path `fundamental_path` builds from N shocks; the time
     average of a row is the mean of its first N values.
     """
     values = np.asarray(values, dtype=float)
@@ -214,10 +214,10 @@ def ks_distance_to_normal(samples: np.ndarray, mean: float, std: float) -> float
     return float(max(upper, lower))
 
 
-def discretize_path(path: SteppedPath, stops: np.ndarray, params: MarketParams) -> SteppedPath:
-    """Freeze the path at its stop values; hold the cap value to t = 1."""
-    times = stops / params.n_steps
-    return SteppedPath(times=times, values=path.value_at(times))
+def discretize_path(path: np.ndarray, stops: np.ndarray, params: MarketParams) -> np.ndarray:
+    """Freeze the path at its stop values on the same N+1 grid: each stop's
+    value holds until the next stop, and the cap value to index N."""
+    return np.repeat(path[stops], np.diff(np.append(stops, params.n_steps + 1)))
 
 
 def interp_weights(grid: np.ndarray, x: np.ndarray):
@@ -231,10 +231,9 @@ def interp_weights(grid: np.ndarray, x: np.ndarray):
     return idx, np.clip(w, 0.0, 1.0)
 
 
-def sup_distance(a: SteppedPath, b: SteppedPath) -> float:
-    """Exact sup-norm distance between two step paths on [0, 1]."""
-    knots = np.union1d(a.times, b.times)
-    return float(np.max(np.abs(a.value_at(knots) - b.value_at(knots))))
+def sup_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Sup-norm distance between two paths on the same N+1 grid."""
+    return float(np.max(np.abs(a - b)))
 
 
 # Replay grid shared by the stopping-grid and hedge oracle tests.  At
@@ -256,14 +255,14 @@ def replay_shocks(n: int, rng) -> list:
     ]
 
 
-def stopping_indices_loop(path: SteppedPath, epsilon: float, params: MarketParams) -> list:
+def stopping_indices_loop(path: np.ndarray, epsilon: float, params: MarketParams) -> list:
     """Stop indices by a search from each anchor (the oracle for the
     library's one-pass `stopping_grid`)."""
     _HIT_TOL = 1e-9
     n = params.n_steps
     cap_time = 1.0 - n ** (-2.0 / 3.0)
     n_cap = int(np.floor(n * cap_time + _HIT_TOL))
-    values = path.value_at(np.arange(n_cap + 1) / n)
+    values = path[: n_cap + 1]
     indices = [0]
     price_tol = epsilon * (1.0 - _HIT_TOL)
     time_hit = int(np.ceil(epsilon**2 * n * (1.0 - _HIT_TOL)))

@@ -17,16 +17,7 @@ from impactlab.dual import (
     kusuoka_lower_bound,
 )
 from impactlab.limits import HJBGrid, LimitProblem, hjb_value, limit_from_market
-from impactlab.market import (
-    MarketParams,
-    fundamental_path,
-    iterate_cash,
-    liquidity_cost,
-    spread_closed_form,
-    spread_step,
-    stopping_grid,
-    terminal_wealth,
-)
+from impactlab.market import MarketParams, fundamental_path, stopping_grid, terminal_wealth
 from impactlab.payoffs import PayoffSpec, quadratic_claim
 from impactlab.pricing import (
     DOOB_LAMBDA_MAX,
@@ -48,48 +39,20 @@ def mk(n, **kw):
     return MarketParams(**base)
 
 
-def test_criterion_1_algebraic_identity_suite():
+def test_criterion_1_algebraic_identity_suite(tmp_path):
+    # the shipped battery of `impactlab verify` (1000 random markets) at a
+    # pinned seed; each row holds a worst violation and its tolerance
     t0 = time.time()
-    rng = np.random.default_rng(20240811)
-    worst = {"spread": 0.0, "kappa": 0.0, "wealth": 0.0, "walk_square": 0.0}
-    for _ in range(1000):
-        n = int(rng.integers(1, 33))
-        p = MarketParams(
-            p0=float(rng.normal()),
-            sigma=float(rng.uniform(0.5, 2.0)),
-            n_steps=n,
-            depth=float(rng.uniform(0.2, 5.0)),
-            resilience=float(rng.uniform(0.05, 1.0)),
-            perm_impact=float(rng.uniform(0.0, 0.5)),
-            x0=float(rng.normal()),
-            zeta0=float(rng.uniform(0.0, 1.0)),
-            xi0=float(rng.normal()),
-        )
-        trades = rng.normal(size=n)
-        z = p.zeta0
-        for m, dx in enumerate(trades, start=1):
-            z = spread_step(z, dx, p)
-            ref = spread_closed_form(trades, p, m)
-            worst["spread"] = max(worst["spread"], abs(z - ref) / max(1.0, abs(ref)))
-        direct, viaspread = liquidity_cost(trades, p, n)
-        worst["kappa"] = max(worst["kappa"], abs(direct - viaspread) / max(1.0, abs(direct)))
-        shocks = rng.choice([-1, 1], size=n)
-        pos = np.cumsum(trades) + p.x0
-        worst["wealth"] = max(
-            worst["wealth"],
-            abs(terminal_wealth(pos, shocks, p) - iterate_cash(pos, shocks, p)),
-        )
-        vals = fundamental_path(shocks, p).values
-        lo, hi = sorted(rng.choice(np.arange(n + 1), size=2, replace=False))
-        lhs = float(np.dot(vals[lo:hi], np.diff(vals[lo : hi + 1])))
-        rhs = 0.5 * (vals[hi] ** 2 - vals[lo] ** 2 - p.sigma**2 * (hi - lo) / n)
-        worst["walk_square"] = max(worst["walk_square"], abs(lhs - rhs))
+    config = tmp_path / "identity.cfg"
+    config.write_text("[run]\nseed = 20240811\n")
+    code, rows = run_experiment(config, mode="identity_suite", out_dir=tmp_path)
     elapsed = time.time() - t0
+    tol = {"spread": 1e-12, "kappa": 1e-10, "wealth": 1e-9, "walk_square": 1e-9}
+    worst = {r.label: r.value for r in rows}
     ok = (
-        worst["spread"] <= 1e-12
-        and worst["kappa"] <= 1e-10
-        and worst["wealth"] <= 1e-9
-        and worst["walk_square"] <= 1e-9
+        code == 0
+        and worst.keys() == tol.keys()
+        and all(r.err == tol[r.label] and r.value <= tol[r.label] and r.flag == "" for r in rows)
         and elapsed < 30.0
     )
     report(

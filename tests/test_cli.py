@@ -193,6 +193,21 @@ def test_malformed_n_list_fails_at_load(tmp_path, capsys, command, n_list):
     assert not os.path.exists(tmp_path / "out" / "results.csv")
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("n_list = 2 3", "n_list = 4 4", "n_list"),
+        ("n_list = 2 3", "n_list = 2 3 2", "n_list"),
+        ("nu_values = 1.0 1.2", "nu_values = 1.0 1", "nu_values"),
+        ("[hjb]", "[mc]\nthetas = 0.8 0.8\n\n[hjb]", "thetas"),
+    ],
+)
+def test_list_key_rejects_a_repeated_value(tmp_path, old, new, key):
+    # `n_list = 4 4` once computed and stored every N=4 row twice
+    with pytest.raises(ConfigError, match=rf"\] {key} repeats a value"):
+        ExperimentConfig.load(write_cfg(tmp_path, BASE.replace(old, new)))
+
+
 def test_identity_suite_passes(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     code, rows = run_experiment(cfg, mode="identity_suite", out_dir=str(tmp_path / "out"))
@@ -306,6 +321,24 @@ def test_main_study_emits_plot_csv(tmp_path, capsys):
     assert main(["study", "--config", cfg, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "study_unit.csv"))
     assert "gap" in open(os.path.join(out, "study_unit.csv")).read()
+
+
+def test_main_study_loads_the_config_once(tmp_path, capsys, monkeypatch):
+    # the table comes from the study's own rows, not a second parse and a
+    # re-read of the store
+    cfg = write_cfg(tmp_path, BASE)
+    out = str(tmp_path / "out")
+    loads = []
+    load = ExperimentConfig.load.__func__
+    monkeypatch.setattr(ExperimentConfig, "load", classmethod(lambda cls, *a, **kw: loads.append(a) or load(cls, *a, **kw)))
+    assert main(["study", "--config", cfg, "--out", out]) == 0
+    assert len(loads) == 1
+    text, records = convergence_table(os.path.join(out, "results.csv"), "unit")
+    assert capsys.readouterr().out.endswith("\n" + text + "\n")
+    with open(os.path.join(out, "study_unit.csv")) as fh:
+        assert fh.read().splitlines()[1:] == [
+            ",".join(str(rec[k]) for k in ("n", "price", "lower_bound", "limit", "gap")) for rec in records
+        ]
 
 
 def test_convergence_table_never_mixes_configs(tmp_path):

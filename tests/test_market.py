@@ -17,7 +17,6 @@ from helpers import (
 from impactlab import market
 from impactlab.market import (
     MarketParams,
-    SteppedPath,
     fundamental_path,
     iterate_cash,
     liquidity_cost,
@@ -66,19 +65,18 @@ def test_params_accept_infinite_depth():
 
 def test_fundamental_path_empty_prefix_is_constant():
     path = fundamental_path([], mk(p0=3.0))
-    assert path.values.tolist() == [3.0]
-    assert path.value_at(0.7) == 3.0
+    assert path.tolist() == [3.0]
 
 
 def test_fundamental_path_two_up_moves():
     path = fundamental_path([1, 1], mk(sigma=1.0, n_steps=4, p0=0.0))
-    assert np.allclose(path.times, [0.0, 0.25, 0.5])
-    assert np.allclose(path.values, [0.0, 0.5, 1.0])
+    assert path.dtype == np.float64
+    assert np.allclose(path, [0.0, 0.5, 1.0])
 
 
 def test_fundamental_path_telescoping():
     path = fundamental_path([1, -1, 1, -1], mk(sigma=2.0, n_steps=4, p0=10.0))
-    assert path.terminal == pytest.approx(10.0)
+    assert path[-1] == pytest.approx(10.0)
 
 
 def test_fundamental_path_rejects_long_prefix():
@@ -188,7 +186,7 @@ def test_kernels_fold_to_terminal_wealth():
         trades = rng.normal(size=n)
         pos = np.cumsum(trades) + p.x0
         shocks = rng.choice([-1, 1], size=n)
-        prices = fundamental_path(shocks, p).values
+        prices = fundamental_path(shocks, p)
         x, z, paid = p.x0, p.zeta0, 0.0
         for m in range(n):
             paid += trade_cost(prices[m], x, pos[m], z, p)
@@ -271,8 +269,7 @@ def test_terminal_wealth_buy_and_hold_frictionless_limit():
     shocks = [1, 1, -1, 1, 1, -1, 1, 1]
     pos = np.ones(8)
     pos[-1] = 0.0  # liquidate at the last trade, executed at P_{N-1}
-    path = fundamental_path(shocks, p)
-    gain = float(np.dot(pos, np.diff(path.values)))
+    gain = float(np.dot(pos, np.diff(fundamental_path(shocks, p))))
     assert terminal_wealth(pos, shocks, p) == pytest.approx(gain, abs=1e-9)
 
 
@@ -301,8 +298,7 @@ def test_random_walk_square_identity():
     p = mk(n_steps=64, sigma=1.7, p0=0.4)
     for _ in range(50):
         shocks = rng.choice([-1, 1], size=64)
-        path = fundamental_path(shocks, p)
-        vals = path.values
+        vals = fundamental_path(shocks, p)
         l, n = sorted(rng.choice(np.arange(65), size=2, replace=False))
         lhs = float(np.dot(vals[l : n], np.diff(vals[l : n + 1])))
         rhs = 0.5 * (vals[n] ** 2 - vals[l] ** 2 - p.sigma**2 * (n - l) / p.n_steps)
@@ -357,9 +353,18 @@ def test_stopping_grid_monotone_path_hand_walk():
 
 def test_stopping_grid_rejects_bad_epsilon():
     p = mk()
-    path = fundamental_path([1, 1], p)
-    with pytest.raises(ValueError):
+    path = fundamental_path([1, 1, 1, 1], p)
+    with pytest.raises(ValueError, match="epsilon"):
         stopping_grid(path, epsilon=0.0, params=p)
+
+
+@pytest.mark.parametrize("n_prices", [1, 3, 6])
+def test_stopping_grid_rejects_path_of_wrong_length(n_prices):
+    # a short prefix's prices once came back silently sliced short
+    p = mk(n_steps=4)
+    path = p.p0 + p.step_vol * np.arange(n_prices, dtype=float)
+    with pytest.raises(ValueError, match=r"path has %d prices, expected n_steps \+ 1 = 5" % n_prices):
+        stopping_grid(path, epsilon=0.3, params=p)
 
 
 def test_stopping_grid_guarantee_randomized():
@@ -370,7 +375,7 @@ def test_stopping_grid_guarantee_randomized():
         path = fundamental_path(rng.choice([-1, 1], size=n), p)
         eps = rng.uniform(0.1, 1.0)
         grid = stopping_grid(path, eps, p)
-        vals = path.value_at(grid / n)
+        vals = path[grid]
         for k in range(1, len(grid)):
             if grid[k] == grid[-1]:
                 continue  # capped stop carries no guarantee
@@ -393,7 +398,7 @@ def test_stopping_grid_matches_per_anchor_search():
                     # which triggers fired at the stops before the cap
                     time_hit = int(np.ceil(eps**2 * n * (1 - 1e-9)))
                     fired = {
-                        (abs(path.values[hi] - path.values[lo]) >= eps * (1 - 1e-9), hi - lo >= time_hit)
+                        (abs(path[hi] - path[lo]) >= eps * (1 - 1e-9), hi - lo >= time_hit)
                         for lo, hi in zip(idx[:-2], idx[1:-1])
                     }
                     if fired == {(True, False)}:
@@ -442,9 +447,8 @@ def test_discretize_single_interval_freezes_at_cap():
     grid = stopping_grid(path, epsilon=5.0, params=p)
     disc = discretize_path(path, grid, p)
     n_cap = int(np.floor(n * (1 - n ** (-2 / 3))))
-    assert disc.times.tolist() == [0.0, n_cap / n]
-    assert disc.value_at(0.0) == 2.0
-    assert disc.value_at(1.0) == path.value_at(n_cap / n)
+    assert grid.tolist() == [0, n_cap]
+    assert disc.tolist() == [2.0] * n_cap + [path[n_cap]] * (n + 1 - n_cap)
 
 
 def test_discretize_every_step_equals_path_up_to_cap():
@@ -455,8 +459,8 @@ def test_discretize_every_step_equals_path_up_to_cap():
     grid = stopping_grid(path, epsilon=p.step_vol, params=p)
     disc = discretize_path(path, grid, p)
     n_cap = grid[-1]
-    ts = np.arange(n_cap + 1) / n
-    assert np.allclose(disc.value_at(ts), path.value_at(ts))
+    assert np.array_equal(disc[: n_cap + 1], path[: n_cap + 1])
+    assert np.all(disc[n_cap:] == path[n_cap])
 
 
 def test_discretize_monotone_values():
@@ -464,12 +468,7 @@ def test_discretize_monotone_values():
     path = fundamental_path(np.ones(100, dtype=int), p)
     grid = stopping_grid(path, epsilon=0.3, params=p)
     disc = discretize_path(path, grid, p)
-    assert disc.value_at(0.0) == pytest.approx(0.0)
-    assert disc.value_at(0.031) == pytest.approx(0.3)
-    assert disc.value_at(0.059) == pytest.approx(0.3)
-    assert disc.value_at(0.061) == pytest.approx(0.6)
-
-
-def test_stepped_path_integral_and_csv():
-    sp = SteppedPath(times=np.array([0.0, 0.5]), values=np.array([1.0, 3.0]))
-    assert sp.integral() == pytest.approx(2.0)
+    assert disc[0] == pytest.approx(0.0)
+    assert disc[3] == pytest.approx(0.3)
+    assert disc[5] == pytest.approx(0.3)
+    assert disc[6] == pytest.approx(0.6)

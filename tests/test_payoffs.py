@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import all_paths, discretize_path, payoff_on_paths, replay_shocks, sup_distance
-from impactlab.market import MarketParams, SteppedPath, fundamental_path, stopping_grid
+from impactlab.market import MarketParams, fundamental_path, stopping_grid
 from impactlab.payoffs import PayoffSpec, evaluate_payoff, quadratic_claim
 
 
@@ -14,30 +14,31 @@ def mk(n=16, **kw):
     return MarketParams(**base)
 
 
-def sp(times, values):
-    return SteppedPath(times=np.asarray(times, float), values=np.asarray(values, float))
-
-
 def test_call_on_terminal():
-    assert evaluate_payoff(PayoffSpec("call", strike=0.0), sp([0.0, 0.5], [0.0, 2.0])) == 2.0
+    assert evaluate_payoff(PayoffSpec("call", strike=0.0), np.array([0.0, 2.0])) == 2.0
 
 
 def test_put_on_terminal():
-    assert evaluate_payoff(PayoffSpec("put", strike=1.0), sp([0.0], [0.25])) == 0.75
+    assert evaluate_payoff(PayoffSpec("put", strike=1.0), np.array([0.0, 0.25])) == 0.75
 
 
 def test_lookback_rise_then_fall():
-    path = sp([0.0, 0.3, 0.6], [0.0, 1.0, -0.5])
+    path = np.array([0.0, 1.0, -0.5])
     assert evaluate_payoff(PayoffSpec("lookback_max"), path) == 1.0
 
 
 def test_asian_constant_path():
-    assert evaluate_payoff(PayoffSpec("asian_mean", strike=0.0), sp([0.0], [1.0])) == 1.0
+    assert evaluate_payoff(PayoffSpec("asian_mean", strike=0.0), np.array([1.0, 1.0])) == 1.0
+
+
+def test_asian_average_is_mean_of_first_n_prices():
+    # each of the N first prices holds for 1/N; the last holds for no time
+    assert evaluate_payoff(PayoffSpec("asian_mean", strike=0.0), np.array([1.0, 3.0, 5.0])) == 2.0
 
 
 def test_custom_terminal_table():
     spec = PayoffSpec("custom_terminal", table=((-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)))
-    assert evaluate_payoff(spec, sp([0.0], [0.5])) == pytest.approx(0.5)
+    assert evaluate_payoff(spec, np.array([0.0, 0.5])) == pytest.approx(0.5)
 
 
 def test_custom_terminal_rejects_table_steeper_than_lipschitz():
@@ -77,7 +78,7 @@ def test_payoff_on_paths_matches_per_path_evaluation(spec):
         params = mk(n=n, p0=p0, sigma=1.3)
         rows = all_paths(n)
         oracle = np.array([evaluate_payoff(spec, fundamental_path(row, params)) for row in rows])
-        values = np.array([fundamental_path(row, params).values for row in rows])
+        values = np.array([fundamental_path(row, params) for row in rows])
         batch = payoff_on_paths(spec, values)
         assert batch.shape == (2**n,)
         if spec.kind == "asian_mean":
@@ -121,7 +122,7 @@ def test_claims_quadratic_time_only_for_huge_epsilon():
 
 def test_quadratic_claim_matches_discretized_path_formula():
     # The claim reads the stop values off the path; the oracle freezes the
-    # path into its own step path first.  Equal to the last bit.
+    # path on the N+1 grid first.  Equal to the last bit.
     rng = np.random.default_rng(31)
     checked = 0
     for r in (0.3, 1.0):
@@ -131,7 +132,7 @@ def test_quadratic_claim_matches_discretized_path_formula():
                 path = fundamental_path(shocks, p)
                 for eps in (0.01, 0.3, 2.0):
                     grid = stopping_grid(path, eps, p)
-                    stop_vals = discretize_path(path, grid, p).values
+                    stop_vals = discretize_path(path, grid, p)[grid]
                     expect = float(
                         np.max((stop_vals - p.p0) ** 2)
                         + np.sum(np.diff(stop_vals) ** 2)

@@ -538,7 +538,7 @@ def test_wealth_with_liquidation_matches_manual():
     shocks = [1, -1, 1]
     pos = np.array([0.9, -0.3, 0.7])
     base = terminal_wealth(pos, shocks, p)
-    prices = fundamental_path(shocks, p).values
+    prices = fundamental_path(shocks, p)
     z = p.zeta0
     decay = 1 - p.resilience
     for dx in np.abs(np.diff(np.concatenate([[p.x0], pos]))):
@@ -586,13 +586,12 @@ def _doob_positions_loop(strat, shocks, params):
     the vectorized plan)."""
     b, d, e = strat.meta["b"], strat.meta["d"], strat.meta["e"]
     n = params.n_steps
-    path = fundamental_path(shocks, params)
-    prices = path.values
+    prices = fundamental_path(shocks, params)
     p0 = params.p0
     pos = np.zeros(n)
     run_max = 0.0
     run_min = 0.0  # max of (p0 - P_tau_i), i.e. depth below the start
-    idx = stopping_indices_loop(path, strat.meta["epsilon"], params)
+    idx = stopping_indices_loop(prices, strat.meta["epsilon"], params)
     for k in range(1, len(idx)):
         lo, hi = idx[k - 1], idx[k]
         anchor = prices[lo] - p0
