@@ -44,7 +44,7 @@ from .market import (
     terminal_wealth,
 )
 from .payoffs import PayoffSpec
-from .pricing import DPGrids, superreplication_cost
+from .pricing import _RUNNING_SUM_MAX_N, DPGrids, superreplication_cost
 
 __all__ = ["ExperimentConfig", "ResultRow", "run_experiment", "convergence_table", "main"]
 
@@ -67,7 +67,7 @@ _DEFAULTS = {
     },
     "payoff": {"kind": "call", "strike": 0.0},
     "run": {"n_list": (8, 16, 32), "study_id": "default", "seed": 0},
-    "dp": {"n_x": 81, "n_zeta": 48, "frictionless": False},
+    "dp": {"n_x": 81, "n_zeta": 48},
     "dual": {"nu_values": (0.8, 1.0, 1.2), "exact_max_n": 12, "mc_paths": 20000},
     "hjb": {
         "n_space": 601,
@@ -99,13 +99,6 @@ def _parse(raw: str, default):
         if not items:
             raise ValueError("needs at least one value")
         return items
-    if isinstance(default, bool):
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
     return type(default)(raw)
 
 
@@ -362,11 +355,9 @@ def _identity_rows(cfg: ExperimentConfig, emit) -> list:
 def _primal_rows(cfg: ExperimentConfig, emit) -> list:
     spec = cfg.payoff()
     grids = cfg.dp_grids()
-    frictionless = cfg.get("dp", "frictionless")
     rows = []
     for n in cfg.get("run", "n_list"):
-        params = cfg.market(n)
-        res = superreplication_cost(params.frictionless() if frictionless else params, spec, grids)
+        res = superreplication_cost(cfg.market(n), spec, grids)
         rows.append(
             emit(
                 "primal_dp",
@@ -472,7 +463,6 @@ def run_experiment(config_path, mode, seed=None, no_cache=False, out_dir=".") ->
             f"payoff {spec.kind!r} is path-dependent: `impactlab limit` gives its Monte Carlo limit"
         )
 
-    os.makedirs(out_dir, exist_ok=True)
     store = os.path.join(out_dir, cfg.get("output", "results"))
     digest = cfg.digest()
 
@@ -483,6 +473,10 @@ def run_experiment(config_path, mode, seed=None, no_cache=False, out_dir=".") ->
     missing = [m for m in modes if m not in {r.mode for r in cached}]
     if not missing:
         return (2 if any(r.flag == "WARN" for r in cached) else 0), cached
+    # the asian's lattice caps the DP's horizon; bounds and limits have no cap
+    longest = max(cfg.get("run", "n_list"))
+    if "primal_dp" in missing and spec.kind == "asian_mean" and longest > _RUNNING_SUM_MAX_N:
+        raise ConfigError(f"[run] n_list: the asian_mean DP takes N <= {_RUNNING_SUM_MAX_N}, got N = {longest}")
 
     rows = []
 
@@ -504,6 +498,7 @@ def run_experiment(config_path, mode, seed=None, no_cache=False, out_dir=".") ->
         rows.append(row)
         return row
 
+    os.makedirs(out_dir, exist_ok=True)
     _check_store_tail(store)  # fail before the body computes rows it could not store
     t_prev = time.perf_counter()
     for m in missing:

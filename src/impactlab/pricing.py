@@ -78,6 +78,19 @@ _AUG_BY_KIND = {
 }
 
 
+# How a child's aux follows from its parent's level j and aux a and its own
+# level jj: 0 throughout, the running max, or the running sum of the levels
+# before each move.
+_AUX_STEP = {
+    "none": lambda j, a, jj: a,
+    "running_max": lambda j, a, jj: np.maximum(a, jj),
+    "running_sum": lambda j, a, jj: a + j,
+}
+# Largest horizon of the asian's (level, running sum) lattice: 15275 states
+# at N = 24 against 3213 at N = 16, each with a full position-spread table.
+_RUNNING_SUM_MAX_N = 24
+
+
 @dataclass
 class _Lattice:
     prices: list  # per depth: float array of node prices
@@ -85,68 +98,37 @@ class _Lattice:
     dn: list
     payoff: np.ndarray  # terminal payoff per depth-N node
     augmentation: str
-    states: Optional[list] = None  # per depth: (level, aux) int rows, augmented lattices only
+    states: Optional[list] = None  # per depth: (level, aux) int64 rows, sorted
 
 
 def _build_lattice(spec: PayoffSpec, params: MarketParams, augmentation: str = "auto") -> _Lattice:
-    """The payoff's price lattice: levels for a terminal payoff, (level,
-    running max) for the lookback, (level, running sum) for the asian.
+    """The payoff's price lattice: states (level j, aux a) at price p0 + s j,
+    with aux 0 for a terminal payoff, the running max for the lookback and
+    the running sum of the pre-move levels for the asian.
 
-    `augmentation` is unused but kept: perfbench/tests/test_spans.py calls
-    `_build_lattice(spec, params, "auto")`.
+    Each depth's children are one step over its parents' rows, merged and
+    sorted by `np.unique`, whose inverse gives the up and down child of
+    every parent.  `augmentation` is unused but kept:
+    perfbench/tests/test_spans.py calls `_build_lattice(spec, params, "auto")`.
     """
-    n = params.n_steps
-    s = params.step_vol
+    n, s = params.n_steps, params.step_vol
     aug = _AUG_BY_KIND[spec.kind]
-
-    if aug == "none":
-        prices = [params.p0 + s * (2.0 * np.arange(d + 1) - d) for d in range(n + 1)]
-        up = [np.arange(d + 1) + 1 for d in range(n)]
-        dn = [np.arange(d + 1) for d in range(n)]
-        payoff = spec.terminal_fn(prices[n])
-        return _Lattice(prices, up, dn, np.asarray(payoff, float), aug)
-
-    if aug == "running_sum" and n > 24:
-        raise ValueError("running_sum lattice limited to n_steps <= 24")
-    states = [[(0, 0)]]  # (level j, aux)
-    for d in range(n):
-        seen = {}
-        nxt = []
-        for (j, a) in states[d]:
-            for dj in (1, -1):
-                jj = j + dj
-                aa = max(a, jj) if aug == "running_max" else a + j
-                key = (jj, aa)
-                if key not in seen:
-                    seen[key] = len(nxt)
-                    nxt.append(key)
+    if aug == "running_sum" and n > _RUNNING_SUM_MAX_N:
+        raise ValueError(f"running_sum lattice limited to n_steps <= {_RUNNING_SUM_MAX_N}")
+    step = _AUX_STEP[aug]
+    states = [np.zeros((1, 2), dtype=np.int64)]
+    up, dn = [], []
+    for _ in range(n):
+        j, a = states[-1].T
+        kids = np.concatenate([np.stack([jj, step(j, a, jj)], axis=1) for jj in (j + 1, j - 1)])
+        nxt, inverse = np.unique(kids, axis=0, return_inverse=True)
+        u, w = inverse.reshape(2, -1)
+        up.append(u)
+        dn.append(w)
         states.append(nxt)
-    index = [None] * (n + 1)
-    for d in range(n + 1):
-        index[d] = {st: i for i, st in enumerate(states[d])}
-    prices, up, dn = [], [], []
-    for d in range(n + 1):
-        prices.append(params.p0 + s * np.array([j for (j, _) in states[d]], float))
-        if d < n:
-            u = np.empty(len(states[d]), dtype=int)
-            w = np.empty(len(states[d]), dtype=int)
-            for i, (j, a) in enumerate(states[d]):
-                if aug == "running_max":
-                    u[i] = index[d + 1][(j + 1, max(a, j + 1))]
-                    w[i] = index[d + 1][(j - 1, max(a, j - 1))]
-                else:
-                    u[i] = index[d + 1][(j + 1, a + j)]
-                    w[i] = index[d + 1][(j - 1, a + j)]
-            up.append(u)
-            dn.append(w)
-    states = [np.array(st, dtype=np.int64).reshape(-1, 2) for st in states]
+    prices = [params.p0 + s * st[:, 0].astype(float) for st in states]
     aux = states[n][:, 1].astype(float)
-    payoff = payoff_from_summaries(
-        spec,
-        terminal=prices[n],
-        rise=s * aux if aug == "running_max" else None,
-        average=params.p0 + s * aux / n if aug == "running_sum" else None,
-    )
+    payoff = payoff_from_summaries(spec, terminal=prices[n], rise=s * aux, average=params.p0 + s * aux / n)
     return _Lattice(prices, up, dn, payoff, aug, states)
 
 
@@ -624,7 +606,8 @@ def certificate_check(
     the DP's scan, tabulated per grid state, has no entry.  Trades are
     chosen on the DP's objective at iota = 0 and paid with the true iota.
     `params` is the market the DP priced, its `frictionless()` copy
-    included.
+    included.  `spec` is unused, since the kept lattice holds the payoff;
+    it stays because perfbench/workloads.py passes it positionally.
     """
     if result.policy is None:
         raise ValueError("price result was computed without keep_policy=True")

@@ -54,13 +54,14 @@ nu_sq_max = 4.0
 
 
 def test_config_rejects_unknown_key(tmp_path):
-    # [dp] augmentation, x_max and refine, [market] xi0, [run] mode and [mc]
-    # family were keys once: a config naming them stops
+    # [dp] augmentation, x_max, refine and frictionless, [market] xi0, [run]
+    # mode and [mc] family were keys once: a config naming them stops
     for after, line, key in (
         ("depth = 1.0", "bogus = 1", "bogus"),
         ("n_x = 41", "augmentation = auto", "augmentation"),
         ("n_x = 41", "x_max = 4", "x_max"),
         ("n_x = 41", "refine = true", "refine"),
+        ("n_x = 41", "frictionless = true", "frictionless"),
         ("depth = 1.0", "xi0 = 1.0", "xi0"),
         ("seed = 42", "mode = limit_mc", "mode"),
         ("nu_sq_max = 4.0", "[mc]\nfamily = constant", "family"),
@@ -214,17 +215,6 @@ def test_identity_suite_passes(tmp_path):
     assert code == 0
     assert {r.label for r in rows} == {"spread", "kappa", "wealth", "walk_square"}
     assert all(r.flag == "" for r in rows)
-
-
-def test_primal_frictionless_call_row(tmp_path):
-    body = BASE.replace("n_list = 2 3", "n_list = 2").replace(
-        "sigma = 1.0", "sigma = 1.4142135623730951"
-    )
-    body = body.replace("n_zeta = 48", "n_zeta = 48\nfrictionless = true")
-    cfg = write_cfg(tmp_path, body)
-    code, rows = run_experiment(cfg, mode="primal_dp", out_dir=str(tmp_path / "out"))
-    assert code == 0
-    assert rows[0].value == pytest.approx(0.5, abs=1e-3)
 
 
 def test_study_rows_and_table(tmp_path):
@@ -428,6 +418,23 @@ def test_torn_store_fails_before_the_body_runs(tmp_path, monkeypatch):
     with pytest.raises(ConfigError, match="torn row"):
         run_experiment(cfg, mode="primal_dp", no_cache=True, out_dir=str(out))
     assert calls == []
+
+
+def test_asian_price_past_the_lattice_cap_fails_before_any_row(tmp_path, capsys, monkeypatch):
+    # the N=4 row was once computed and then lost to a traceback at N=32
+    from impactlab.pricing import _RUNNING_SUM_MAX_N
+
+    body = BASE.replace("kind = call", "kind = asian_mean").replace(
+        "n_list = 2 3", f"n_list = 4 {_RUNNING_SUM_MAX_N + 1}"
+    )
+    cfg = write_cfg(tmp_path, body)
+    out = tmp_path / "out"
+    calls = []
+    monkeypatch.setattr(cli, "superreplication_cost", lambda *args, **kwargs: calls.append(args))
+    assert main(["price", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [run] n_list") and f"N <= {_RUNNING_SUM_MAX_N}" in err
+    assert calls == [] and not out.exists()
 
 
 SMOKE = BASE.replace("n_space = 201", "n_space = 101").replace(

@@ -14,6 +14,7 @@ from helpers import (
     brute_force_cost,
     crr_price,
     interp_weights,
+    payoff_on_paths,
     replay_shocks,
     stopping_indices_loop,
 )
@@ -654,6 +655,56 @@ def test_strategy_positions_reject_non_flat_plan():
 
 
 # -- path-dependent lattices ---------------------------------------------------
+
+
+def _aux_after(kind, j, a, jj):
+    """The aux of a state at level jj reached from (j, a), by the payoff's
+    definition: the running max, the sum of the levels before each move,
+    or nothing for a terminal payoff."""
+    if kind == "lookback_max":
+        return max(a, jj)
+    if kind == "asian_mean":
+        return a + j
+    return 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [PayoffSpec("call", strike=0.1), PayoffSpec("put", strike=-0.2), PayoffSpec("lookback_max"),
+     PayoffSpec("asian_mean", strike=0.1), ABS_CALL],
+    ids=lambda spec: spec.kind,
+)
+def test_lattice_states_children_prices_and_payoffs(spec):
+    for n in range(1, 11):
+        p = mk(n=n, p0=0.3, sigma=1.3)
+        s = p.step_vol
+        lattice = pricing._build_lattice(spec, p)
+        assert len(lattice.states) == len(lattice.prices) == n + 1 and len(lattice.up) == len(lattice.dn) == n
+        for d, states in enumerate(lattice.states):
+            # the states of depth d are exactly those some d-step path reaches
+            reached = set()
+            for shocks in all_paths(d):
+                levels = np.concatenate([[0], np.cumsum(shocks)])
+                aux = 0
+                for j, jj in zip(levels[:-1], levels[1:]):
+                    aux = _aux_after(spec.kind, j, aux, jj)
+                reached.add((int(levels[-1]), int(aux)))
+            rows = {tuple(map(int, row)) for row in states}
+            assert rows == reached and len(states) == len(rows)
+            assert np.array_equal(lattice.prices[d], p.p0 + s * states[:, 0])
+            if not spec.path_dependent:
+                assert lattice.prices[d].tobytes() == (p.p0 + s * (2.0 * np.arange(d + 1) - d)).tobytes()
+            if d < n:
+                for (j, a), u, w in zip(states, lattice.up[d], lattice.dn[d]):
+                    assert tuple(lattice.states[d + 1][u]) == (j + 1, _aux_after(spec.kind, j, a, j + 1))
+                    assert tuple(lattice.states[d + 1][w]) == (j - 1, _aux_after(spec.kind, j, a, j - 1))
+        # walked through up/dn, every path ends at a node paying its payoff
+        shocks = all_paths(n)
+        node = np.zeros(len(shocks), dtype=np.int64)
+        for d in range(n):
+            node = np.where(shocks[:, d] == 1, lattice.up[d][node], lattice.dn[d][node])
+        paths = np.array([fundamental_path(row, p) for row in shocks])
+        np.testing.assert_allclose(lattice.payoff[node], payoff_on_paths(spec, paths), rtol=0, atol=1e-12)
 
 
 def test_asian_dp_frictionless_matches_path_average_oracle():
