@@ -293,6 +293,10 @@ class PolicyFamily:
     thetas: list
     variance: Callable[[float, float, np.ndarray], np.ndarray]
 
+    def __post_init__(self):
+        if not self.thetas:
+            raise ValueError("thetas must not be empty")
+
 
 def constant_family(values) -> PolicyFamily:
     def variance(theta, t, p):
@@ -316,8 +320,20 @@ def hjb_feedback_family(result: HJBResult, scales, sigma_sq: float) -> PolicyFam
 @dataclass
 class MCConfig:
     n_paths: int = 20000
-    n_steps: int = 128
+    n_steps: int = 128  # the step-halving check runs n_steps // 2 steps
     seed: int = 0
+
+    def __post_init__(self):
+        if self.n_paths < 1:
+            raise ValueError("n_paths must be >= 1")
+        if self.n_steps < 2:
+            raise ValueError("n_steps must be >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
+
+# Bytes of the one buffer that takes the normal draw, a block of paths at a time
+_DRAW_BLOCK_BYTES = 1 << 20
 
 
 def limit_value_mc(problem: LimitProblem, family: PolicyFamily, cfg: MCConfig | None = None) -> dict:
@@ -326,19 +342,37 @@ def limit_value_mc(problem: LimitProblem, family: PolicyFamily, cfg: MCConfig | 
     Simulates the controlled diffusion by Euler steps under common random
     numbers for all parameter choices, picks the best estimate, and reports
     a step-halving bias diagnostic for the winner.
+
+    The noise is one (n_paths, 2 n_steps) standard normal draw.  Runs of
+    stride = 2 n_steps // m consecutive normals, summed and divided by
+    sqrt(stride), drive the m = n_steps fine and m = n_steps // 2 coarse
+    steps, so both runs share noise.  The draw is taken a block of paths at
+    a time into one buffer of about `_DRAW_BLOCK_BYTES`, so the call holds
+    the time-major fine and coarse normals plus one block: 1.5 n_paths
+    n_steps doubles, where the whole draw would add 2 n_paths n_steps.  Row
+    blocks of one Generator are the rows of the single draw, and each sum
+    runs left to right as numpy's axis sum does, so every normal and every
+    estimate is the single draw's to the last bit.
     """
     cfg = cfg or MCConfig()
+    n_paths, n_fine = cfg.n_paths, cfg.n_steps
+    n_coarse = n_fine // 2
     rng = np.random.default_rng(cfg.seed)
-    z = rng.standard_normal((cfg.n_paths, 2 * cfg.n_steps))
-
-    def noise(n_steps):
-        """The fine-grained normals aggregated to n_steps steps, so coarse
-        and fine runs share noise; time-major, one contiguous row per step."""
-        stride = (2 * cfg.n_steps) // n_steps
-        zz = np.empty((n_steps, cfg.n_paths))
-        z[:, : stride * n_steps].reshape(cfg.n_paths, n_steps, stride).sum(axis=2, out=zz.T)
-        zz /= math.sqrt(stride)
-        return zz
+    fine = np.empty((n_fine, n_paths))
+    coarse = np.empty((n_coarse, n_paths))
+    rows = min(n_paths, max(1, _DRAW_BLOCK_BYTES // (2 * n_fine * 8)))
+    block = np.empty((rows, 2 * n_fine))
+    for lo in range(0, n_paths, rows):
+        z = block[: n_paths - lo]
+        rng.standard_normal(out=z)
+        for zz, n_steps in ((fine, n_fine), (coarse, n_coarse)):
+            stride = (2 * n_fine) // n_steps
+            parts = z[:, : stride * n_steps].reshape(len(z), n_steps, stride)
+            out = zz[:, lo : lo + len(z)].T
+            np.copyto(out, parts[:, :, 0])
+            for k in range(1, stride):
+                out += parts[:, :, k]
+            out /= math.sqrt(stride)
 
     def run(theta, zz):
         n_steps = len(zz)
@@ -358,12 +392,10 @@ def limit_value_mc(problem: LimitProblem, family: PolicyFamily, cfg: MCConfig | 
         vals = h - penalty
         return float(np.mean(vals)), float(np.std(vals) / math.sqrt(cfg.n_paths))
 
-    fine = noise(cfg.n_steps)
     results = {theta: run(theta, fine) for theta in family.thetas}
-    del fine  # freed before the coarse rows are built
     best_theta = max(results, key=lambda th: results[th][0])
     est, se = results[best_theta]
-    coarse_est, _ = run(best_theta, noise(cfg.n_steps // 2))
+    coarse_est, _ = run(best_theta, coarse)
     return {
         "value": est - problem.endowment,
         "std_error": se,

@@ -1,15 +1,18 @@
 """HJB solver (against the unfused scheme and the fused per-step-clip loop), Bachelier oracle and policy-search MC."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import bachelier_reference, fused_hjb
 from impactlab.limits import (
+    _DRAW_BLOCK_BYTES,
     HJBGrid,
     LimitProblem,
     MCConfig,
+    PolicyFamily,
     constant_family,
     hjb_feedback_family,
     hjb_value,
@@ -225,6 +228,52 @@ def test_mc_matches_per_theta_noise_loop():
     ):
         cfg = MCConfig(n_paths=2000, n_steps=n_steps, seed=4)
         assert repr(limit_value_mc(prob, fam, cfg)) == repr(_reference_mc(prob, fam, cfg))
+
+
+@pytest.mark.parametrize("n_steps", [2, 32, 37])
+@pytest.mark.parametrize("family", ["hjb_feedback", "constant"])
+def test_mc_blocks_match_the_single_draw_at_block_edges(n_steps, family):
+    prob = LimitProblem(payoff=PayoffSpec("lookback_max"), penalty_c=0.3, sigma_sq=1.0, nu_sq_max=4.0, p0=0.2)
+    if family == "constant":
+        fam = constant_family([0.9, 1.1])
+    else:
+        call = LimitProblem(payoff=PayoffSpec("call", strike=0.2), penalty_c=0.3, sigma_sq=1.0, nu_sq_max=4.0, p0=0.2)
+        fam = hjb_feedback_family(hjb_value(call, HJBGrid(n_space=101), keep_control=True), (0.8, 1.2), 1.0)
+    width = _DRAW_BLOCK_BYTES // (2 * n_steps * 8)  # paths per block of the draw
+    for n_paths in (1, width - 1, width, width + 1, 2 * width + 3):
+        cfg = MCConfig(n_paths=n_paths, n_steps=n_steps, seed=5)
+        assert repr(limit_value_mc(prob, fam, cfg)) == repr(_reference_mc(prob, fam, cfg)), n_paths
+
+
+def test_mc_holds_the_fine_and_coarse_normals_not_the_whole_draw():
+    # 1.5 paths x steps doubles of noise plus one block; the whole
+    # (paths, 2 steps) draw would add another 2 x paths x steps doubles
+    n_paths, n_steps = 20000, 64
+    prob = LimitProblem(payoff=PayoffSpec("lookback_max"), penalty_c=0.3, sigma_sq=1.0)
+    cfg = MCConfig(n_paths=n_paths, n_steps=n_steps, seed=1)
+    tracemalloc.start()
+    try:
+        limit_value_mc(prob, constant_family([1.0]), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n_paths * n_steps * 8 + 4 * 2**20
+
+
+@pytest.mark.parametrize("name, bad", [("n_paths", 0), ("n_paths", -3), ("n_steps", 1), ("n_steps", 0), ("seed", -1)])
+def test_mc_config_rejects_invalid_fields(name, bad):
+    # n_steps = 1 once died with a ZeroDivisionError in the coarse run, and
+    # n_paths = 0 returned NaNs with RuntimeWarnings
+    with pytest.raises(ValueError, match=name):
+        MCConfig(**{name: bad})
+
+
+def test_policy_family_rejects_empty_thetas():
+    # once failed on max() of an empty sequence inside limit_value_mc
+    with pytest.raises(ValueError, match="thetas"):
+        constant_family([])
+    with pytest.raises(ValueError, match="thetas"):
+        PolicyFamily(name="none", thetas=[], variance=lambda theta, t, p: p)
 
 
 def test_control_reads_like_np_interp_to_the_last_bit():
