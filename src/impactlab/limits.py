@@ -186,14 +186,17 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
     cap_hits = 0
     clipped_steps = 0
     # control snapshots and tripwire tests on a thinned time grid (at most
-    # ~257 slices)
+    # ~257 slices): every step that is a multiple of stride, the table
+    # filled from the end so its times ascend
     stride = max(1, n_t // 256)
-    snaps = []
+    n_snaps = (n_t - 1) // stride + 1 if keep_control else 0
+    times = np.empty(n_snaps)
+    tables = np.full((n_snaps, n_sp), s2)
 
     def snapshot(step):
-        a_star = np.full(n_sp, s2)
-        add(u, s2, a_star[1:-1])
-        snaps.append((1.0 - (step + 1) * dt, a_star))
+        i = n_snaps - 1 - step // stride
+        times[i] = 1.0 - (step + 1) * dt
+        add(u, s2, tables[i, 1:-1])
 
     clip_free_from = n_t
     for step in range(n_t):
@@ -245,8 +248,6 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
 
     control = None
     if keep_control:
-        times = np.array([t for t, _ in snaps][::-1])
-        tables = np.array([a for _, a in snaps][::-1])
         upper = np.append(p_ax[1:], np.inf)  # right node of each cell
         widths = np.diff(p_ax)
         inv_dp = 1.0 / dp
@@ -257,15 +258,22 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
             or before t, flat outside the axis.  The uniform axis gives the
             cell by one product, biased low by far more than its rounding,
             and one comparison with the real node corrects it."""
-            row = tables[np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 1)]
+            row = tables[min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), n_snaps - 1)]
             # np.interp's slopes, built per call as it does (one row is
             # cheap; a table per snapshot would double the kept control),
             # and 0 past the last node so the end node reads its own value
             slopes = np.append((row[1:] - row[:-1]) / widths, 0.0)
-            x = np.clip(p, p_ax[0], p_ax[-1])
-            j = ((x - p_ax[0]) * inv_dp - 1e-6).astype(np.int64)
+            x = np.minimum(np.maximum(p, p_ax[0]), p_ax[-1])
+            f = x - p_ax[0]
+            f *= inv_dp
+            f -= 1e-6
+            j = f.astype(np.int64)
             j += x >= upper[j]
-            return slopes[j] * (x - p_ax[j]) + row[j]
+            # slopes[j] * (x - p_ax[j]) + row[j], in place
+            f = x - p_ax[j]
+            f *= slopes[j]
+            f += row[j]
+            return f
 
     return HJBResult(
         value=value,
@@ -285,13 +293,18 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
 class PolicyFamily:
     """Parameterized feedback variance a(t, p; theta) >= 0.
 
-    `variance(theta, t, p)` maps a time and an array of current prices to
-    the controlled variance of each path.
+    `variance(theta, t, p)` steps every theta of the family at once: theta
+    is the (k, 1) column of the k thetas, t a time and p the (k, b) array
+    of current prices, row i on theta i.  It returns the controlled
+    variance of each path as an array that broadcasts to (k, b): a policy
+    that ignores the price may return the (k, 1) column.  Each entry must
+    depend on its own theta and price only, so a row is the same bits
+    whatever the other rows hold.
     """
 
     name: str
     thetas: list
-    variance: Callable[[float, float, np.ndarray], np.ndarray]
+    variance: Callable[[np.ndarray, float, np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if not self.thetas:
@@ -300,7 +313,9 @@ class PolicyFamily:
 
 def constant_family(values) -> PolicyFamily:
     def variance(theta, t, p):
-        return np.full_like(p, float(theta) ** 2)
+        # float_power calls pow() as Python's float ** 2 does; theta ** 2
+        # multiplies, which differs from it in the last bit for ~0.1% of thetas
+        return np.float_power(theta, 2.0)
 
     return PolicyFamily(name="constant", thetas=list(values), variance=variance)
 
@@ -332,7 +347,10 @@ class MCConfig:
             raise ValueError("seed must be >= 0")
 
 
-# Bytes of the one buffer that takes the normal draw, a block of paths at a time
+# Bytes of the fine plus coarse normals of one block of paths, which the
+# Monte Carlo draws and runs before it draws the next
+_PATH_BLOCK_BYTES = 1 << 21
+# Bytes of the one buffer that takes the normal draw, a sub-block of paths at a time
 _DRAW_BLOCK_BYTES = 1 << 20
 
 
@@ -346,56 +364,99 @@ def limit_value_mc(problem: LimitProblem, family: PolicyFamily, cfg: MCConfig | 
     The noise is one (n_paths, 2 n_steps) standard normal draw.  Runs of
     stride = 2 n_steps // m consecutive normals, summed and divided by
     sqrt(stride), drive the m = n_steps fine and m = n_steps // 2 coarse
-    steps, so both runs share noise.  The draw is taken a block of paths at
-    a time into one buffer of about `_DRAW_BLOCK_BYTES`, so the call holds
-    the time-major fine and coarse normals plus one block: 1.5 n_paths
-    n_steps doubles, where the whole draw would add 2 n_paths n_steps.  Row
-    blocks of one Generator are the rows of the single draw, and each sum
-    runs left to right as numpy's axis sum does, so every normal and every
-    estimate is the single draw's to the last bit.
+    steps, so both runs share noise.  The paths run a block at a time.  A
+    block's time-major fine and coarse normals take about
+    `_PATH_BLOCK_BYTES`; they are drawn a sub-block of paths at a time into
+    one buffer of about `_DRAW_BLOCK_BYTES`.  Every theta of the family
+    then steps through the block's fine run, and then its coarse run, as
+    the rows of (k, block) arrays, so the step-halving check needs no second
+    draw.  The call holds the two buffers, the per-path values of every
+    theta's fine and coarse run (2 k n_paths doubles) and O(k block) run
+    state, so its memory grows with k n_paths but not with n_steps (a
+    block is one path, hence more than `_PATH_BLOCK_BYTES`, only beyond
+    ~175000 steps).  Row blocks of one Generator are the rows of the single
+    draw, each sum runs left to right as numpy's axis sum does, every
+    path's arithmetic is elementwise and each estimate is np.mean / np.std
+    of one theta's row of n_paths values, so every estimate is the one of
+    the whole draw run one theta at a time, to the last bit.
     """
     cfg = cfg or MCConfig()
     n_paths, n_fine = cfg.n_paths, cfg.n_steps
     n_coarse = n_fine // 2
+    thetas = np.array(family.thetas, dtype=float)[:, None]
+    kind = problem.payoff.kind
     rng = np.random.default_rng(cfg.seed)
-    fine = np.empty((n_fine, n_paths))
-    coarse = np.empty((n_coarse, n_paths))
-    rows = min(n_paths, max(1, _DRAW_BLOCK_BYTES // (2 * n_fine * 8)))
-    block = np.empty((rows, 2 * n_fine))
-    for lo in range(0, n_paths, rows):
-        z = block[: n_paths - lo]
-        rng.standard_normal(out=z)
-        for zz, n_steps in ((fine, n_fine), (coarse, n_coarse)):
-            stride = (2 * n_fine) // n_steps
-            parts = z[:, : stride * n_steps].reshape(len(z), n_steps, stride)
-            out = zz[:, lo : lo + len(z)].T
-            np.copyto(out, parts[:, :, 0])
-            for k in range(1, stride):
-                out += parts[:, :, k]
-            out /= math.sqrt(stride)
+    width = min(n_paths, max(1, _PATH_BLOCK_BYTES // ((n_fine + n_coarse) * 8)))
+    rows = min(width, max(1, _DRAW_BLOCK_BYTES // (2 * n_fine * 8)))
+    draw = np.empty((rows, 2 * n_fine))
+    noise = (np.empty((n_fine, width)), np.empty((n_coarse, width)))
+    values = np.empty((2, len(thetas), n_paths))  # payoff minus penalty: fine, coarse
 
-    def run(theta, zz):
-        n_steps = len(zz)
-        dt = 1.0 / n_steps
-        p = np.full(cfg.n_paths, problem.p0)
-        run_max = np.full(cfg.n_paths, problem.p0)
-        run_avg = np.zeros(cfg.n_paths)
-        penalty = np.zeros(cfg.n_paths)
-        for j in range(n_steps):
-            t = j * dt
-            a = np.clip(family.variance(theta, t, p), 0.0, problem.nu_sq_max)
-            penalty += problem.penalty_c * (a - problem.sigma_sq) ** 2 * dt
-            run_avg += p * dt
-            p = p + np.sqrt(a * dt) * zz[j]
-            run_max = np.maximum(run_max, p)
-        h = payoff_from_summaries(problem.payoff, terminal=p, rise=run_max - problem.p0, average=run_avg)
-        vals = h - penalty
-        return float(np.mean(vals)), float(np.std(vals) / math.sqrt(cfg.n_paths))
+    def fill(b):
+        """Draws the next b paths' normals into the first b columns of the noise."""
+        for lo in range(0, b, rows):
+            z = draw[: min(rows, b - lo)]
+            rng.standard_normal(out=z)
+            for zz in noise:
+                n_steps = len(zz)
+                stride = (2 * n_fine) // n_steps
+                parts = z[:, : stride * n_steps].reshape(len(z), n_steps, stride)
+                out = zz[:, lo : lo + len(z)].T
+                np.copyto(out, parts[:, :, 0])
+                for k in range(1, stride):
+                    out += parts[:, :, k]
+                out /= math.sqrt(stride)
 
-    results = {theta: run(theta, fine) for theta in family.thetas}
+    def run(zz, vals):
+        """Steps every theta over the block's paths on the noise zz, writing
+        each path's payoff minus penalty into vals."""
+        dt = 1.0 / len(zz)
+        p = np.full(vals.shape, problem.p0)
+        # only the summary the payoff reads is kept
+        run_max = p.copy() if kind == "lookback_max" else None
+        run_avg = np.zeros(vals.shape) if kind == "asian_mean" else None
+        step = np.empty(vals.shape)
+        penalty = np.zeros((len(thetas), 1))
+        # A step costs ufunc calls more than arithmetic, so it works in
+        # place; each op is one of a = clip(variance, 0, nu_sq_max),
+        # penalty += c (a - sigma^2)^2 dt and p += sqrt(a dt) z, in order
+        # (the operands of a product commute to the bit).
+        for j in range(len(zz)):
+            # np.clip's bits (0.0 first, so -0.0 clips to 0.0) without its
+            # Python wrapper
+            a = np.maximum(0.0, family.variance(thetas, j * dt, p))
+            np.minimum(a, problem.nu_sq_max, out=a)
+            d = a - problem.sigma_sq
+            d *= d
+            d *= problem.penalty_c
+            d *= dt
+            penalty = penalty + d
+            if run_avg is not None:
+                np.multiply(p, dt, out=step)
+                run_avg += step
+            a *= dt
+            np.sqrt(a, out=a)
+            np.multiply(a, zz[j], out=step)
+            p += step
+            if run_max is not None:
+                np.maximum(run_max, p, out=run_max)
+        rise = run_max - problem.p0 if run_max is not None else None
+        h = payoff_from_summaries(problem.payoff, terminal=p, rise=rise, average=run_avg)
+        np.subtract(h, penalty, out=vals)
+
+    for lo in range(0, n_paths, width):
+        b = min(width, n_paths - lo)
+        fill(b)
+        for zz, vals in zip(noise, values):
+            run(zz[:, :b], vals[:, lo : lo + b])
+
+    fine, coarse = values
+    results = {
+        th: (float(np.mean(v)), float(np.std(v) / math.sqrt(n_paths))) for th, v in zip(family.thetas, fine)
+    }
     best_theta = max(results, key=lambda th: results[th][0])
     est, se = results[best_theta]
-    coarse_est, _ = run(best_theta, coarse)
+    coarse_est = float(np.mean(coarse[family.thetas.index(best_theta)]))
     return {
         "value": est - problem.endowment,
         "std_error": se,
@@ -404,4 +465,3 @@ def limit_value_mc(problem: LimitProblem, family: PolicyFamily, cfg: MCConfig | 
         "step_halving_bias": est - coarse_est,
         "all": {th: v[0] - problem.endowment for th, v in results.items()},
     }
-

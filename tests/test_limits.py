@@ -9,6 +9,7 @@ import pytest
 from helpers import bachelier_reference, fused_hjb
 from impactlab.limits import (
     _DRAW_BLOCK_BYTES,
+    _PATH_BLOCK_BYTES,
     HJBGrid,
     LimitProblem,
     MCConfig,
@@ -230,34 +231,90 @@ def test_mc_matches_per_theta_noise_loop():
         assert repr(limit_value_mc(prob, fam, cfg)) == repr(_reference_mc(prob, fam, cfg))
 
 
+def _feedback_family(scales):
+    call = LimitProblem(payoff=PayoffSpec("call", strike=0.2), penalty_c=0.3, sigma_sq=1.0, nu_sq_max=4.0, p0=0.2)
+    return hjb_feedback_family(hjb_value(call, HJBGrid(n_space=101), keep_control=True), scales, 1.0)
+
+
 @pytest.mark.parametrize("n_steps", [2, 32, 37])
 @pytest.mark.parametrize("family", ["hjb_feedback", "constant"])
 def test_mc_blocks_match_the_single_draw_at_block_edges(n_steps, family):
     prob = LimitProblem(payoff=PayoffSpec("lookback_max"), penalty_c=0.3, sigma_sq=1.0, nu_sq_max=4.0, p0=0.2)
-    if family == "constant":
-        fam = constant_family([0.9, 1.1])
-    else:
-        call = LimitProblem(payoff=PayoffSpec("call", strike=0.2), penalty_c=0.3, sigma_sq=1.0, nu_sq_max=4.0, p0=0.2)
-        fam = hjb_feedback_family(hjb_value(call, HJBGrid(n_space=101), keep_control=True), (0.8, 1.2), 1.0)
-    width = _DRAW_BLOCK_BYTES // (2 * n_steps * 8)  # paths per block of the draw
+    fam = constant_family([0.9, 1.1]) if family == "constant" else _feedback_family((0.8, 1.2))
+    width = _PATH_BLOCK_BYTES // ((n_steps + n_steps // 2) * 8)  # paths per block of fine plus coarse noise
     for n_paths in (1, width - 1, width, width + 1, 2 * width + 3):
         cfg = MCConfig(n_paths=n_paths, n_steps=n_steps, seed=5)
         assert repr(limit_value_mc(prob, fam, cfg)) == repr(_reference_mc(prob, fam, cfg)), n_paths
 
 
-def test_mc_holds_the_fine_and_coarse_normals_not_the_whole_draw():
-    # 1.5 paths x steps doubles of noise plus one block; the whole
-    # (paths, 2 steps) draw would add another 2 x paths x steps doubles
-    n_paths, n_steps = 20000, 64
+@pytest.mark.parametrize("family", ["hjb_feedback", "constant"])
+def test_mc_theta_rows_do_not_see_each_other(family):
+    # each theta's row of the batched run is the run of that theta alone,
+    # to the last bit, and so are the winner's error and step-halving bias
+    prob = LimitProblem(payoff=PayoffSpec("asian_mean", strike=0.1), penalty_c=0.3, sigma_sq=1.0, p0=0.2)
+    make = constant_family if family == "constant" else _feedback_family
+    cfg = MCConfig(n_paths=3001, n_steps=33, seed=9)
+    out = limit_value_mc(prob, make([0.8, 1.0, 1.2]), cfg)
+    for theta in (0.8, 1.0, 1.2):
+        alone = limit_value_mc(prob, make([theta]), cfg)
+        assert repr(out["all"][theta]) == repr(alone["value"]), theta
+        if theta == out["theta"]:
+            assert repr((out["std_error"], out["step_halving_bias"])) == repr(
+                (alone["std_error"], alone["step_halving_bias"])
+            )
+
+
+def test_control_on_a_price_table_reads_row_by_row():
+    res = hjb_value(
+        LimitProblem(payoff=PayoffSpec("call", strike=0.0), penalty_c=0.1, sigma_sq=1.0, nu_sq_max=4.0, p0=0.3),
+        HJBGrid(n_space=201),
+        keep_control=True,
+    )
+    pa = res.p_axis
+    p = np.random.default_rng(2).uniform(pa[0] - 1.0, pa[-1] + 1.0, (3, 517))
+    p[1, :201] = pa  # nodes, and flat outside the axis
+    for t in (0.0, 0.41, 1.0):
+        table = res.control(t, p)
+        assert table.shape == p.shape
+        assert np.array_equal(table, np.array([res.control(t, row) for row in p]))
+
+
+def _mc_peak(n_paths, n_steps, thetas):
     prob = LimitProblem(payoff=PayoffSpec("lookback_max"), penalty_c=0.3, sigma_sq=1.0)
-    cfg = MCConfig(n_paths=n_paths, n_steps=n_steps, seed=1)
+    limit_value_mc(prob, constant_family(thetas), MCConfig(n_paths=1, n_steps=2))  # one-time imports
     tracemalloc.start()
     try:
-        limit_value_mc(prob, constant_family([1.0]), cfg)
+        limit_value_mc(prob, constant_family(thetas), MCConfig(n_paths=n_paths, n_steps=n_steps, seed=1))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mc_holds_the_fine_and_coarse_normals_not_the_whole_draw():
+    # one block of noise and the draw buffer, every theta's fine and coarse
+    # per-path values, and run state of a few (thetas, block) arrays; the
+    # time-major noise of every path would add 1.5 x paths x steps doubles
+    n_paths, thetas = 20000, [0.8, 1.0, 1.2]
+    block = _PATH_BLOCK_BYTES + _DRAW_BLOCK_BYTES
+    peaks = [_mc_peak(n_paths, n_steps, thetas) for n_steps in (64, 256)]
+    assert max(peaks) < block + 2 * len(thetas) * n_paths * 8 + 2**20
+    # and the peak does not grow with the steps
+    assert abs(peaks[0] - peaks[1]) < 2**20
+
+
+def test_kept_control_is_one_table():
+    # the snapshots go straight into their table, with no list of rows
+    # copied into it at the end
+    prob = LimitProblem(payoff=PayoffSpec("call", strike=0.0), penalty_c=0.1, sigma_sq=1.0, nu_sq_max=4.0)
+    grid = HJBGrid(n_space=601)
+    tracemalloc.start()
+    try:
+        hjb_value(prob, grid, keep_control=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * n_paths * n_steps * 8 + 4 * 2**20
+    table = 257 * 601 * 8  # at most ~257 snapshots of the 601 nodes
+    assert table < peak < 1.5 * table
 
 
 @pytest.mark.parametrize("name, bad", [("n_paths", 0), ("n_paths", -3), ("n_steps", 1), ("n_steps", 0), ("seed", -1)])
