@@ -23,13 +23,7 @@ from .pricing import (
     doob_quadratic_hedge,
     superreplication_cost,
 )
-from .dual import (
-    DualCertificate,
-    VolProfile,
-    constant_profile,
-    kusuoka_certificate,
-    kusuoka_lower_bound,
-)
+from .dual import constant_profile, kusuoka_lower_bound
 from .limits import (
     HJBGrid,
     LimitProblem,
@@ -43,4 +37,4 @@ __version__ = "0.1.0"
 # Part of the results-store digest.  Bump it whenever a solver change moves
 # any computed number, so rows stored by an older solver are recomputed
 # rather than served.
-SOLVER_REVISION = 9
+SOLVER_REVISION = 10

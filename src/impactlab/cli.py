@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import SOLVER_REVISION, __version__
-from .dual import _EXACT_MAX_N, constant_profile, kusuoka_lower_bound
+from .dual import kusuoka_lower_bound
 from .limits import (
     HJBGrid,
     MCConfig,
@@ -68,7 +68,7 @@ _DEFAULTS = {
     "payoff": {"kind": "call", "strike": 0.0},
     "run": {"n_list": (8, 16, 32), "study_id": "default", "seed": 0},
     "dp": {"n_x": 81, "n_zeta": 48},
-    "dual": {"nu_values": (0.8, 1.0, 1.2), "exact_max_n": 12, "mc_paths": 20000},
+    "dual": {"nu_values": (0.8, 1.0, 1.2)},
     "hjb": {
         "n_space": 601,
         "p_halfwidth": 8.0,
@@ -84,7 +84,6 @@ _MINIMUM = {
     ("run", "n_list"): 1,
     ("dp", "n_x"): 1,
     ("dp", "n_zeta"): 1,
-    ("dual", "mc_paths"): 1,
     ("hjb", "nu_sq_max"): 1.0,  # the variance cap is at least sigma^2
     ("mc", "paths"): 1,
     ("mc", "n_steps"): 2,  # the step-halving check runs n_steps // 2 steps
@@ -142,8 +141,6 @@ class ExperimentConfig:
         seed = int(seed_override) if seed_override is not None else values[("run", "seed")]
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got --seed {seed}")
-        if values[("dual", "exact_max_n")] > _EXACT_MAX_N:
-            raise ConfigError(f"[dual] exact_max_n must be <= {_EXACT_MAX_N} (the exact tree's limit)")
         cfg = cls(values=values, seed=seed)
         # surface invalid values before any experiment body runs
         cfg.market()
@@ -373,19 +370,11 @@ def _primal_rows(cfg: ExperimentConfig, emit) -> list:
 
 def _dual_rows(cfg: ExperimentConfig, emit) -> list:
     spec = cfg.payoff()
-    sigma = cfg.get("market", "sigma")
     n_list = cfg.get("run", "n_list")
     rows = []
     for nu in cfg.get("dual", "nu_values"):
-        recs = kusuoka_lower_bound(
-            constant_profile(nu, sigma),
-            spec,
-            cfg.market(max(n_list)),
-            n_list=n_list,
-            exact_max_n=cfg.get("dual", "exact_max_n"),
-            mc_paths=cfg.get("dual", "mc_paths"),
-            seed=cfg.seed,
-        )
+        # exact at every horizon: one pass over the price lattice
+        recs = kusuoka_lower_bound(nu, spec, cfg.market(max(n_list)), n_list=n_list, exact_max_n=max(n_list))
         for rec in recs:
             rows.append(
                 emit(
@@ -473,10 +462,12 @@ def run_experiment(config_path, mode, seed=None, no_cache=False, out_dir=".") ->
     missing = [m for m in modes if m not in {r.mode for r in cached}]
     if not missing:
         return (2 if any(r.flag == "WARN" for r in cached) else 0), cached
-    # the asian's lattice caps the DP's horizon; bounds and limits have no cap
+    # the asian's lattice caps the horizon of its DP and its bounds; limits have no cap
     longest = max(cfg.get("run", "n_list"))
-    if "primal_dp" in missing and spec.kind == "asian_mean" and longest > _RUNNING_SUM_MAX_N:
-        raise ConfigError(f"[run] n_list: the asian_mean DP takes N <= {_RUNNING_SUM_MAX_N}, got N = {longest}")
+    if spec.kind == "asian_mean" and longest > _RUNNING_SUM_MAX_N and {"primal_dp", "dual_bound"} & set(missing):
+        raise ConfigError(
+            f"[run] n_list: the asian_mean lattice (DP and bounds) takes N <= {_RUNNING_SUM_MAX_N}, got N = {longest}"
+        )
 
     rows = []
 

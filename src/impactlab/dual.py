@@ -23,18 +23,20 @@ plus the constant delta (1-r)^2 zeta0^2 / 2 left by the initial spread.
 The endowment's price and permanent-impact legs cost p0 x0 + iota x0^2/2
 on every terminal-flat plan.  So E_Q[H - chain] - delta (1-r)^2 zeta0^2/2
 - p0 x0 - iota x0^2/2 lower-bounds the costs this package computes,
-including the terminal liquidation period the primal solver prices.  Every
-printed lower bound is this one formula, taken along one route: `_walk`
-runs the tilted walk forward period by period, exactly on every row of the
-certificate's tree or on sampled rows, summing the chain as it goes, so it
-holds O(rows) memory and no (rows, N) array.
+including the terminal liquidation period the primal solver prices.
+
+Every printed lower bound is this formula for a constant target volatility
+nu.  Its tilt alpha = (nu^2 - sigma^2) / (2 sigma) is constant, so the
+chain is one number, and Q's up-probability reads the last shock alone:
+Q is Markov in (price-lattice state, last shock).  E_Q[H] is then exact by
+one forward pass of Q-mass over the DP's price lattice, or sampled on
+tilted walks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,16 +44,9 @@ import numpy as np
 # as module attributes: perfbench/boundaries.py wraps them in this namespace.
 from .market import MarketParams, fundamental_path  # noqa: F401
 from .payoffs import PayoffSpec, evaluate_payoff, payoff_from_summaries  # noqa: F401
+from .pricing import _build_lattice, _drawdown_lattice
 
-__all__ = [
-    "DualCertificate",
-    "VolProfile",
-    "constant_profile",
-    "kusuoka_certificate",
-    "kusuoka_lower_bound",
-]
-
-_EXACT_MAX_N = 14
+__all__ = ["constant_profile", "kusuoka_lower_bound"]
 
 # Conditional probabilities are clipped to [_Q_MIN, 1 - _Q_MIN]; any clip
 # leaves the bound uncertified.
@@ -60,201 +55,109 @@ _Q_MIN = 1e-6
 _MARGIN = 1e-9
 
 
-@dataclass
-class DualCertificate:
-    """Measure + predictable tilt on the shock tree.
+def constant_profile(nu_value: float, sigma: float) -> float:
+    """The constant target volatility `nu_value`, as `kusuoka_lower_bound`
+    takes it.  `sigma` is unread (the tilt takes the market's); the
+    two-argument form stays because perfbench/workloads.py calls it."""
+    return float(nu_value)
 
-    q[k][idx]: probability that shock k+1 is up, given the length-k prefix
-    encoded as an integer (bit j set means shock j+1 was up).
-    alpha[k][idx]: tilt attached to period k+1, measurable at time k.
+
+def _tilt(nu: float, sigma: float):
+    """The constant tilt of target volatility `nu` and its up-probabilities.
+
+    alpha = (nu^2 - sigma^2) / (2 sigma).  After a move xi the next shock
+    is up with q = (1 + alpha xi / (sigma + alpha)) / 2, which solves the
+    one-step martingale condition for M = P + alpha xi / sqrt(N), clipped
+    to [_Q_MIN, 1 - _Q_MIN]; the first period's q is 1/2.  Returns
+    (alpha, q, clipped), with q and clipped indexed by the last move
+    (0 down, 1 up).
     """
-
-    q: list
-    alpha: list
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.q)
-
-
-@dataclass(frozen=True)
-class VolProfile:
-    """Target volatility functional nu(t, path-so-far).
-
-    `nu(t, values)` receives the prices observed so far as a (batch, k+1)
-    array and must return the per-path volatility.  `c_bound` declares the
-    class constant: nu >= 1/C, |alpha| <= C and the per-step tilt increment
-    bound C/sqrt(N) are all taken from it, never estimated.  `lip_const > 0`
-    declares that nu reads past prices; a profile with `lip_const == 0` sees
-    only the current price, a (batch, 1) array, in the Monte Carlo sampler.
-    """
-
-    nu: Callable[[float, np.ndarray], np.ndarray]
-    c_bound: float
-    lip_const: float = 0.0
-
-    def __post_init__(self):
-        if self.c_bound <= 0:
-            raise ValueError("c_bound must be > 0")
-
-
-def constant_profile(nu_value: float, sigma: float) -> VolProfile:
-    """Constant-volatility profile with a tight declared class constant."""
-    if nu_value <= 0:
-        raise ValueError("nu_value must be > 0")
-    alpha = abs(nu_value**2 - sigma**2) / (2.0 * sigma)
-    c = max(nu_value, 1.0 / nu_value, alpha) * (1.0 + 1e-12)
-
-    def nu(t, values):
-        return np.full(np.shape(values)[0] if np.ndim(values) > 1 else 1, nu_value)
-
-    return VolProfile(nu=nu, c_bound=c, lip_const=0.0)
-
-
-# ---------------------------------------------------------------------------
-# tilt construction
-
-
-def _tilt_step(profile, k, n, values, prev, xi_prev, sigma):
-    """One period of the tilt chain, on a batch of tree nodes or sampled paths.
-
-    alpha = (nu^2 - sigma^2) / (2 sigma), with nu read at t = k/N on the
-    observed prices `values`, is clipped to |alpha| <= C and, from the second
-    period on, to within C/sqrt(N) of the previous tilt `prev`.  Then
-    q = (1 + prev xi_prev / (sigma + alpha)) / 2 solves the one-step
-    martingale condition (q = 1/2 in the first period) and is clipped to
-    [_Q_MIN, 1 - _Q_MIN].  Returns (alpha, q, alpha clips, q clips).
-    """
-    c = profile.c_bound
-    nu = np.asarray(profile.nu(k / n, values), dtype=float)
-    raw = (nu**2 - sigma**2) / (2.0 * sigma)
-    if np.any(sigma + raw <= _MARGIN):
-        raise ValueError("profile drives sigma + alpha below the margin")
-    alpha = np.clip(raw, -c, c)
-    if prev is not None:
-        step_bound = c / math.sqrt(n)
-        alpha = np.clip(alpha, prev - step_bound, prev + step_bound)
-    denom = sigma + alpha
-    if np.any(denom <= _MARGIN):
-        raise ValueError("clipped tilt degenerates the martingale condition")
-    if prev is None:
-        q = np.full(len(values), 0.5)
-    else:
-        q = 0.5 * (1.0 + prev * xi_prev / denom)
+    if not nu > 0:
+        raise ValueError("nu must be > 0")
+    alpha = (np.square(nu) - sigma**2) / (2.0 * sigma)
+    if sigma + alpha <= _MARGIN:
+        raise ValueError("nu drives sigma + alpha below the margin")
+    q = 0.5 * (1.0 + alpha * np.array([-1.0, 1.0]) / (sigma + alpha))
     q_clipped = np.clip(q, _Q_MIN, 1.0 - _Q_MIN)
-    return alpha, q_clipped, int(np.count_nonzero(alpha != raw)), int(np.count_nonzero(q_clipped != q))
+    return alpha, q_clipped, q_clipped != q
 
 
-def kusuoka_certificate(profile: VolProfile, params: MarketParams) -> DualCertificate:
-    """Tilted walk measure whose shadow price is an exact tree martingale.
+def _penalty(params: MarketParams, alpha) -> float:
+    """The penalty chain of a constant tilt, its liquidation term included.
 
-    Every node takes its tilt and up-probability from `_tilt_step`, the step
-    the Monte Carlo sampler runs too: alpha = (nu^2 - sigma^2) / (2 sigma)
-    within the class bounds, q solving the one-step martingale condition.
-    `meta` counts the clipped tilts (`clip_alpha`) and probabilities
-    (`clip_q`); any clipped probability leaves the bound uncertified.
+    With b = |alpha| / sqrt(N) every period after the first adds
+    ((1 - (1-r)) b)^2 (the first adds none, as b_0 = 0).  The terms are
+    summed one period at a time, as a walk adds them, so a sampled bound
+    keeps the bits of a per-path chain.
     """
-    n = params.n_steps
-    if n > _EXACT_MAX_N:
-        raise ValueError(f"tree certificate limited to n_steps <= {_EXACT_MAX_N}; sample instead")
-    s = params.step_vol
-
-    q_list, alpha_list = [], []
-    clip_alpha = clip_q = 0
-    values = np.full((1, 1), params.p0)
-    alpha = prev = xi_last = None
-    for k in range(n):
-        if k >= 1:
-            idx = np.arange(2**k)
-            prev = alpha[idx % (2 ** (k - 1))]
-            xi_last = np.where((idx >> (k - 1)) & 1 == 1, 1.0, -1.0)
-        alpha, q, n_alpha, n_q = _tilt_step(profile, k, n, values, prev, xi_last, params.sigma)
-        clip_alpha += n_alpha
-        clip_q += n_q
-        q_list.append(q)
-        alpha_list.append(alpha)
-        if k < n - 1:
-            # extend the observed paths; stacking [down, up] matches the
-            # integer prefix order (the new shock is the highest bit)
-            up = np.hstack([values, values[:, -1:] + s])
-            dn = np.hstack([values, values[:, -1:] - s])
-            values = np.vstack([dn, up])
-
-    return DualCertificate(
-        q=q_list,
-        alpha=alpha_list,
-        meta={"clip_alpha": clip_alpha, "clip_q": clip_q},
-    )
-
-
-# ---------------------------------------------------------------------------
-# certified lower bounds
-
-
-def _walk(spec, params, source, n_paths=0, seed=0):
-    """Walk the tilted measure forward one period at a time.
-
-    `source` is a DualCertificate, walked exactly on all 2^N shock rows (row
-    i has shock k+1 up when bit k of i is set), or a VolProfile, sampled on
-    `n_paths` rows whose tilts come from `_tilt_step`.  Each period adds
-    ((b_{k-1} - (1-r) b_k)_+)^2, b_k = |alpha_k|/sqrt(N), to a per-row chain
-    and moves the last price, running max and running integral; the price
-    history is kept only for a sampled profile with `lip_const > 0`, so
-    memory is O(rows).  Returns (h, penalty, prob, clip_q): the payoff and
-    the penalty chain of every row (its liquidation term delta/2 b_N^2
-    included), the exact row probabilities (None when sampled) and the
-    clipped probabilities.
-    """
-    n = params.n_steps
-    s = params.step_vol
-    root_n = math.sqrt(n)
     decay = 1.0 - params.resilience
-    exact = isinstance(source, DualCertificate)
-    if exact:
-        rows = 2**n
-        row = np.arange(rows)
-        prob = np.ones(rows)
-        clip_q = source.meta["clip_q"]
-    else:
-        rows = n_paths
-        rng = np.random.default_rng(seed)
-        prob, clip_q = None, 0
-        keep_history = source.lip_const > 0
-        values = np.full((rows, 1), params.p0)
-    alpha = xi = None
-    b_prev = 0.0
-    chain = np.zeros(rows)
-    cum = np.zeros(rows)
-    run_max = np.full(rows, params.p0)
-    run_int = np.zeros(rows)
-    last_price = np.full(rows, params.p0)
-    for k in range(n):
-        if exact:
-            prefix = row & ((1 << k) - 1)
-            alpha, q = source.alpha[k][prefix], source.q[k][prefix]
-            xi = np.where((row >> k) & 1 == 1, 1.0, -1.0)
-            prob *= np.where(xi > 0, q, 1.0 - q)
+    b = np.abs(alpha) / math.sqrt(params.n_steps)
+    term = (b - decay * b) * (b - decay * b)
+    chain = 0.0
+    for _ in range(params.n_steps - 1):
+        chain += term
+    return params.depth / (2.0 * (1.0 - decay**2)) * chain + 0.5 * params.depth * (b * b)
+
+
+def _exact_mean(spec: PayoffSpec, params: MarketParams, q, clipped):
+    """E_Q[H] by one forward pass of Q-mass over the DP's price lattice.
+
+    mass[i] holds the mass of a depth's states entered by a down (i = 0) or
+    an up (i = 1) move; each depth after the first sends q[i] of it to the
+    up child and the rest to the down child.  The lookback's lattice is the
+    DP's drawdown lattice: an up move from drawdown 0 lands in an extra row,
+    drawdown 0 with the running max, and so the payoff, one step s higher.
+    Returns (E_Q[H], clip_q), where clip_q counts the (depth, state, last
+    move) entries that carry mass and read a clipped q.
+    """
+    lat = _drawdown_lattice(spec, params) or _build_lattice(spec, params)
+    rise = 0.0  # the lookback's payoff from moves to a new max
+    clip_q = 0
+    for d in range(params.n_steps):
+        if d == 0:
+            to_up = to_dn = np.full(1, 0.5)
         else:
-            alpha, q, _, n_q = _tilt_step(source, k, n, values, alpha, xi, params.sigma)
-            clip_q += n_q
-            xi = np.where(rng.random(rows) < q, 1.0, -1.0)
-        b = np.abs(alpha) / root_n
-        chain += np.clip(b_prev - decay * b, 0.0, None) ** 2
-        b_prev = b
+            clip_q += int(np.count_nonzero(mass[clipped]))
+            to_up, to_dn = q @ mass, (1.0 - q) @ mass
+        width = len(lat.prices[d + 1])
+        up = np.bincount(lat.up[d], to_up, width)
+        if len(up) > width:
+            rise += params.step_vol * up[width]
+            up[0] += up[width]
+        mass = np.stack([np.bincount(lat.dn[d], to_dn, width), up[:width]])
+    return float(mass.sum(axis=0) @ lat.payoff) + rise, clip_q
+
+
+def _sample(spec: PayoffSpec, params: MarketParams, q, clipped, n_paths: int, seed: int):
+    """Payoffs of `n_paths` tilted walks drawn with `seed`, and clip_q, the
+    count of (path, period) draws that read a clipped q.  Each walk keeps
+    its last price, running max and running integral, so memory is
+    O(n_paths)."""
+    n, s = params.n_steps, params.step_vol
+    rng = np.random.default_rng(seed)
+    cum = np.zeros(n_paths)
+    run_max = np.full(n_paths, params.p0)
+    run_int = np.zeros(n_paths)
+    last_price = np.full(n_paths, params.p0)
+    up, clip_q = None, 0
+    for _ in range(n):
+        if up is None:
+            q_rows = 0.5
+        else:
+            side = up.astype(np.intp)  # the last move: 0 down, 1 up
+            q_rows = q[side]
+            clip_q += int(np.count_nonzero(clipped[side]))
+        up = rng.random(n_paths) < q_rows
         run_int += last_price / n
-        cum += xi
+        cum += np.where(up, 1.0, -1.0)
         last_price = params.p0 + s * cum
         run_max = np.maximum(run_max, last_price)
-        if not exact:
-            values = np.hstack([values, last_price[:, None]]) if keep_history else last_price[:, None]
     h = payoff_from_summaries(spec, terminal=last_price, rise=run_max - params.p0, average=run_int)
-    penalty = params.depth / (2.0 * (1.0 - decay**2)) * chain + 0.5 * params.depth * b_prev**2
-    return h, penalty, prob, clip_q
+    return h, clip_q
 
 
 def kusuoka_lower_bound(
-    profile: VolProfile,
+    nu: float,
     spec: PayoffSpec,
     params: MarketParams,
     n_list,
@@ -262,16 +165,18 @@ def kusuoka_lower_bound(
     mc_paths: int = 20000,
     seed: int = 0,
 ) -> list[dict]:
-    """Certified lower bounds for the super-replication cost per horizon.
+    """Certified lower bounds for the super-replication cost per horizon,
+    from the tilt of the constant target volatility `nu`.
 
-    Each bound is E_Q[H - penalty chain] less the constant
-    delta (1-r)^2 zeta0^2/2 + p0 x0 + iota x0^2/2 (module docstring), with
-    the expectation taken by `_walk`, the one route: exactly on the tree of
-    `kusuoka_certificate` for horizons up to `exact_max_n`, else by sampling
-    `mc_paths` tilted walks with a reported standard error.  Memory is
-    O(rows), never O(rows x N).  Certificates with clipped probabilities are
-    marked uncertified (the bound value is still reported).
+    Each bound is E_Q[H] less the penalty chain and the constant
+    delta (1-r)^2 zeta0^2/2 + p0 x0 + iota x0^2/2 (module docstring).
+    E_Q[H] is exact, by `_exact_mean`'s pass over the price lattice, for
+    horizons up to `exact_max_n` (the asian's lattice stops at N = 24),
+    else the mean of `mc_paths` tilted walks drawn with `seed`, with a
+    reported standard error.  A bound that reads a clipped probability is
+    marked uncertified (its value is still reported).
     """
+    alpha, q, clipped = _tilt(nu, params.sigma)
     decay = 1.0 - params.resilience
     const = (
         -0.5 * params.depth * decay**2 * params.zeta0**2
@@ -281,11 +186,12 @@ def kusuoka_lower_bound(
     out = []
     for n in n_list:
         pn = replace(params, n_steps=int(n))
+        penalty = _penalty(pn, alpha)
         if n <= exact_max_n:
-            h, penalty, prob, clip_q = _walk(spec, pn, kusuoka_certificate(profile, pn))
-            mean, se, mode = float(np.dot(prob, h - penalty)), 0.0, "exact"
+            mean_h, clip_q = _exact_mean(spec, pn, q, clipped)
+            mean, se, mode = float(mean_h - penalty), 0.0, "exact"
         else:
-            h, penalty, _, clip_q = _walk(spec, pn, profile, mc_paths, seed)
+            h, clip_q = _sample(spec, pn, q, clipped, mc_paths, seed)
             vals = h - penalty
             mean, se, mode = float(np.mean(vals)), float(np.std(vals) / math.sqrt(len(vals))), "mc"
         out.append(
@@ -294,7 +200,7 @@ def kusuoka_lower_bound(
                 "bound": mean + const,
                 "std_error": se,
                 "mode": mode,
-                "clip_q": int(clip_q),
+                "clip_q": clip_q,
                 "certified": clip_q == 0,
             }
         )

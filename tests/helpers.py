@@ -1,11 +1,11 @@
 """Shared test oracles, kept independent of the library's pricing code."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from impactlab.market import MarketParams, fundamental_path, spread_step, trade_cost
-from impactlab.dual import DualCertificate, _tilt_step
 from impactlab.payoffs import PayoffSpec, evaluate_payoff, payoff_from_summaries
 
 
@@ -77,6 +77,59 @@ def brute_force_cost(
         return best
 
     return float(rec((), params.p0, params.x0, params.zeta0, 0))
+
+
+# the library's clip of the tilted walk's up-probabilities
+Q_MIN = 1e-6
+
+
+@dataclass
+class DualCertificate:
+    """Measure + predictable tilt on the 2^N shock tree (the oracle for the
+    dual's forward pass over the price lattice).
+
+    q[k][idx]: probability that shock k+1 is up, given the length-k prefix
+    encoded as an integer (bit j set means shock j+1 was up).
+    alpha[k][idx]: tilt attached to period k+1, measurable at time k.
+    clip_q: how many of the tree's probabilities were clipped.
+    """
+
+    q: list
+    alpha: list
+    clip_q: int
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.q)
+
+
+def _constant_tilt(nu: float, sigma: float):
+    """alpha = (nu^2 - sigma^2) / (2 sigma) and, as a function of the last
+    shock, the raw and the clipped up-probability (1 + alpha xi / (sigma +
+    alpha)) / 2."""
+    alpha = (nu * nu - sigma * sigma) / (2.0 * sigma)
+
+    def q_after(xi):
+        raw = 0.5 * (1.0 + alpha * xi / (sigma + alpha))
+        return raw, np.clip(raw, Q_MIN, 1.0 - Q_MIN)
+
+    return alpha, q_after
+
+
+def kusuoka_certificate(nu: float, params: MarketParams) -> DualCertificate:
+    """The tilted walk of constant target volatility nu on every node of the
+    2^N tree: the tilt alpha at every node, q = 1/2 at the root and, after a
+    shock xi, the clipped q of the one-step martingale condition."""
+    n = params.n_steps
+    alpha, q_after = _constant_tilt(nu, params.sigma)
+    q_list, alpha_list, clip_q = [np.full(1, 0.5)], [np.full(1, alpha)], 0
+    for k in range(1, n):
+        idx = np.arange(2**k)
+        raw, q = q_after(np.where((idx >> (k - 1)) & 1 == 1, 1.0, -1.0))
+        clip_q += int(np.count_nonzero(q != raw))
+        q_list.append(q)
+        alpha_list.append(np.full(2**k, alpha))
+    return DualCertificate(q=q_list, alpha=alpha_list, clip_q=clip_q)
 
 
 def certificate_martingale_gaps(cert: DualCertificate, params: MarketParams) -> float:
@@ -168,9 +221,9 @@ def matrix_bound(h_vals, alphas, prob, params: MarketParams):
 def tilted_matrix(spec: PayoffSpec, params: MarketParams, source, n_paths=0, seed=0):
     """Payoffs, (paths, N) tilts and probabilities of the tilted walk, built
     as whole matrices: every tree row of a DualCertificate (with its path
-    probabilities), or `n_paths` walks sampled from a VolProfile with the
-    same tilt steps and the same draws as the library's sampler (prob None).
-    Returns (h_vals, alphas, prob, clip_q)."""
+    probabilities), or `n_paths` walks of the constant target volatility
+    `source` sampled with the same draws as the library's sampler (prob
+    None).  Returns (h_vals, alphas, prob, clip_q)."""
     n = params.n_steps
     if isinstance(source, DualCertificate):
         shocks = all_paths(n)
@@ -182,22 +235,19 @@ def tilted_matrix(spec: PayoffSpec, params: MarketParams, source, n_paths=0, see
             prob *= np.where(shocks[:, k] == 1, qk, 1.0 - qk)
             alphas[:, k] = source.alpha[k][idx]
             idx = idx + ((shocks[:, k] == 1) << k)
-        clip_q = source.meta["clip_q"]
+        clip_q = source.clip_q
     else:
         rng = np.random.default_rng(seed)
+        alpha, q_after = _constant_tilt(source, params.sigma)
         shocks = np.empty((n_paths, n))
-        alphas = np.empty((n_paths, n))
+        alphas = np.full((n_paths, n), alpha)
         prob, clip_q = None, 0
-        values = np.full((n_paths, 1), params.p0)
-        alpha = xi = None
+        q = np.full(n_paths, 0.5)
         for k in range(n):
-            seen = values if source.lip_const > 0 else values[:, -1:]
-            alpha, q, _, n_q = _tilt_step(source, k, n, seen, alpha, xi, params.sigma)
-            clip_q += n_q
-            xi = np.where(rng.random(n_paths) < q, 1.0, -1.0)
-            shocks[:, k], alphas[:, k] = xi, alpha
-            steps = np.hstack([np.zeros((n_paths, 1)), np.cumsum(shocks[:, : k + 1], axis=1)])
-            values = params.p0 + params.step_vol * steps
+            shocks[:, k] = np.where(rng.random(n_paths) < q, 1.0, -1.0)
+            raw, q = q_after(shocks[:, k])
+            if k < n - 1:
+                clip_q += int(np.count_nonzero(q != raw))
     steps = np.hstack([np.zeros((len(shocks), 1)), np.cumsum(shocks, axis=1)])
     h_vals = payoff_on_paths(spec, params.p0 + params.step_vol * steps)
     return h_vals, alphas, prob, clip_q

@@ -4,24 +4,22 @@ Each test prints one PASS/FAIL line.  Tolerances are pinned here, not
 computed; numbered comments give the criterion being exercised.
 """
 
+import math
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import bachelier_reference, brute_force_cost, certificate_martingale_gaps, crr_price
-from impactlab.dual import (
-    constant_profile,
-    kusuoka_certificate,
-    kusuoka_lower_bound,
-)
+from helpers import bachelier_reference, brute_force_cost, crr_price
+from impactlab.dual import _tilt, kusuoka_lower_bound
 from impactlab.limits import HJBGrid, LimitProblem, hjb_value, limit_from_market
 from impactlab.market import MarketParams, fundamental_path, stopping_grid, terminal_wealth
 from impactlab.payoffs import PayoffSpec, quadratic_claim
 from impactlab.pricing import (
     DOOB_LAMBDA_MAX,
     DPGrids,
+    _build_lattice,
     doob_quadratic_hedge,
     superreplication_cost,
 )
@@ -140,7 +138,7 @@ def test_criterion_5_weak_duality_kusuoka_vs_primal():
         primal = superreplication_cost(p, spec)
         slack = primal.report["max_interp_residual"] + 1e-3
         for nu in (0.8, 1.0, 1.2):
-            rows = kusuoka_lower_bound(constant_profile(nu, 1.0), spec, p, n_list=[n])
+            rows = kusuoka_lower_bound(nu, spec, p, n_list=[n])
             good = rows[0]["certified"] and rows[0]["bound"] <= primal.cost + slack
             ok &= good
             details.append(f"N={n},nu={nu}: {rows[0]['bound']:.4f}<={primal.cost:.4f} {good}")
@@ -150,22 +148,36 @@ def test_criterion_5_weak_duality_kusuoka_vs_primal():
 
 
 def test_criterion_6_martingale_exactness():
+    # the up-probabilities the exact bound's lattice pass uses make the
+    # shadow price M = P + alpha xi / sqrt(N) a martingale: on every
+    # (state, last shock) of the call's and the lookback's price lattices
+    # the one-step mean of dM is zero (at the root q = 1/2 and M = P)
     t0 = time.time()
     ok = True
     worst = 0.0
     for n in (6, 10, 12):
         p = mk(n)
-        for nu in (0.8, 1.0, 1.2):
-            cert = kusuoka_certificate(constant_profile(nu, 1.0), p)
-            ok &= cert.meta["clip_q"] == 0
-            worst = max(worst, certificate_martingale_gaps(cert, p))
+        for spec in (PayoffSpec("call", strike=0.0), PayoffSpec("lookback_max")):
+            lat = _build_lattice(spec, p)
+            for nu in (0.8, 1.0, 1.2):
+                alpha, q, clipped = _tilt(nu, p.sigma)
+                ok &= not clipped.any()
+                tilt = alpha / math.sqrt(n)
+                m_up = [lat.prices[d + 1][lat.up[d]] + tilt for d in range(n)]
+                m_dn = [lat.prices[d + 1][lat.dn[d]] - tilt for d in range(n)]
+                gaps = [0.5 * m_up[0] + 0.5 * m_dn[0] - lat.prices[0]]
+                for d in range(1, n):
+                    for side, xi in ((0, -1.0), (1, 1.0)):
+                        m_now = lat.prices[d] + xi * tilt
+                        gaps.append(q[side] * m_up[d] + (1.0 - q[side]) * m_dn[d] - m_now)
+                worst = max(worst, max(float(np.max(np.abs(g))) for g in gaps))
     ok &= worst <= 1e-12
     elapsed = time.time() - t0
     ok &= elapsed < 60.0
     report(
         "criterion 6 (martingale exactness)",
         ok,
-        f"worst |E_Q[dM|node]| = {worst:.2e} over N<=12 trees ({elapsed:.1f}s)",
+        f"worst |E_Q[dM | state, last shock]| = {worst:.2e} over N<=12 lattices ({elapsed:.1f}s)",
     )
 
 
@@ -228,9 +240,7 @@ def test_criterion_9_convergence_trend():
         prices[n] = superreplication_cost(p, spec).cost
         best = -np.inf
         for nu in (0.8, 1.0, 1.2):
-            rows = kusuoka_lower_bound(
-                constant_profile(nu, 1.0), spec, p, n_list=[n], mc_paths=40000, seed=5
-            )
+            rows = kusuoka_lower_bound(nu, spec, p, n_list=[n], mc_paths=40000, seed=5)
             margin = 3.0 * rows[0]["std_error"]
             best = max(best, rows[0]["bound"] + margin)
         bounds[n] = best

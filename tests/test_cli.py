@@ -55,7 +55,8 @@ nu_sq_max = 4.0
 
 def test_config_rejects_unknown_key(tmp_path):
     # [dp] augmentation, x_max, refine and frictionless, [market] xi0, [run]
-    # mode and [mc] family were keys once: a config naming them stops
+    # mode, [mc] family and [dual] exact_max_n and mc_paths (every bound is
+    # now exact) were keys once: a config naming them stops
     for after, line, key in (
         ("depth = 1.0", "bogus = 1", "bogus"),
         ("n_x = 41", "augmentation = auto", "augmentation"),
@@ -65,6 +66,8 @@ def test_config_rejects_unknown_key(tmp_path):
         ("depth = 1.0", "xi0 = 1.0", "xi0"),
         ("seed = 42", "mode = limit_mc", "mode"),
         ("nu_sq_max = 4.0", "[mc]\nfamily = constant", "family"),
+        ("nu_values = 1.0 1.2", "exact_max_n = 12", "exact_max_n"),
+        ("nu_values = 1.0 1.2", "mc_paths = 20000", "mc_paths"),
     ):
         cfg = write_cfg(tmp_path, BASE.replace(after, f"{after}\n{line}"))
         with pytest.raises(ConfigError, match=key):
@@ -84,12 +87,12 @@ def _with_key(section, key, value):
 @pytest.mark.parametrize(
     "section, key, least",
     [("dp", "n_x", 1), ("dp", "n_zeta", 1), ("mc", "n_steps", 2), ("mc", "paths", 1),
-     ("dual", "mc_paths", 1), ("hjb", "n_space", 3), ("hjb", "nu_sq_max", 1.0), ("run", "seed", 0)],
+     ("hjb", "n_space", 3), ("hjb", "nu_sq_max", 1.0), ("run", "seed", 0)],
 )
 def test_config_rejects_count_below_its_least(tmp_path, section, key, least):
     # below these a run crashes (n_steps = 1, n_zeta = 0, nu_sq_max = 0,
-    # seed = -1 on a sampled bound) or stores NaN rows with no flag
-    # (paths = 0, mc_paths = 0)
+    # seed = -1 on a Monte Carlo limit) or stores NaN rows with no flag
+    # (paths = 0)
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
         ExperimentConfig.load(write_cfg(tmp_path, _with_key(section, key, least - 1)))
     cfg = ExperimentConfig.load(write_cfg(tmp_path, _with_key(section, key, least)))
@@ -118,13 +121,14 @@ def test_config_rejects_non_finite_float(tmp_path, section, key, value):
 
 
 def test_negative_seed_option_is_a_config_error(tmp_path, capsys):
-    # numpy rejected a negative seed only once a Monte Carlo bound ran
-    cfg = write_cfg(tmp_path, BASE.replace("n_list = 2 3", "n_list = 16").replace("[dual]", "[dual]\nmc_paths = 50"))
-    assert main(["bound", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+    # numpy rejected a negative seed only once a Monte Carlo estimate ran
+    body = BASE.replace("kind = call", "kind = lookback_max") + "\n[mc]\npaths = 50\nn_steps = 4\n"
+    cfg = write_cfg(tmp_path, body)
+    assert main(["limit", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "--seed" in err
     assert not os.path.exists(tmp_path / "out" / "results.csv")
-    assert main(["bound", "--config", cfg, "--seed", "0", "--out", str(tmp_path / "out")]) == 0
+    assert main(["limit", "--config", cfg, "--seed", "0", "--out", str(tmp_path / "out")]) == 0
 
 
 SHIPPED = os.path.join(os.path.dirname(__file__), "..", "configs", "call_study.cfg")
@@ -437,9 +441,45 @@ def test_asian_price_past_the_lattice_cap_fails_before_any_row(tmp_path, capsys,
     assert calls == [] and not out.exists()
 
 
-SMOKE = BASE.replace("n_space = 201", "n_space = 101").replace(
-    "nu_values = 1.0 1.2", "nu_values = 1.0 1.2\nexact_max_n = 2\nmc_paths = 500"
-) + "\n[mc]\npaths = 200\nn_steps = 16\n"
+def test_asian_bound_past_the_lattice_cap_fails_before_any_row(tmp_path, capsys, monkeypatch):
+    # the exact bounds run on the asian's (level, running sum) lattice,
+    # which stops where its DP does
+    from impactlab.pricing import _RUNNING_SUM_MAX_N
+
+    body = BASE.replace("kind = call", "kind = asian_mean").replace(
+        "n_list = 2 3", f"n_list = 4 {_RUNNING_SUM_MAX_N + 1}"
+    )
+    cfg = write_cfg(tmp_path, body)
+    out = tmp_path / "out"
+    calls = []
+    monkeypatch.setattr(cli, "kusuoka_lower_bound", lambda *args, **kwargs: calls.append(args))
+    assert main(["bound", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [run] n_list") and f"N <= {_RUNNING_SUM_MAX_N}" in err
+    assert calls == [] and not out.exists()
+
+
+def test_shipped_config_bounds_are_exact_and_certified(tmp_path, capsys):
+    # the README's lower column: the best of nu = 0.8, 1.0, 1.2 at each N,
+    # each exact (no standard error) and certified
+    assert main(["bound", "--config", SHIPPED, "--out", str(tmp_path)]) == 0
+    rows = cli._store_read(str(tmp_path / "results.csv"))
+    assert len(rows) == 9 and all(r.flag == "" and r.err == 0.0 for r in rows)
+    best = {n: max(r.value for r in rows if r.n == n) for n in (8, 16, 32)}
+    assert [round(best[n], 6) for n in (8, 16, 32)] == [0.452836, 0.461709, 0.466177]
+
+
+def test_clipped_bound_prints_warn(tmp_path, capsys):
+    # nu = 2000 sigma clips the tilted walk's probabilities: the bound is
+    # reported, flagged and not certified
+    cfg = write_cfg(tmp_path, BASE.replace("nu_values = 1.0 1.2", "nu_values = 1.0 2000"))
+    assert main(["bound", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines if "nu=2000" in line] == ["[WARN]", "[WARN]"]
+    assert [line.split()[0] for line in lines if "nu=1:" in line] == ["[ok]", "[ok]"]
+
+
+SMOKE = BASE.replace("n_space = 201", "n_space = 101") + "\n[mc]\npaths = 200\nn_steps = 16\n"
 
 
 @pytest.mark.parametrize("kind", ["call", "put", "lookback_max", "asian_mean"])
@@ -467,7 +507,7 @@ def test_cli_smoke_matrix(tmp_path, capsys, command, kind):
     [
         ("study", "dual", "nu_values = 0.8 abc", "nu_values"),
         ("study", "dual", "nu_values = -1", "nu_values"),
-        ("bound", "dual", "exact_max_n = 15", "exact_max_n"),
+        ("bound", "dual", "nu_values = 0", "nu_values"),
         ("limit", "mc", "thetas = 1.0 x", "thetas"),
         ("limit", "mc", "family = bogus", "family"),  # no longer a key
     ],
@@ -479,7 +519,7 @@ def test_malformed_list_keys_fail_before_any_body(tmp_path, capsys, monkeypatch,
     for mode in cli._BODIES:
         monkeypatch.setitem(cli._BODIES, mode, lambda cfg, emit, mode=mode: calls.append(mode))
     if section == "dual":
-        body = BASE.replace("nu_values = 1.0 1.2", line if key == "nu_values" else f"nu_values = 1.0 1.2\n{line}")
+        body = BASE.replace("nu_values = 1.0 1.2", line)
     else:
         body = BASE + f"\n[mc]\n{line}\n"
     cfg = write_cfg(tmp_path, body)
