@@ -291,7 +291,7 @@ def hjb_value(problem: LimitProblem, grid: HJBGrid | None = None, keep_control: 
 
 @dataclass
 class PolicyFamily:
-    """Parameterized feedback variance a(t, p; theta) >= 0.
+    """Parameterized feedback variance a(t, p; theta).
 
     `variance(theta, t, p)` steps every theta of the family at once: theta
     is the (k, 1) column of the k thetas, t a time and p the (k, b) array
@@ -299,7 +299,8 @@ class PolicyFamily:
     variance of each path as an array that broadcasts to (k, b): a policy
     that ignores the price may return the (k, 1) column.  Each entry must
     depend on its own theta and price only, so a row is the same bits
-    whatever the other rows hold.
+    whatever the other rows hold.  `limit_value_mc` clips the variance to
+    [0, nu_sq_max], so a family need not.
     """
 
     name: str
@@ -327,7 +328,7 @@ def hjb_feedback_family(result: HJBResult, scales, sigma_sq: float) -> PolicyFam
         raise ValueError("hjb_value must be called with keep_control=True")
 
     def variance(theta, t, p):
-        return np.maximum(sigma_sq + theta * (result.control(t, p) - sigma_sq), 0.0)
+        return sigma_sq + theta * (result.control(t, p) - sigma_sq)
 
     return PolicyFamily(name="hjb_feedback", thetas=list(scales), variance=variance)
 

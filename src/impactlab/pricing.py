@@ -302,14 +302,6 @@ def _spread_cells(zg: np.ndarray):
     return cells
 
 
-def _node_cells(xg: np.ndarray, j):
-    """Position lookup for points on the grid nodes `j`: each node's own
-    cell at weight 0, or the last cell at weight 1 for the last node."""
-    k = np.minimum(j, len(xg) - 2)
-    w = np.asarray(j - k, dtype=float)
-    return lambda x: (k, w)
-
-
 def _bracket(xg: np.ndarray, j):
     """Golden-section bracket [x_{j-1}, x_{j+1}] around the grid argmins
     `j` (clamped to the grid), and the position cell of its points.
@@ -333,6 +325,36 @@ def _bracket(xg: np.ndarray, j):
     return lo, hi, cells
 
 
+def _scan(vnext, up, dn, rows, cells, price, x_old, zeta, xg, params):
+    """Position scan: per state (parent row `rows`, price, x_old, zeta),
+    the least over nodes xg[j] of the trade's cost plus the pair max
+    max(vnext[up], vnext[dn]) at j, interpolated along the spread axis
+    with the cell and weight `cells(j)` gives.  `rows` is an index per
+    state, or `slice(None)` to cross every row with the cells' shape.
+    Nodes are scanned by |x|; on near-ties (`_TIE_EPS`) the first keeps the
+    argmin.  Returns the values and argmin nodes.
+    """
+    pairmax = vnext[up]  # built in place on one gathered copy
+    np.maximum(pairmax, vnext[dn], out=pairmax)
+    n_z = pairmax.shape[2]
+    shape = np.broadcast_shapes(np.shape(price), np.shape(x_old), np.shape(zeta))
+    best = np.full(shape, np.inf)
+    best_j = np.zeros(shape, dtype=np.int64)
+    for j in np.argsort(np.abs(xg), kind="stable"):
+        k, w = cells(j)
+        slab = pairmax[:, j, :]
+        cand = slab[rows, k.ravel()].reshape(shape) * (1.0 - w) + slab[
+            rows, np.minimum(k + 1, n_z - 1).ravel()
+        ].reshape(shape) * w
+        # plus the trade: on the grid its mid leg (m, n_x, 1) and spread leg
+        # (1, n_x, n_z) meet in one full-size add inside trade_cost
+        cand += trade_cost(price, x_old, xg[j], zeta, params)
+        take = cand < best - _TIE_EPS
+        np.minimum(best, cand, out=best)
+        best_j[take] = j
+    return best, best_j
+
+
 def superreplication_cost(
     params: MarketParams,
     spec: PayoffSpec,
@@ -343,8 +365,9 @@ def superreplication_cost(
 
     State per depth: (augmented price node, position, spread), with the
     spread handled by piecewise-linear interpolation.  Each minimization
-    scans the position grid and optionally refines by golden-section
-    search over the two cells around the scan's argmin.  Refinement assumes
+    scans the position grid (`_scan`) and optionally refines by
+    golden-section search over the two cells around the scan's argmin
+    (`_refine`); the policy replay runs the same two.  Refinement assumes
     the one-step objective is unimodal there, which can fail at low
     resilience, where some states' scan values are not unimodal; it can
     never raise a value, since each state keeps the smaller of its scan
@@ -392,11 +415,8 @@ def superreplication_cost(
 
     # Spread after a trade of size |dx|, shared across depths and nodes.
     z_cells = _spread_cells(zg)
-    zp_by_pair = {}
-    for jxp in range(n_x):
-        zp_by_pair[jxp] = z_cells(spread_step(zg[None, :], (xg[jxp] - xg)[:, None], dp_params))
+    zp_by_pair = [z_cells(spread_step(zg[None, :], (xg[jxp] - xg)[:, None], dp_params)) for jxp in range(n_x)]
 
-    order = np.argsort(np.abs(xg), kind="stable")
     # Residuals are measured only where a hedge goes: on the nodes the
     # default axis keeps (all of that axis), so a wider explicit axis
     # cannot raise them, or the flag, through nodes no hedge visits.
@@ -406,25 +426,9 @@ def superreplication_cost(
     for depth in range(n - 1, -1, -1):
         if grouped:
             v = np.concatenate([v, (v[0] + new_max)[None]])
-        pairmax = np.maximum(v[lattice.up[depth]], v[lattice.dn[depth]])
-        m = len(lattice.prices[depth])
+        up, dn = lattice.up[depth], lattice.dn[depth]
         prices = lattice.prices[depth][:, None, None]
-
-        best = np.full((m, n_x, n_z), np.inf)
-        best_j = np.zeros((m, n_x, n_z), dtype=np.int64)
-        for jxp in order:
-            k, w = zp_by_pair[jxp]
-            kp1 = np.minimum(k + 1, n_z - 1)
-            slab = pairmax[:, jxp, :]
-            cand = slab[:, k.ravel()].reshape(m, n_x, n_z) * (1.0 - w) + slab[
-                :, kp1.ravel()
-            ].reshape(m, n_x, n_z) * w
-            # plus the trade: its mid leg (m, n_x, 1) and spread leg
-            # (1, n_x, n_z) meet in one full-size add inside trade_cost
-            cand += trade_cost(prices, x_b, xg[jxp], z_b, dp_params)
-            take_j = cand < best - _TIE_EPS
-            np.minimum(best, cand, out=best)
-            best_j[take_j] = jxp
+        best, best_j = _scan(v, up, dn, slice(None), zp_by_pair.__getitem__, prices, x_b, z_b, xg, dp_params)
 
         # Grid-edge argmins signal a binding position bound, except where the
         # state already sits at the edge and holding it is the choice.
@@ -438,8 +442,8 @@ def superreplication_cost(
         boundary_hits += int(np.sum(hits))
 
         if grids.refine and n_x >= 3:
-            refined = _refine_layer(
-                best_j, v, lattice.up[depth], lattice.dn[depth], prices, xg, zg, z_cells, dp_params
+            refined, _ = _refine(
+                v, up[:, None, None], dn[:, None, None], prices, x_b, z_b, xg, best_j, z_cells, dp_params
             )
             np.minimum(best, refined, out=best)
 
@@ -510,25 +514,6 @@ def _branch_max(vnext, up_rows, dn_rows, x_cells, z_cells, xp, zp):
     return np.maximum(up, branch(), out=up)
 
 
-def _one_step_objective(vnext, up_rows, dn_rows, price, x_old, zeta, z_cells, params):
-    """Cost of moving x_old -> xp plus the worse branch's continuation, as a
-    function of xp and the lookup `x_cells` of its position cell: the
-    objective every one-step minimization shares.  `z_cells` is the spread
-    axis's lookup."""
-
-    def objective(xp, x_cells):
-        # the continuation first, and the new spread passed as a temporary
-        # that `_branch_max` drops once looked up: the trade's and the
-        # interpolation's temporaries never coexist
-        value = _branch_max(
-            vnext, up_rows, dn_rows, x_cells, z_cells, xp, spread_step(zeta, xp - x_old, params)
-        )
-        value += trade_cost(price, x_old, xp, zeta, params)
-        return value
-
-    return objective
-
-
 def _golden_min(objective, lo, hi):
     """Elementwise golden-section search of a unimodal objective on [lo, hi].
 
@@ -552,19 +537,25 @@ def _golden_min(objective, lo, hi):
     return objective(mid), mid
 
 
-def _refine_layer(best_j, v, up, dn, prices, xg, zg, z_cells, params):
-    """Vectorized golden-section search around the grid argmin, one cell
-    each side.
-
-    The up/down continuations are interpolated separately before taking the
-    adversarial max, so kinks between the branches survive refinement.
+def _refine(vnext, up_rows, dn_rows, price, x_old, zeta, xg, best_j, z_cells, params):
+    """Golden-section refinement over the two position cells around the
+    scan's argmins `best_j`.  The worse branch is taken after each branch
+    (rows `up_rows`/`dn_rows` of `vnext`) is interpolated, so kinks between
+    them survive.  Returns the value at the final midpoint and that point.
     """
-    objective = _one_step_objective(
-        v, up[:, None, None], dn[:, None, None], prices,
-        xg[None, :, None], zg[None, None, :], z_cells, params,
-    )
-    lo, hi, cells = _bracket(xg, best_j)
-    return _golden_min(lambda x: objective(x, cells), lo, hi)[0]
+    lo, hi, x_cells = _bracket(xg, best_j)
+
+    def objective(xp):
+        # the continuation first, and the new spread passed as a temporary
+        # that `_branch_max` drops once looked up: the trade's and the
+        # interpolation's temporaries never coexist
+        value = _branch_max(
+            vnext, up_rows, dn_rows, x_cells, z_cells, xp, spread_step(zeta, xp - x_old, params)
+        )
+        value += trade_cost(price, x_old, xp, zeta, params)
+        return value
+
+    return _golden_min(objective, lo, hi)
 
 
 def _interp_residual(v, xg, zg) -> tuple[float, float]:
@@ -599,12 +590,13 @@ def certificate_check(
     sampled paths.  Each distinct path is replayed once: the replay is
     elementwise per path, so a repeated path has the same margin.  `paths`,
     `min_margin` and `violations` count every path, `distinct` the replays.
-    The policy re-solves the one-step minimization at the exact (position,
-    spread) state using the stored value tables, then wealth is accumulated
-    with the exact cash dynamics.  It keeps its own position scan rather
-    than the DP's: after the first trade its states lie off the grid, where
-    the DP's scan, tabulated per grid state, has no entry.  Trades are
-    chosen on the DP's objective at iota = 0 and paid with the true iota.
+    At each path's exact (lattice node, price, position, spread) state the
+    policy re-solves the DP's one-step minimization on the stored value
+    tables, with the DP's position scan (`_scan`) and golden-section
+    refinement (`_refine`), and keeps the refined point where its value
+    beats the scan's; wealth is then accumulated with the exact cash
+    dynamics.  Trades are chosen on the DP's objective at iota = 0 and
+    paid with the true iota.
     `params` is the market the DP priced, its `frictionless()` copy
     included.  `spec` is unused, since the kept lattice holds the payoff;
     it stays because perfbench/workloads.py passes it positionally.
@@ -634,26 +626,17 @@ def certificate_check(
     cash = np.full(count, result.cost)
     price = np.full(count, params.p0)
 
-    n_x = len(xg)
     for depth in range(n):
-        up_idx = pol.lattice.up[depth][node]
-        dn_idx = pol.lattice.dn[depth][node]
-        objective = _one_step_objective(
-            pol.tables[depth + 1], up_idx, dn_idx, price, x, zeta, z_cells, dp_params
+        vnext, up, dn = pol.tables[depth + 1], pol.lattice.up[depth], pol.lattice.dn[depth]
+        up_idx, dn_idx = up[node], dn[node]
+        best, best_j = _scan(
+            vnext, up, dn, node, lambda j: z_cells(spread_step(zeta, xg[j] - x, dp_params)),
+            price, x, zeta, xg, dp_params,
         )
-
-        best = np.full(count, np.inf)
-        best_jx = np.zeros(count, dtype=int)
-        for jxp in np.argsort(np.abs(xg), kind="stable"):
-            cand = objective(xg[jxp], _node_cells(xg, jxp))
-            take = cand < best - 1e-12
-            best_jx = np.where(take, jxp, best_jx)
-            np.minimum(best, cand, out=best)
-        best_x = xg[best_jx]
-        if n_x >= 3:
-            lo, hi, cells = _bracket(xg, best_jx)
-            f_mid, mid = _golden_min(lambda x_new: objective(x_new, cells), lo, hi)
-            best_x = np.where(f_mid < objective(best_x, _node_cells(xg, best_jx)), mid, best_x)
+        best_x = xg[best_j]
+        if len(xg) >= 3:
+            f_mid, mid = _refine(vnext, up_idx, dn_idx, price, x, zeta, xg, best_j, z_cells, dp_params)
+            best_x = np.where(f_mid < best, mid, best_x)
         cash -= trade_cost(price, x, best_x, zeta, params)
         zeta = spread_step(zeta, best_x - x, params)
         x = best_x

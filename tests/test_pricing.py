@@ -1,6 +1,7 @@
 """Minimax DP, brute-force oracle and the explicit hedging strategies."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +31,8 @@ from impactlab.pricing import (
     superreplication_cost,
 )
 from impactlab import pricing
-from impactlab.pricing import _bracket, _golden_min, _node_cells, _spread_cells
+from impactlab.cli import ExperimentConfig
+from impactlab.pricing import _bracket, _golden_min, _refine, _scan, _spread_cells
 
 
 def mk(n=2, **kw):
@@ -39,6 +41,7 @@ def mk(n=2, **kw):
     return MarketParams(**base)
 
 
+SHIPPED = os.path.join(os.path.dirname(__file__), "..", "configs", "call_study.cfg")
 ABS_CALL = PayoffSpec("custom_terminal", table=((-8.0, 8.0), (0.0, 0.0), (8.0, 8.0)))
 
 
@@ -396,9 +399,6 @@ def test_bracket_cells_match_binary_search():
             top = (pts == hi[0]) & (k_ref == k + 1)
             assert np.array_equal(k[~top], k_ref[~top]) and np.array_equal(w[~top], w_ref[~top])
             assert np.all(w[top] == 1.0) and np.all(w_ref[top] == 0.0)
-        k, w = _node_cells(xg, np.arange(n_x))(xg)
-        k_ref, w_ref = interp_weights(xg, xg)
-        assert np.array_equal(k, k_ref) and np.array_equal(w, w_ref)
 
 
 def test_spread_cells_match_binary_search():
@@ -437,7 +437,6 @@ def _oracle_lookups(monkeypatch):
     """Put binary search back in place of the arithmetic cell lookups."""
     monkeypatch.setattr(pricing, "_spread_cells", lambda zg: lambda z: interp_weights(zg, z))
     monkeypatch.setattr(pricing, "_bracket", _oracle_bracket)
-    monkeypatch.setattr(pricing, "_node_cells", lambda xg, j: lambda x: interp_weights(xg, x))
 
 
 def test_dp_matches_binary_search_lookups(monkeypatch):
@@ -530,6 +529,38 @@ def test_dp_and_certificate_search_only_at_the_root(monkeypatch):
     res = superreplication_cost(p, spec, keep_policy=True)
     certificate_check(res, p, spec, n_paths=500, seed=1)
     assert len(calls) == 2  # the root's position and spread nodes
+
+
+def test_replay_first_decision_is_the_dp_root_value():
+    # (x0, zeta0) is a grid state, since both are axis nodes: there the
+    # replay's first minimization, the DP's scan and refinement at one
+    # path's state, is the DP's root value to the bit
+    markets = [mk(n=4, resilience=r) for r in (0.3, 0.5, 1.0)] + [mk(n=4, x0=0.37, zeta0=0.123, perm_impact=0.1)]
+    for kind in ("call", "put", "lookback_max", "asian_mean"):
+        spec = PayoffSpec(kind, strike=0.1 if kind != "lookback_max" else 0.0)
+        for p in markets:
+            pol = superreplication_cost(p, spec, keep_policy=True).policy
+            xg, zg, z_cells = pol.x_axis, pol.zeta_axis, _spread_cells(pol.zeta_axis)
+            dp = replace(p, perm_impact=0.0)
+            node, price, x, zeta = np.zeros(1, dtype=int), np.full(1, p.p0), np.full(1, p.x0), np.full(1, p.zeta0)
+            vnext, up, dn = pol.tables[1], pol.lattice.up[0], pol.lattice.dn[0]
+            scan, best_j = _scan(
+                vnext, up, dn, node, lambda j: z_cells(spread_step(zeta, xg[j] - x, dp)), price, x, zeta, xg, dp
+            )
+            refined, _ = _refine(vnext, up[node], dn[node], price, x, zeta, xg, best_j, z_cells, dp)
+            ix0, iz0 = np.flatnonzero(xg == p.x0)[0], np.flatnonzero(zg == p.zeta0)[0]
+            assert repr(float(np.minimum(scan, refined)[0])) == repr(float(pol.tables[0][0, ix0, iz0])), (kind, p)
+
+
+def test_certify_inputs_certify_at_many_seeds():
+    # the benchmark's certify replay: the shipped market's lookback at N = 8,
+    # 4000 sampled paths, at seeds other than the one it happens to run
+    p = ExperimentConfig.load(SHIPPED).market(8)
+    spec = PayoffSpec("lookback_max")
+    res = superreplication_cost(p, spec, keep_policy=True)
+    for seed in range(1, 21):
+        out = certificate_check(res, p, spec, n_paths=4000, seed=seed)
+        assert out["paths"] == 4000 and out["violations"] == 0 and out["min_margin"] >= 0.0, seed
 
 
 def test_wealth_with_liquidation_matches_manual():

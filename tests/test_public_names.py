@@ -5,7 +5,9 @@ outside its own definition, by the benchmark harness (`perfbench/`, which
 also wraps library functions by their attribute names), or by the console
 entry point in `pyproject.toml`.  Re-exports in `impactlab/__init__.py` do
 not count as readers; oracles that only the tests call belong in
-`tests/helpers.py`.
+`tests/helpers.py`.  A module-level private function or class needs a
+reader too: the library outside its own definition, or the benchmark
+harness, so a helper whose last caller went does not stay behind.
 """
 
 import ast
@@ -62,3 +64,20 @@ def _read_names() -> set:
 def test_every_public_name_has_a_reader_outside_the_tests(module):
     unread = sorted(set(importlib.import_module(f"impactlab.{module}").__all__) - _read_names())
     assert unread == [], f"impactlab.{module} exports names that no library, benchmark or entry-point code reads: {unread}"
+
+
+def _private_definitions() -> list:
+    """`module.name` of every module-level private function and class."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            defines = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if defines and node.name.startswith("_") and not node.name.startswith("__"):
+                found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_every_private_helper_has_a_reader_outside_the_tests():
+    names = _read_names()
+    unread = [qual for qual in _private_definitions() if qual.split(".", 1)[1] not in names]
+    assert unread == [], f"private helpers that no library or benchmark code reads: {unread}"
