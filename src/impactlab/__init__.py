@@ -37,4 +37,4 @@ __version__ = "0.1.0"
 # Part of the results-store digest.  Bump it whenever a solver change moves
 # any computed number, so rows stored by an older solver are recomputed
 # rather than served.
-SOLVER_REVISION = 10
+SOLVER_REVISION = 11

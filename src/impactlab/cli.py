@@ -44,7 +44,7 @@ from .market import (
     terminal_wealth,
 )
 from .payoffs import PayoffSpec
-from .pricing import _RUNNING_SUM_MAX_N, DPGrids, superreplication_cost
+from .pricing import DPGrids, superreplication_cost
 
 __all__ = ["ExperimentConfig", "ResultRow", "run_experiment", "convergence_table", "main"]
 
@@ -462,12 +462,6 @@ def run_experiment(config_path, mode, seed=None, no_cache=False, out_dir=".") ->
     missing = [m for m in modes if m not in {r.mode for r in cached}]
     if not missing:
         return (2 if any(r.flag == "WARN" for r in cached) else 0), cached
-    # the asian's lattice caps the horizon of its DP and its bounds; limits have no cap
-    longest = max(cfg.get("run", "n_list"))
-    if spec.kind == "asian_mean" and longest > _RUNNING_SUM_MAX_N and {"primal_dp", "dual_bound"} & set(missing):
-        raise ConfigError(
-            f"[run] n_list: the asian_mean lattice (DP and bounds) takes N <= {_RUNNING_SUM_MAX_N}, got N = {longest}"
-        )
 
     rows = []
 

@@ -29,7 +29,7 @@ Every printed lower bound is this formula for a constant target volatility
 nu.  Its tilt alpha = (nu^2 - sigma^2) / (2 sigma) is constant, so the
 chain is one number, and Q's up-probability reads the last shock alone:
 Q is Markov in (price-lattice state, last shock).  E_Q[H] is then exact by
-one forward pass of Q-mass over the DP's price lattice, or sampled on
+one forward pass of Q-mass over the DP's grouped lattice, or sampled on
 tilted walks.
 """
 
@@ -44,7 +44,7 @@ import numpy as np
 # as module attributes: perfbench/boundaries.py wraps them in this namespace.
 from .market import MarketParams, fundamental_path  # noqa: F401
 from .payoffs import PayoffSpec, evaluate_payoff, payoff_from_summaries  # noqa: F401
-from .pricing import _build_lattice, _drawdown_lattice
+from .pricing import _grouped_lattice
 
 __all__ = ["constant_profile", "kusuoka_lower_bound"]
 
@@ -100,18 +100,18 @@ def _penalty(params: MarketParams, alpha) -> float:
 
 
 def _exact_mean(spec: PayoffSpec, params: MarketParams, q, clipped):
-    """E_Q[H] by one forward pass of Q-mass over the DP's price lattice.
+    """E_Q[H] by one forward pass of Q-mass over the DP's grouped lattice.
 
-    mass[i] holds the mass of a depth's states entered by a down (i = 0) or
+    mass[i] holds the mass of a depth's groups entered by a down (i = 0) or
     an up (i = 1) move; each depth after the first sends q[i] of it to the
-    up child and the rest to the down child.  The lookback's lattice is the
-    DP's drawdown lattice: an up move from drawdown 0 lands in an extra row,
-    drawdown 0 with the running max, and so the payoff, one step s higher.
-    Returns (E_Q[H], clip_q), where clip_q counts the (depth, state, last
-    move) entries that carry mass and read a clipped q.
+    up child and the rest to the down child.  A group's payoff is that of
+    its reference state, and each up move that lifts the payoff (the
+    lookback's new max) adds s times the mass it carries.  Returns
+    (E_Q[H], clip_q), where clip_q counts the (depth, group, last move)
+    entries that carry mass and read a clipped q.
     """
-    lat = _drawdown_lattice(spec, params) or _build_lattice(spec, params)
-    rise = 0.0  # the lookback's payoff from moves to a new max
+    groups = _grouped_lattice(spec, params)
+    lift = 0.0
     clip_q = 0
     for d in range(params.n_steps):
         if d == 0:
@@ -119,13 +119,10 @@ def _exact_mean(spec: PayoffSpec, params: MarketParams, q, clipped):
         else:
             clip_q += int(np.count_nonzero(mass[clipped]))
             to_up, to_dn = q @ mass, (1.0 - q) @ mass
-        width = len(lat.prices[d + 1])
-        up = np.bincount(lat.up[d], to_up, width)
-        if len(up) > width:
-            rise += params.step_vol * up[width]
-            up[0] += up[width]
-        mass = np.stack([np.bincount(lat.dn[d], to_dn, width), up[:width]])
-    return float(mass.sum(axis=0) @ lat.payoff) + rise, clip_q
+        lift += params.step_vol * np.sum(to_up[groups.lift[d]])
+        width = len(groups.states[d + 1])
+        mass = np.stack([np.bincount(groups.dn[d], to_dn, width), np.bincount(groups.up[d], to_up, width)])
+    return float(mass.sum(axis=0) @ groups.payoff) + lift, clip_q
 
 
 def _sample(spec: PayoffSpec, params: MarketParams, q, clipped, n_paths: int, seed: int):
@@ -170,11 +167,11 @@ def kusuoka_lower_bound(
 
     Each bound is E_Q[H] less the penalty chain and the constant
     delta (1-r)^2 zeta0^2/2 + p0 x0 + iota x0^2/2 (module docstring).
-    E_Q[H] is exact, by `_exact_mean`'s pass over the price lattice, for
-    horizons up to `exact_max_n` (the asian's lattice stops at N = 24),
-    else the mean of `mc_paths` tilted walks drawn with `seed`, with a
-    reported standard error.  A bound that reads a clipped probability is
-    marked uncertified (its value is still reported).
+    E_Q[H] is exact, by `_exact_mean`'s pass over the grouped lattice, for
+    horizons up to `exact_max_n`, else the mean of `mc_paths` tilted walks
+    drawn with `seed`, with a reported standard error.  A bound that reads
+    a clipped probability is marked uncertified (its value is still
+    reported).
     """
     alpha, q, clipped = _tilt(nu, params.sigma)
     decay = 1.0 - params.resilience

@@ -86,25 +86,26 @@ _AUX_STEP = {
     "running_max": lambda j, a, jj: np.maximum(a, jj),
     "running_sum": lambda j, a, jj: a + j,
 }
-# Largest horizon of the asian's (level, running sum) lattice: 15275 states
-# at N = 24 against 3213 at N = 16, each with a full position-spread table.
+# Largest horizon of the asian's (level, running sum) lattice, which only a
+# kept policy expands to: 15275 states at N = 24 against 3213 at N = 16.
 _RUNNING_SUM_MAX_N = 24
 
 
 @dataclass
 class _Lattice:
-    prices: list  # per depth: float array of node prices
+    states: list  # per depth, sorted: (level, aux) int64 rows, or group keys
     up: list  # per depth < N: child indices
     dn: list
-    payoff: np.ndarray  # terminal payoff per depth-N node
-    augmentation: str
-    states: Optional[list] = None  # per depth: (level, aux) int64 rows, sorted
+    lift: list  # per depth < N: bool, the up move adds s to the payoff
+    payoff: np.ndarray  # terminal payoff per depth-N state
+    prices: Optional[list]  # per depth: the (level, aux) states' prices; None for groups
 
 
 def _build_lattice(spec: PayoffSpec, params: MarketParams, augmentation: str = "auto") -> _Lattice:
     """The payoff's price lattice: states (level j, aux a) at price p0 + s j,
     with aux 0 for a terminal payoff, the running max for the lookback and
-    the running sum of the pre-move levels for the asian.
+    the running sum of the pre-move levels for the asian.  Each state is its
+    own group, so no move lifts the payoff.
 
     Each depth's children are one step over its parents' rows, merged and
     sorted by `np.unique`, whose inverse gives the up and down child of
@@ -129,30 +130,42 @@ def _build_lattice(spec: PayoffSpec, params: MarketParams, augmentation: str = "
     prices = [params.p0 + s * st[:, 0].astype(float) for st in states]
     aux = states[n][:, 1].astype(float)
     payoff = payoff_from_summaries(spec, terminal=prices[n], rise=s * aux, average=params.p0 + s * aux / n)
-    return _Lattice(prices, up, dn, payoff, aug, states)
+    return _Lattice(states, up, dn, [np.zeros(len(u), dtype=bool) for u in up], payoff, prices)
 
 
-def _drawdown_lattice(spec: PayoffSpec, params: MarketParams) -> Optional[_Lattice]:
-    """The lookback's (level, running max) lattice grouped by drawdown, or
-    None for any other payoff.
+# A group's up child key, down child key and whether the up move lifts the
+# payoff by s, when m periods follow: keys are the level j, the lookback's
+# drawdown a - j (up from 0 is a new max) and the asian's (Z - p0) N / s = A + (N - d) j.
+_KEY_STEP = {
+    "none": lambda k, m: (k + 1, k - 1, np.zeros_like(k, dtype=bool)),
+    "running_max": lambda k, m: (np.maximum(k - 1, 0), k + 1, k == 0),
+    "running_sum": lambda k, m: (k + m, k - m, np.zeros_like(k, dtype=bool)),
+}
 
-    `lookback_max` pays s a at a terminal node (level j, max a), one-for-one
-    with the max.  Shifting every price of a state by k s adds k s to the
-    payoff and k s (x_new - x_old) to each trade's cash, so over a plan that
-    ends flat v(j + k, a + k, x, zeta) = v(j, a, x, zeta) + k s (1 - x)
-    exactly.  Row y = 0..d at depth d is the reference node (-y, 0) of all
-    states with drawdown a - j = y: price p0 - s y, terminal payoff 0.  A
-    down move goes to y + 1 and an up move to y - 1, except up from y = 0 (a
-    new max), which reads row 0 shifted by s (1 - x); the DP appends that row
-    after the d + 2 rows of depth d + 1, as row d + 2.
+
+def _grouped_lattice(spec: PayoffSpec, params: MarketParams) -> _Lattice:
+    """The lattice states merged by the integer key (`_KEY_STEP`) that
+    their price-free value W = V + x P depends on, up to s per lift on the
+    way to them: the lookback's state (j, a) is worth its drawdown's W plus
+    a s.  A group's payoff is its reference state's (running max p0 for the
+    lookback).  Each depth's keys are one step over its parents', merged.
     """
-    if spec.kind != "lookback_max":
-        return None
     n, s = params.n_steps, params.step_vol
-    prices = [params.p0 - s * np.arange(d + 1) for d in range(n + 1)]
-    up = [np.append(d + 2, np.arange(d)) for d in range(n)]
-    dn = [np.arange(1, d + 2) for d in range(n)]
-    return _Lattice(prices, up, dn, np.zeros(n + 1), "running_max")
+    step = _KEY_STEP[_AUG_BY_KIND[spec.kind]]
+    keys, up, dn, lift = [np.zeros(1, dtype=np.int64)], [], [], []
+    for d in range(n):
+        k_up, k_dn, lifted = step(keys[-1], n - d - 1)
+        kids = np.concatenate([k_up, k_dn])
+        lo = kids.min()
+        seen = np.bincount(kids - lo) > 0  # keys are small integers: no sort
+        u, w = (np.cumsum(seen) - 1)[kids - lo].reshape(2, -1)
+        up.append(u)
+        dn.append(w)
+        lift.append(lifted)
+        keys.append(np.flatnonzero(seen) + lo)
+    key = keys[n].astype(float)
+    payoff = payoff_from_summaries(spec, terminal=params.p0 + s * key, rise=0.0 * key, average=params.p0 + s * key / n)
+    return _Lattice(keys, up, dn, lift, payoff, None)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +255,7 @@ class PriceResult:
 class DPPolicy:
     """Value tables retained for policy simulation."""
 
-    tables: list  # per depth: (n_states, nX, nZ) arrays
+    tables: list  # per depth: (n_states, nX, nZ) price-free values W; V = W - x P
     lattice: _Lattice
     x_axis: np.ndarray
     zeta_axis: np.ndarray
@@ -325,34 +338,43 @@ def _bracket(xg: np.ndarray, j):
     return lo, hi, cells
 
 
-def _scan(vnext, up, dn, rows, cells, price, x_old, zeta, xg, params):
-    """Position scan: per state (parent row `rows`, price, x_old, zeta),
-    the least over nodes xg[j] of the trade's cost plus the pair max
-    max(vnext[up], vnext[dn]) at j, interpolated along the spread axis
-    with the cell and weight `cells(j)` gives.  `rows` is an index per
-    state, or `slice(None)` to cross every row with the cells' shape.
-    Nodes are scanned by |x|; on near-ties (`_TIE_EPS`) the first keeps the
-    argmin.  Returns the values and argmin nodes.
+def _scan(up_t, dn_t, rows, cells, x_old, zeta, xg, params):
+    """Position scan: per state (branch-table row `rows`, x_old, zeta), the
+    least over nodes xg[j] of the price-free trade cost plus the pair max
+    max(up_t, dn_t) at j, taken one slab at a time and interpolated along
+    the spread axis with the cell and weight `cells(j)` gives.  `rows` is
+    an index per state, or `slice(None)` to cross every row with the
+    cells' shape.  Nodes are scanned by |x|; on near-ties (`_TIE_EPS`) the
+    first keeps the argmin.  Returns the values and argmin nodes.
     """
-    pairmax = vnext[up]  # built in place on one gathered copy
-    np.maximum(pairmax, vnext[dn], out=pairmax)
-    n_z = pairmax.shape[2]
-    shape = np.broadcast_shapes(np.shape(price), np.shape(x_old), np.shape(zeta))
+    n_z = up_t.shape[2]
+    shape = np.broadcast_shapes(np.shape(x_old), np.shape(zeta))
+    if isinstance(rows, slice):
+        shape = (len(up_t),) + shape[1:]
     best = np.full(shape, np.inf)
     best_j = np.zeros(shape, dtype=np.int64)
     for j in np.argsort(np.abs(xg), kind="stable"):
         k, w = cells(j)
-        slab = pairmax[:, j, :]
-        cand = slab[rows, k.ravel()].reshape(shape) * (1.0 - w) + slab[
-            rows, np.minimum(k + 1, n_z - 1).ravel()
-        ].reshape(shape) * w
-        # plus the trade: on the grid its mid leg (m, n_x, 1) and spread leg
-        # (1, n_x, n_z) meet in one full-size add inside trade_cost
-        cand += trade_cost(price, x_old, xg[j], zeta, params)
+        slab = np.maximum(up_t[:, j, :], dn_t[:, j, :])
+        cand = slab[rows, k] * (1.0 - w) + slab[rows, np.minimum(k + 1, n_z - 1)] * w
+        # plus the trade: on the grid its position leg (1, n_x, 1) and spread
+        # leg (1, n_x, n_z) meet in one full-size add inside trade_cost
+        cand += trade_cost(0.0, x_old, xg[j], zeta, params)
         take = cand < best - _TIE_EPS
         np.minimum(best, cand, out=best)
         best_j[take] = j
     return best, best_j
+
+
+def _branches(v, up, dn, lift, sx, s):
+    """Each parent row's up branch v[up] (plus s where `lift` is set) less s y
+    and down branch v[dn] plus s y, from the next depth's W table `v`."""
+    up_t = v[up]
+    up_t[lift] += s
+    up_t -= sx
+    dn_t = v[dn]
+    dn_t += sx
+    return up_t, dn_t
 
 
 def superreplication_cost(
@@ -363,10 +385,13 @@ def superreplication_cost(
 ) -> PriceResult:
     """Minimax backward induction for the super-replication cost.
 
-    State per depth: (augmented price node, position, spread), with the
-    spread handled by piecewise-linear interpolation.  Each minimization
-    scans the position grid (`_scan`) and optionally refines by
-    golden-section search over the two cells around the scan's argmin
+    State per depth: (group of `_grouped_lattice`, position, spread), with
+    the spread handled by piecewise-linear interpolation.  At iota = 0 a
+    trade's cash is P (y - x) + trade_cost(0, x, y, zeta), so the value is
+    V = -x P + W, and the DP solves W: the up branch reads W (lifted by s
+    first on a new max) less s y, the down branch W plus s y.  Each
+    minimization scans the position grid (`_scan`) and optionally refines
+    by golden-section search over the two cells around the scan's argmin
     (`_refine`); the policy replay runs the same two.  Refinement assumes
     the one-step objective is unimodal there, which can fail at low
     resilience, where some states' scan values are not unimodal; it can
@@ -375,23 +400,18 @@ def superreplication_cost(
 
     Permanent impact is solved exactly at the root.  Every plan ends flat,
     so its permanent legs iota (x_old + x_new)/2 dx sum to -iota x0^2/2 on
-    every path: the DP solves at iota = 0 and the root subtracts iota x0^2/2.
-    Left in the tables, the concave -iota x^2/2 would make interpolation
-    along the position axis undershoot what the policy needs.
+    every path: the DP solves at iota = 0 and the root subtracts
+    p0 x0 + iota x0^2/2.  Left in the tables, the concave -iota x^2/2 would
+    make interpolation along the position axis undershoot what the policy
+    needs.
 
-    `lookback_max` on the (level, running max) lattice is solved on its d + 1
-    drawdown states per depth (`_drawdown_lattice`), not on the lattice's
-    states: a state (j, a) is worth w[a - j] + a s (1 - x), where w[y] is
-    the value of drawdown y at running max 0 and s the price step.  The
-    report counts boundary hits per lattice state, and kept tables are
-    expanded to the lattice, so the policy and its replay do not see the
-    grouping.
+    The report counts boundary hits on the DP's own states, the groups.
+    Kept tables hold W expanded to `_build_lattice`'s (level, aux) states,
+    so the policy and its replay do not see the grouping.
     """
     grids = grids or DPGrids()
-    lattice = _drawdown_lattice(spec, params)
-    grouped = lattice is not None
-    if not grouped:
-        lattice = _build_lattice(spec, params)
+    groups = _grouped_lattice(spec, params)
+    lattice = _build_lattice(spec, params) if keep_policy else None  # before the solve: it may refuse N
     dp_params = replace(params, perm_impact=0.0)
     n = params.n_steps
     s = params.step_vol
@@ -399,19 +419,14 @@ def superreplication_cost(
     zg = grids.zeta_axis(spec, params)
     n_x, n_z = len(xg), len(zg)
 
-    # Terminal layer: forced liquidation at the post-shock price, then payoff.
-    p_term = lattice.prices[n][:, None, None]
-    x_b = xg[None, :, None]
-    z_b = zg[None, None, :]
-    v = trade_cost(p_term, x_b, 0.0, z_b, dp_params) + lattice.payoff[:, None, None]
-    v = np.broadcast_to(v, (len(lattice.prices[n]), n_x, n_z)).copy()
+    # Terminal layer: forced liquidation, price leg aside, then payoff.
+    x_b, z_b = xg[None, :, None], zg[None, None, :]
+    v = trade_cost(0.0, x_b, 0.0, z_b, dp_params) + groups.payoff[:, None, None]
 
     tables = [None] * (n + 1)
     if keep_policy:
         tables[n] = v
-    boundary_hits = 0
-    max_resid = 0.0
-    max_resid_x = 0.0
+    boundary_hits, max_resid, max_resid_x = 0, 0.0, 0.0
 
     # Spread after a trade of size |dx|, shared across depths and nodes.
     z_cells = _spread_cells(zg)
@@ -421,30 +436,23 @@ def superreplication_cost(
     # default axis keeps (all of that axis), so a wider explicit axis
     # cannot raise them, or the flag, through nodes no hedge visits.
     hedged = _hedge_span(xg, spec, params)
-    new_max = s * (1.0 - xg)[:, None]
+    sx = s * xg[:, None]
 
     for depth in range(n - 1, -1, -1):
-        if grouped:
-            v = np.concatenate([v, (v[0] + new_max)[None]])
-        up, dn = lattice.up[depth], lattice.dn[depth]
-        prices = lattice.prices[depth][:, None, None]
-        best, best_j = _scan(v, up, dn, slice(None), zp_by_pair.__getitem__, prices, x_b, z_b, xg, dp_params)
+        up_t, dn_t = _branches(v, groups.up[depth], groups.dn[depth], groups.lift[depth], sx, s)
+        del v  # the branches replace it (a kept table stays in `tables`)
+        best, best_j = _scan(up_t, dn_t, slice(None), zp_by_pair.__getitem__, x_b, z_b, xg, dp_params)
 
         # Grid-edge argmins signal a binding position bound, except where the
         # state already sits at the edge and holding it is the choice.
         own = np.arange(n_x)[None, :, None]
         at_edge = (best_j == 0) | (best_j == n_x - 1)
-        hits = np.count_nonzero(at_edge & (best_j != own), axis=(1, 2))
-        if grouped:
-            # drawdown y stands for the lattice states (j, a) with a - j = y,
-            # a = d - y, d - y - 2, ... >= 0: floor((d - y)/2) + 1 of them
-            hits = hits * (np.arange(depth, -1, -1) // 2 + 1)
-        boundary_hits += int(np.sum(hits))
+        boundary_hits += int(np.count_nonzero(at_edge & (best_j != own)))
 
         if grids.refine and n_x >= 3:
-            refined, _ = _refine(
-                v, up[:, None, None], dn[:, None, None], prices, x_b, z_b, xg, best_j, z_cells, dp_params
-            )
+            bracket = _bracket(xg, best_j)
+            del best_j  # the bracket replaces the argmins: one full-size array less in the search
+            refined, _ = _refine(up_t, dn_t, np.arange(len(best))[:, None, None], x_b, z_b, bracket, z_cells, dp_params)
             np.minimum(best, refined, out=best)
 
         v = best
@@ -456,62 +464,63 @@ def superreplication_cost(
 
     ix0 = int(np.searchsorted(xg, params.x0))
     iz0 = int(np.searchsorted(zg, params.zeta0)) if n_z > 1 else 0
-    cost = float(v[0, ix0, iz0]) - 0.5 * params.perm_impact * params.x0**2
+    cost = float(v[0, ix0, iz0]) - params.p0 * params.x0 - 0.5 * params.perm_impact * params.x0**2
     # Only the spread axis is interpolated during the scan, so its residual
     # is the propagating error; the position axis enters refinement only,
     # where the tables, solved at iota = 0, hold no concave -iota x^2/2 for
-    # interpolation to undershoot.
+    # interpolation to undershoot.  The residual needs three spread nodes, so
+    # below full resilience a shorter axis that a spread can reach is flagged.
+    coarse = params.resilience < 1.0 and n_z < 3 and (zg[-1] > 0.0 or np.ptp(xg) > 0.0)
     report = {
         "n_x": n_x,
         "n_zeta": n_z,
-        "augmentation": lattice.augmentation,
+        "augmentation": _AUG_BY_KIND[spec.kind],
         "max_interp_residual": max_resid,
         "x_kink_residual": max_resid_x,
         "boundary_hits": boundary_hits,
-        "flagged": bool(boundary_hits > 0 or max_resid > _RESIDUAL_TOL),
+        "flagged": bool(boundary_hits > 0 or max_resid > _RESIDUAL_TOL or coarse),
     }
     policy = None
     if keep_policy:
-        if grouped:
-            lattice = _build_lattice(spec, params)
-            tables = [
-                w[top - level] + (top * s)[:, None, None] * (1.0 - x_b)
-                for w, (level, top) in zip(tables, (st.T for st in lattice.states))
-            ]
+        walk = np.zeros((2, 1), dtype=np.int64)  # per state: its group, and the lifts on its way
+        for d in range(n + 1):
+            group, lifts = walk
+            tables[d] = tables[d][group] + (lifts * s)[:, None, None]
+            if d < n:
+                walk = np.empty((2, len(lattice.states[d + 1])), dtype=np.int64)
+                walk[:, lattice.up[d]] = groups.up[d][group], lifts + groups.lift[d][group]
+                walk[:, lattice.dn[d]] = groups.dn[d][group], lifts
         policy = DPPolicy(tables=tables, lattice=lattice, x_axis=xg, zeta_axis=zg)
     return PriceResult(cost=cost, report=report, policy=policy)
 
 
-def _branch_max(vnext, up_rows, dn_rows, x_cells, z_cells, xp, zp):
-    """Worse of the up and down continuations at off-grid (position, spread).
+def _branch_max(up_t, dn_t, rows, x_cells, z_cells, xp, zp):
+    """Worse of the up and down branch tables at off-grid (position, spread).
 
-    Each branch is the bilinear interpolant of its row of `vnext`; the
-    lookups `x_cells`/`z_cells` give the cells and weights of `xp`/`zp`,
-    and the flat cell index is computed once for both branches.
-    `up_rows`/`dn_rows` and `xp` broadcast against `zp`, which has the
-    shape of the result.
+    Each branch is the bilinear interpolant of its row `rows` of `up_t` or
+    `dn_t`; the lookups `x_cells`/`z_cells` give the cells and weights of
+    `xp`/`zp`, and the flat cell index is computed once for both branches.
+    `rows` and `xp` broadcast against `zp`, which has the shape of the
+    result.
     """
-    n_z = vnext.shape[2]
-    flat = vnext.reshape(-1)
+    n_z = up_t.shape[2]
     jx, wx = x_cells(xp)
     kz, wz = z_cells(zp)
     cell = jx * n_z  # the one int64 index array kept per evaluation
     cell += kz
+    cell += rows * (up_t.shape[1] * n_z)
     del jx, kz, zp
     wx1, wz1 = 1.0 - wx, 1.0 - wz
 
-    def branch():
+    def branch(flat):
         c00, c10 = flat[cell], flat[n_z:][cell]
         if n_z > 1:
             c00 = c00 * wz1 + flat[1:][cell] * wz
             c10 = c10 * wz1 + flat[n_z + 1 :][cell] * wz
         return c00 * wx1 + c10 * wx
 
-    stride = vnext.shape[1] * n_z
-    cell += up_rows * stride
-    up = branch()
-    cell += (dn_rows - up_rows) * stride
-    return np.maximum(up, branch(), out=up)
+    up = branch(up_t.reshape(-1))
+    return np.maximum(up, branch(dn_t.reshape(-1)), out=up)
 
 
 def _golden_min(objective, lo, hi):
@@ -537,22 +546,21 @@ def _golden_min(objective, lo, hi):
     return objective(mid), mid
 
 
-def _refine(vnext, up_rows, dn_rows, price, x_old, zeta, xg, best_j, z_cells, params):
+def _refine(up_t, dn_t, rows, x_old, zeta, bracket, z_cells, params):
     """Golden-section refinement over the two position cells around the
-    scan's argmins `best_j`.  The worse branch is taken after each branch
-    (rows `up_rows`/`dn_rows` of `vnext`) is interpolated, so kinks between
-    them survive.  Returns the value at the final midpoint and that point.
+    scan's argmins, as `_bracket` gives them (`bracket`).  The worse branch
+    is taken after each branch (row `rows` of `up_t`/`dn_t`) is
+    interpolated, so kinks between them survive.  Returns the value at the
+    final midpoint and that point.
     """
-    lo, hi, x_cells = _bracket(xg, best_j)
+    lo, hi, x_cells = bracket
 
     def objective(xp):
         # the continuation first, and the new spread passed as a temporary
         # that `_branch_max` drops once looked up: the trade's and the
         # interpolation's temporaries never coexist
-        value = _branch_max(
-            vnext, up_rows, dn_rows, x_cells, z_cells, xp, spread_step(zeta, xp - x_old, params)
-        )
-        value += trade_cost(price, x_old, xp, zeta, params)
+        value = _branch_max(up_t, dn_t, rows, x_cells, z_cells, xp, spread_step(zeta, xp - x_old, params))
+        value += trade_cost(0.0, x_old, xp, zeta, params)
         return value
 
     return _golden_min(objective, lo, hi)
@@ -593,10 +601,10 @@ def certificate_check(
     At each path's exact (lattice node, price, position, spread) state the
     policy re-solves the DP's one-step minimization on the stored value
     tables, with the DP's position scan (`_scan`) and golden-section
-    refinement (`_refine`), and keeps the refined point where its value
-    beats the scan's; wealth is then accumulated with the exact cash
-    dynamics.  Trades are chosen on the DP's objective at iota = 0 and
-    paid with the true iota.
+    refinement (`_refine`) on the branch tables of the path's node, and
+    keeps the refined point where its value beats the scan's; wealth is
+    then accumulated with the exact cash dynamics.  Trades are chosen on
+    the DP's objective at iota = 0 and paid with the true iota.
     `params` is the market the DP priced, its `frictionless()` copy
     included.  `spec` is unused, since the kept lattice holds the payoff;
     it stays because perfbench/workloads.py passes it positionally.
@@ -627,21 +635,21 @@ def certificate_check(
     price = np.full(count, params.p0)
 
     for depth in range(n):
-        vnext, up, dn = pol.tables[depth + 1], pol.lattice.up[depth], pol.lattice.dn[depth]
-        up_idx, dn_idx = up[node], dn[node]
+        up, dn = pol.lattice.up[depth], pol.lattice.dn[depth]
+        up_t, dn_t = _branches(pol.tables[depth + 1], up, dn, pol.lattice.lift[depth], s * xg[:, None], s)
         best, best_j = _scan(
-            vnext, up, dn, node, lambda j: z_cells(spread_step(zeta, xg[j] - x, dp_params)),
-            price, x, zeta, xg, dp_params,
+            up_t, dn_t, node, lambda j: z_cells(spread_step(zeta, xg[j] - x, dp_params)), x, zeta, xg, dp_params
         )
         best_x = xg[best_j]
         if len(xg) >= 3:
-            f_mid, mid = _refine(vnext, up_idx, dn_idx, price, x, zeta, xg, best_j, z_cells, dp_params)
+            f_mid, mid = _refine(up_t, dn_t, node, x, zeta, _bracket(xg, best_j), z_cells, dp_params)
             best_x = np.where(f_mid < best, mid, best_x)
+        del up_t, dn_t
         cash -= trade_cost(price, x, best_x, zeta, params)
         zeta = spread_step(zeta, best_x - x, params)
         x = best_x
         price = price + s * shocks[:, depth]
-        node = np.where(shocks[:, depth] == 1, up_idx, dn_idx)
+        node = np.where(shocks[:, depth] == 1, up[node], dn[node])
 
     # liquidation at the terminal price
     cash -= trade_cost(price, x, 0.0, zeta, params)

@@ -16,7 +16,7 @@ from impactlab.cli import (
     main,
     run_experiment,
 )
-from impactlab.pricing import DPGrids
+from impactlab.pricing import DPGrids, PriceResult
 
 
 def write_cfg(tmp_path, body, name="exp.cfg"):
@@ -424,39 +424,34 @@ def test_torn_store_fails_before_the_body_runs(tmp_path, monkeypatch):
     assert calls == []
 
 
-def test_asian_price_past_the_lattice_cap_fails_before_any_row(tmp_path, capsys, monkeypatch):
-    # the N=4 row was once computed and then lost to a traceback at N=32
-    from impactlab.pricing import _RUNNING_SUM_MAX_N
+def test_asian_runs_past_the_running_sum_lattice(tmp_path, capsys, monkeypatch):
+    # the DP and the bounds group the asian's states by Z, so no horizon cap
+    # is left: the bounds at N = 32 are exact and certified, and the price
+    # at N = 25 is not refused (the DP is stubbed, the solve is slow)
+    body = BASE.replace("kind = call", "kind = asian_mean").replace("nu_values = 1.0 1.2", "nu_values = 0.8 1.0 1.2")
+    cfg = write_cfg(tmp_path, body.replace("n_list = 2 3", "n_list = 8 32"))
+    assert main(["bound", "--config", cfg, "--out", str(tmp_path / "bound")]) == 0
+    rows = cli._store_read(str(tmp_path / "bound" / "results.csv"))
+    assert sorted(r.n for r in rows) == [8, 8, 8, 32, 32, 32] and all(r.flag == "" and r.err == 0.0 for r in rows)
 
-    body = BASE.replace("kind = call", "kind = asian_mean").replace(
-        "n_list = 2 3", f"n_list = 4 {_RUNNING_SUM_MAX_N + 1}"
-    )
-    cfg = write_cfg(tmp_path, body)
-    out = tmp_path / "out"
     calls = []
-    monkeypatch.setattr(cli, "superreplication_cost", lambda *args, **kwargs: calls.append(args))
-    assert main(["price", "--config", cfg, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: [run] n_list") and f"N <= {_RUNNING_SUM_MAX_N}" in err
-    assert calls == [] and not out.exists()
+
+    def stub(params, spec, grids):
+        calls.append(params.n_steps)
+        return PriceResult(1.0, {"n_x": 41, "n_zeta": 48, "max_interp_residual": 0.0, "flagged": False})
+
+    monkeypatch.setattr(cli, "superreplication_cost", stub)
+    cfg = write_cfg(tmp_path, body.replace("n_list = 2 3", "n_list = 4 25"), name="price.cfg")
+    assert main(["price", "--config", cfg, "--out", str(tmp_path / "price")]) == 0
+    assert calls == [4, 25]
 
 
-def test_asian_bound_past_the_lattice_cap_fails_before_any_row(tmp_path, capsys, monkeypatch):
-    # the exact bounds run on the asian's (level, running sum) lattice,
-    # which stops where its DP does
-    from impactlab.pricing import _RUNNING_SUM_MAX_N
-
-    body = BASE.replace("kind = call", "kind = asian_mean").replace(
-        "n_list = 2 3", f"n_list = 4 {_RUNNING_SUM_MAX_N + 1}"
-    )
-    cfg = write_cfg(tmp_path, body)
-    out = tmp_path / "out"
-    calls = []
-    monkeypatch.setattr(cli, "kusuoka_lower_bound", lambda *args, **kwargs: calls.append(args))
-    assert main(["bound", "--config", cfg, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: [run] n_list") and f"N <= {_RUNNING_SUM_MAX_N}" in err
-    assert calls == [] and not out.exists()
+def test_two_node_spread_axis_prints_warn(tmp_path, capsys):
+    # the residual needs three spread nodes, so a two-node axis is flagged
+    cfg = write_cfg(tmp_path, BASE.replace("n_zeta = 48", "n_zeta = 2"))
+    assert main(["price", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    lines = [line for line in capsys.readouterr().out.splitlines() if "cost[" in line]
+    assert len(lines) == 2 and all(line.split()[0] == "[WARN]" for line in lines)
 
 
 def test_shipped_config_bounds_are_exact_and_certified(tmp_path, capsys):

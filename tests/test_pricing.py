@@ -32,7 +32,7 @@ from impactlab.pricing import (
 )
 from impactlab import pricing
 from impactlab.cli import ExperimentConfig
-from impactlab.pricing import _bracket, _golden_min, _refine, _scan, _spread_cells
+from impactlab.pricing import _bracket, _branches, _golden_min, _refine, _scan, _spread_cells
 
 
 def mk(n=2, **kw):
@@ -229,6 +229,21 @@ def test_frictionless_dp_has_one_spread_node():
     assert res.report["n_zeta"] == 1
     out = certificate_check(res, p, call)
     assert out["paths"] == 64 and out["violations"] == 0
+
+
+def test_spread_axis_too_short_to_measure_is_flagged():
+    # below full resilience the residual needs three spread nodes: a
+    # two-node axis reads 0 there, while its replay fails on most paths
+    call, p = PayoffSpec("call", strike=0.1), mk(n=4)
+    res = superreplication_cost(p, call, DPGrids(n_zeta=2), keep_policy=True)
+    assert res.report["n_zeta"] == 2 and res.report["max_interp_residual"] == 0.0
+    assert res.report["flagged"] and certificate_check(res, p, call)["violations"] > 0
+    # so is a one-node axis that a trade's spread cannot reach
+    assert superreplication_cost(p, call, DPGrids(n_zeta=1)).report["flagged"]
+    # the default axis, and the one node of full resilience, stay unflagged
+    assert not superreplication_cost(p, call).report["flagged"]
+    full = superreplication_cost(mk(n=4, resilience=1.0), call, DPGrids(n_zeta=2))
+    assert full.report["n_zeta"] == 1 and not full.report["flagged"]
 
 
 def test_permanent_impact_is_paid_at_the_root():
@@ -483,6 +498,10 @@ def _assert_same_solve(grouped, ungrouped, tol=1e-12):
     assert grouped.cost == pytest.approx(ungrouped.cost, abs=tol)
     close = ("max_interp_residual", "x_kink_residual")
     for key, value in ungrouped.report.items():
+        if key == "boundary_hits":
+            # counted on the DP's own states: groups, or lattice states
+            assert (grouped.report[key] > 0) == (value > 0) and grouped.report[key] <= value
+            continue
         expected = pytest.approx(value, abs=tol) if key in close else value
         assert grouped.report[key] == expected, key
     assert len(grouped.policy.tables) == len(ungrouped.policy.tables)
@@ -491,17 +510,19 @@ def _assert_same_solve(grouped, ungrouped, tol=1e-12):
         assert np.max(np.abs(mine - theirs)) <= tol
 
 
-def test_drawdown_solve_matches_running_max_lattice(monkeypatch):
-    spec = PayoffSpec("lookback_max")
+@pytest.mark.parametrize(
+    "spec", [PayoffSpec("lookback_max"), PayoffSpec("asian_mean", strike=0.1)], ids=lambda spec: spec.kind
+)
+def test_grouped_solve_matches_the_ungrouped_lattice(monkeypatch, spec):
     grids = DPGrids(n_x=41)
     runs = [(mk(n=n), {"grids": grids}) for n in (1, 2, 3, 4, 7, 10)]
     runs += [(mk(n=5, resilience=r), {"grids": grids}) for r in (0.3, 0.5, 1.0)]
-    off = mk(n=5, x0=0.37, zeta0=0.123, perm_impact=0.1)
+    off = mk(n=5, p0=0.3, x0=0.37, zeta0=0.123, perm_impact=0.1)
     runs += [
         (off, {"grids": grids}),
         (off.frictionless(), {"grids": grids}),
         (off, {"grids": DPGrids(x_grid=np.linspace(-1.5, 1.5, 13))}),
-        # a binding position bound: boundary hits count per lattice state
+        # a binding position bound: boundary hits on both sides
         (off, {"grids": DPGrids(x_grid=np.linspace(-0.4, 0.4, 9))}),
     ]
 
@@ -510,9 +531,58 @@ def test_drawdown_solve_matches_running_max_lattice(monkeypatch):
 
     grouped = solve_all()
     assert grouped[-1].report["boundary_hits"] > 0
-    monkeypatch.setattr(pricing, "_drawdown_lattice", lambda *args: None)
+    # the (level, aux) lattice: every state its own group, with no lift
+    monkeypatch.setattr(pricing, "_grouped_lattice", pricing._build_lattice)
     for mine, theirs in zip(grouped, solve_all()):
         _assert_same_solve(mine, theirs)
+
+
+def test_kept_asian_policy_past_its_lattice_fails_before_the_solve(monkeypatch):
+    # the DP takes any N, but a kept policy expands to the (level, running
+    # sum) states, which stop at N = 24: that is refused before any depth
+    monkeypatch.setattr(pricing, "_scan", lambda *args: pytest.fail("the DP ran"))
+    with pytest.raises(ValueError, match="running_sum lattice"):
+        superreplication_cost(mk(n=25), PayoffSpec("asian_mean"), keep_policy=True)
+
+
+def _key_of(kind, n, d, j, a):
+    """A lattice state's group key at depth d and the lifts on its way."""
+    if kind == "lookback_max":
+        return a - j, a
+    if kind == "asian_mean":
+        return a + (n - d) * j, 0
+    return j, 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [PayoffSpec("call", strike=0.1), PayoffSpec("put", strike=-0.2), PayoffSpec("lookback_max"),
+     PayoffSpec("asian_mean", strike=0.1), ABS_CALL],
+    ids=lambda spec: spec.kind,
+)
+def test_groups_are_a_quotient_of_the_lattice(spec):
+    for n in range(1, 11):
+        p = mk(n=n, p0=0.3, sigma=1.3)
+        lat, groups = pricing._build_lattice(spec, p), pricing._grouped_lattice(spec, p)
+        for d, states in enumerate(lat.states):
+            keys = groups.states[d]
+            got = [_key_of(spec.kind, n, d, j, a) for j, a in states]
+            assert {k for k, _ in got} == set(keys.tolist()) and np.all(np.diff(keys) > 0)
+            g = np.searchsorted(keys, [k for k, _ in got])
+            if d == n:
+                lifts = np.array([m for _, m in got])
+                assert np.allclose(lat.payoff, groups.payoff[g] + p.step_vol * lifts, rtol=0, atol=1e-12)
+                continue
+            for i, (gi, (_, m)) in enumerate(zip(g, got)):
+                kids = (lat.states[d + 1][c] for c in (lat.up[d][i], lat.dn[d][i]))
+                (ku, mu), (kd, md) = (_key_of(spec.kind, n, d + 1, *kid) for kid in kids)
+                nxt = groups.states[d + 1]
+                assert nxt[groups.up[d][gi]] == ku and nxt[groups.dn[d][gi]] == kd
+                assert groups.lift[d][gi] == (mu - m) and md == m
+    # Z groups the asian far tighter than its (level, running sum) states
+    asian = PayoffSpec("asian_mean")
+    totals = [sum(map(len, pricing._grouped_lattice(asian, mk(n=n)).states)) for n in (8, 16, 24, 32)]
+    assert totals == [136, 1108, 3881, 9453]
 
 
 def test_dp_and_certificate_search_only_at_the_root(monkeypatch):
@@ -542,12 +612,13 @@ def test_replay_first_decision_is_the_dp_root_value():
             pol = superreplication_cost(p, spec, keep_policy=True).policy
             xg, zg, z_cells = pol.x_axis, pol.zeta_axis, _spread_cells(pol.zeta_axis)
             dp = replace(p, perm_impact=0.0)
-            node, price, x, zeta = np.zeros(1, dtype=int), np.full(1, p.p0), np.full(1, p.x0), np.full(1, p.zeta0)
-            vnext, up, dn = pol.tables[1], pol.lattice.up[0], pol.lattice.dn[0]
+            node, x, zeta = np.zeros(1, dtype=int), np.full(1, p.x0), np.full(1, p.zeta0)
+            up, dn = pol.lattice.up[0], pol.lattice.dn[0]
+            up_t, dn_t = _branches(pol.tables[1], up, dn, pol.lattice.lift[0], p.step_vol * xg[:, None], p.step_vol)
             scan, best_j = _scan(
-                vnext, up, dn, node, lambda j: z_cells(spread_step(zeta, xg[j] - x, dp)), price, x, zeta, xg, dp
+                up_t, dn_t, node, lambda j: z_cells(spread_step(zeta, xg[j] - x, dp)), x, zeta, xg, dp
             )
-            refined, _ = _refine(vnext, up[node], dn[node], price, x, zeta, xg, best_j, z_cells, dp)
+            refined, _ = _refine(up_t, dn_t, node, x, zeta, _bracket(xg, best_j), z_cells, dp)
             ix0, iz0 = np.flatnonzero(xg == p.x0)[0], np.flatnonzero(zg == p.zeta0)[0]
             assert repr(float(np.minimum(scan, refined)[0])) == repr(float(pol.tables[0][0, ix0, iz0])), (kind, p)
 
