@@ -424,16 +424,19 @@ def test_torn_store_fails_before_the_body_runs(tmp_path, monkeypatch):
     assert calls == []
 
 
-def test_asian_runs_past_the_running_sum_lattice(tmp_path, capsys, monkeypatch):
-    # the DP and the bounds group the asian's states by Z, so no horizon cap
-    # is left: the bounds at N = 32 are exact and certified, and the price
-    # at N = 25 is not refused (the DP is stubbed, the solve is slow)
+def test_asian_bound_runs_past_the_running_sum_lattice(tmp_path, capsys):
+    # the bounds group the asian's states by Z, so no horizon cap is left:
+    # the bounds at N = 32 are exact and certified
     body = BASE.replace("kind = call", "kind = asian_mean").replace("nu_values = 1.0 1.2", "nu_values = 0.8 1.0 1.2")
     cfg = write_cfg(tmp_path, body.replace("n_list = 2 3", "n_list = 8 32"))
     assert main(["bound", "--config", cfg, "--out", str(tmp_path / "bound")]) == 0
     rows = cli._store_read(str(tmp_path / "bound" / "results.csv"))
     assert sorted(r.n for r in rows) == [8, 8, 8, 32, 32, 32] and all(r.flag == "" and r.err == 0.0 for r in rows)
 
+
+def test_asian_price_runs_past_the_running_sum_lattice(tmp_path, capsys, monkeypatch):
+    # the DP groups the asian's states by Z, so the price at N = 25 is not
+    # refused (the DP is stubbed, the solve is slow)
     calls = []
 
     def stub(params, spec, grids):
@@ -441,7 +444,8 @@ def test_asian_runs_past_the_running_sum_lattice(tmp_path, capsys, monkeypatch):
         return PriceResult(1.0, {"n_x": 41, "n_zeta": 48, "max_interp_residual": 0.0, "flagged": False})
 
     monkeypatch.setattr(cli, "superreplication_cost", stub)
-    cfg = write_cfg(tmp_path, body.replace("n_list = 2 3", "n_list = 4 25"), name="price.cfg")
+    body = BASE.replace("kind = call", "kind = asian_mean")
+    cfg = write_cfg(tmp_path, body.replace("n_list = 2 3", "n_list = 4 25"))
     assert main(["price", "--config", cfg, "--out", str(tmp_path / "price")]) == 0
     assert calls == [4, 25]
 
