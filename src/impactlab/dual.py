@@ -87,8 +87,9 @@ def _penalty(params: MarketParams, alpha) -> float:
 
     With b = |alpha| / sqrt(N) every period after the first adds
     ((1 - (1-r)) b)^2 (the first adds none, as b_0 = 0).  The terms are
-    summed one period at a time, as a walk adds them, so a sampled bound
-    keeps the bits of a per-path chain.
+    summed one period at a time because (N - 1) times the term differs
+    from that sum in the last bit for most (N, r, nu), which would move
+    every stored bound.
     """
     decay = 1.0 - params.resilience
     b = np.abs(alpha) / math.sqrt(params.n_steps)

@@ -78,59 +78,14 @@ _AUG_BY_KIND = {
 }
 
 
-# How a child's aux follows from its parent's level j and aux a and its own
-# level jj: 0 throughout, the running max, or the running sum of the levels
-# before each move.
-_AUX_STEP = {
-    "none": lambda j, a, jj: a,
-    "running_max": lambda j, a, jj: np.maximum(a, jj),
-    "running_sum": lambda j, a, jj: a + j,
-}
-# Largest horizon of the asian's (level, running sum) lattice, which only a
-# kept policy expands to: 15275 states at N = 24 against 3213 at N = 16.
-_RUNNING_SUM_MAX_N = 24
-
-
 @dataclass
 class _Lattice:
-    states: list  # per depth, sorted: (level, aux) int64 rows, or group keys
+    states: list  # per depth, sorted: group keys, or a split's (group, lifts) int64 rows
     up: list  # per depth < N: child indices
     dn: list
     lift: list  # per depth < N: bool, the up move adds s to the payoff
     payoff: np.ndarray  # terminal payoff per depth-N state
-    prices: Optional[list]  # per depth: the (level, aux) states' prices; None for groups
-
-
-def _build_lattice(spec: PayoffSpec, params: MarketParams, augmentation: str = "auto") -> _Lattice:
-    """The payoff's price lattice: states (level j, aux a) at price p0 + s j,
-    with aux 0 for a terminal payoff, the running max for the lookback and
-    the running sum of the pre-move levels for the asian.  Each state is its
-    own group, so no move lifts the payoff.
-
-    Each depth's children are one step over its parents' rows, merged and
-    sorted by `np.unique`, whose inverse gives the up and down child of
-    every parent.  `augmentation` is unused but kept:
-    perfbench/tests/test_spans.py calls `_build_lattice(spec, params, "auto")`.
-    """
-    n, s = params.n_steps, params.step_vol
-    aug = _AUG_BY_KIND[spec.kind]
-    if aug == "running_sum" and n > _RUNNING_SUM_MAX_N:
-        raise ValueError(f"running_sum lattice limited to n_steps <= {_RUNNING_SUM_MAX_N}")
-    step = _AUX_STEP[aug]
-    states = [np.zeros((1, 2), dtype=np.int64)]
-    up, dn = [], []
-    for _ in range(n):
-        j, a = states[-1].T
-        kids = np.concatenate([np.stack([jj, step(j, a, jj)], axis=1) for jj in (j + 1, j - 1)])
-        nxt, inverse = np.unique(kids, axis=0, return_inverse=True)
-        u, w = inverse.reshape(2, -1)
-        up.append(u)
-        dn.append(w)
-        states.append(nxt)
-    prices = [params.p0 + s * st[:, 0].astype(float) for st in states]
-    aux = states[n][:, 1].astype(float)
-    payoff = payoff_from_summaries(spec, terminal=prices[n], rise=s * aux, average=params.p0 + s * aux / n)
-    return _Lattice(states, up, dn, [np.zeros(len(u), dtype=bool) for u in up], payoff, prices)
+    prices: Optional[list]  # per depth: a split's state prices (perfbench reads them); None for groups
 
 
 # A group's up child key, down child key and whether the up move lifts the
@@ -144,11 +99,14 @@ _KEY_STEP = {
 
 
 def _grouped_lattice(spec: PayoffSpec, params: MarketParams) -> _Lattice:
-    """The lattice states merged by the integer key (`_KEY_STEP`) that
-    their price-free value W = V + x P depends on, up to s per lift on the
-    way to them: the lookback's state (j, a) is worth its drawdown's W plus
-    a s.  A group's payoff is its reference state's (running max p0 for the
-    lookback).  Each depth's keys are one step over its parents', merged.
+    """The price lattice's states merged by the integer key (`_KEY_STEP`)
+    that their price-free value W = V + x P depends on, up to s per lift on
+    the way to them.  A path's state is its level j (price p0 + s j) and an
+    aux a: 0 for a terminal payoff, the running max for the lookback and
+    the running sum A of the pre-move levels for the asian.  The lookback's
+    state (j, a) is worth its drawdown's W plus a s.  A group's payoff is
+    its reference state's (running max p0 for the lookback).  Each depth's
+    keys are one step over its parents', merged.
     """
     n, s = params.n_steps, params.step_vol
     step = _KEY_STEP[_AUG_BY_KIND[spec.kind]]
@@ -166,6 +124,43 @@ def _grouped_lattice(spec: PayoffSpec, params: MarketParams) -> _Lattice:
     key = keys[n].astype(float)
     payoff = payoff_from_summaries(spec, terminal=params.p0 + s * key, rise=0.0 * key, average=params.p0 + s * key / n)
     return _Lattice(keys, up, dn, lift, payoff, None)
+
+
+def _split_by_lifts(groups: _Lattice, params: MarketParams) -> _Lattice:
+    """`groups` with each group split by the number of lifts on the way to
+    it, the lattice a kept policy lives on.  A state (group g, lifts m) is
+    worth g's W plus m s and pays g's payoff plus m s, so no move of the
+    split lifts.  Only the lookback lifts: its (drawdown, lifts) state is
+    the one at level lifts - drawdown with running max lifts.  Every other
+    kind's split is its groups, in their order.  Each depth's rows are one
+    step over its parents', merged and sorted by `np.unique`.  `prices`
+    follows each state's level along the moves: the state's own price where
+    it fixes one, which the asian's Z groups do not.
+    """
+    n, s = params.n_steps, params.step_vol
+    rows, levels, up, dn = [np.zeros((1, 2), dtype=np.int64)], [np.zeros(1, dtype=np.int64)], [], []
+    for d in range(n):
+        g, m = rows[-1].T
+        # at most d + 1 lifts reach depth d + 1, so (group, lifts) packs into one integer
+        kids = np.concatenate([groups.up[d][g] * (d + 2) + m + groups.lift[d][g], groups.dn[d][g] * (d + 2) + m])
+        nxt, inverse = np.unique(kids, return_inverse=True)
+        u, w = inverse.reshape(2, -1)
+        level = np.empty(len(nxt), dtype=np.int64)
+        level[u], level[w] = levels[-1] + 1, levels[-1] - 1
+        up.append(u)
+        dn.append(w)
+        levels.append(level)
+        rows.append(np.stack(np.divmod(nxt, d + 2), axis=1))
+    g, m = rows[n].T
+    prices = [params.p0 + s * level.astype(float) for level in levels]
+    return _Lattice(rows, up, dn, [np.zeros(len(u), dtype=bool) for u in up], groups.payoff[g] + s * m, prices)
+
+
+def _build_lattice(spec: PayoffSpec, params: MarketParams, augmentation: str = "auto") -> _Lattice:
+    """The payoff's groups split by lifts (`_split_by_lifts`).  Only
+    perfbench/tests/test_spans.py calls it, as `_build_lattice(spec, params,
+    "auto")`, and reads its `prices`; `augmentation` is unused."""
+    return _split_by_lifts(_grouped_lattice(spec, params), params)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +251,10 @@ class DPPolicy:
     """Value tables retained for policy simulation."""
 
     tables: list  # per depth: (n_states, nX, nZ) price-free values W; V = W - x P
-    lattice: _Lattice
+    lattice: _Lattice  # `_split_by_lifts` of the DP's groups
     x_axis: np.ndarray
     zeta_axis: np.ndarray
+    refine: bool  # the DP refined its scans, so the replay does too
 
 
 # Golden-section steps per one-step minimization: the bracket shrinks by at
@@ -406,18 +402,19 @@ def superreplication_cost(
     needs.
 
     The report counts boundary hits on the DP's own states, the groups.
-    Kept tables hold W expanded to `_build_lattice`'s (level, aux) states,
-    so the policy and its replay do not see the grouping.
+    A kept policy lives on the groups split by lifts (`_split_by_lifts`):
+    each kept table row is its group's W plus s per lift, so the policy and
+    its replay see no lift.
     """
     grids = grids or DPGrids()
     groups = _grouped_lattice(spec, params)
-    lattice = _build_lattice(spec, params) if keep_policy else None  # before the solve: it may refuse N
     dp_params = replace(params, perm_impact=0.0)
     n = params.n_steps
     s = params.step_vol
     xg = grids.x_axis(spec, params)
     zg = grids.zeta_axis(spec, params)
     n_x, n_z = len(xg), len(zg)
+    refine = grids.refine and n_x >= 3
 
     # Terminal layer: forced liquidation, price leg aside, then payoff.
     x_b, z_b = xg[None, :, None], zg[None, None, :]
@@ -449,7 +446,7 @@ def superreplication_cost(
         at_edge = (best_j == 0) | (best_j == n_x - 1)
         boundary_hits += int(np.count_nonzero(at_edge & (best_j != own)))
 
-        if grids.refine and n_x >= 3:
+        if refine:
             bracket = _bracket(xg, best_j)
             del best_j  # the bracket replaces the argmins: one full-size array less in the search
             refined, _ = _refine(up_t, dn_t, np.arange(len(best))[:, None, None], x_b, z_b, bracket, z_cells, dp_params)
@@ -482,15 +479,10 @@ def superreplication_cost(
     }
     policy = None
     if keep_policy:
-        walk = np.zeros((2, 1), dtype=np.int64)  # per state: its group, and the lifts on its way
-        for d in range(n + 1):
-            group, lifts = walk
+        kept = _split_by_lifts(groups, params)
+        for d, (group, lifts) in enumerate(rows.T for rows in kept.states):
             tables[d] = tables[d][group] + (lifts * s)[:, None, None]
-            if d < n:
-                walk = np.empty((2, len(lattice.states[d + 1])), dtype=np.int64)
-                walk[:, lattice.up[d]] = groups.up[d][group], lifts + groups.lift[d][group]
-                walk[:, lattice.dn[d]] = groups.dn[d][group], lifts
-        policy = DPPolicy(tables=tables, lattice=lattice, x_axis=xg, zeta_axis=zg)
+        policy = DPPolicy(tables=tables, lattice=kept, x_axis=xg, zeta_axis=zg, refine=refine)
     return PriceResult(cost=cost, report=report, policy=policy)
 
 
@@ -600,11 +592,11 @@ def certificate_check(
     `min_margin` and `violations` count every path, `distinct` the replays.
     At each path's exact (lattice node, price, position, spread) state the
     policy re-solves the DP's one-step minimization on the stored value
-    tables, with the DP's position scan (`_scan`) and golden-section
-    refinement (`_refine`) on the branch tables of the path's node, and
-    keeps the refined point where its value beats the scan's; wealth is
-    then accumulated with the exact cash dynamics.  Trades are chosen on
-    the DP's objective at iota = 0 and paid with the true iota.
+    tables, with the DP's position scan (`_scan`) and, where the DP refined,
+    golden-section refinement (`_refine`) on the branch tables of the path's
+    node, keeping the refined point where its value beats the scan's;
+    wealth is then accumulated with the exact cash dynamics.  Trades are
+    chosen on the DP's objective at iota = 0 and paid with the true iota.
     `params` is the market the DP priced, its `frictionless()` copy
     included.  `spec` is unused, since the kept lattice holds the payoff;
     it stays because perfbench/workloads.py passes it positionally.
@@ -641,7 +633,7 @@ def certificate_check(
             up_t, dn_t, node, lambda j: z_cells(spread_step(zeta, xg[j] - x, dp_params)), x, zeta, xg, dp_params
         )
         best_x = xg[best_j]
-        if len(xg) >= 3:
+        if pol.refine:
             f_mid, mid = _refine(up_t, dn_t, node, x, zeta, _bracket(xg, best_j), z_cells, dp_params)
             best_x = np.where(f_mid < best, mid, best_x)
         del up_t, dn_t

@@ -79,6 +79,53 @@ def brute_force_cost(
     return float(rec((), params.p0, params.x0, params.zeta0, 0))
 
 
+# How a child's aux follows from its parent's level j and aux a and its own
+# level jj: the running max, the running sum of the levels before each move,
+# or 0 throughout for a terminal payoff.
+_AUX_STEP = {
+    "lookback_max": lambda j, a, jj: np.maximum(a, jj),
+    "asian_mean": lambda j, a, jj: a + j,
+}
+
+
+@dataclass
+class LevelAuxLattice:
+    """The price lattice with every state its own group (fields as the
+    library's grouped lattice has them)."""
+
+    states: list  # per depth, sorted (level, aux) int64 rows
+    up: list  # per depth < N: child indices
+    dn: list
+    lift: list  # per depth < N: all False, no move lifts the payoff
+    payoff: np.ndarray  # per depth-N state
+    prices: list  # per depth: p0 + s level
+
+
+def level_aux_lattice(spec: PayoffSpec, params: MarketParams) -> LevelAuxLattice:
+    """The payoff's price lattice without grouping: states (level j, aux a)
+    at price p0 + s j, with aux 0 for a terminal payoff, the running max for
+    the lookback and the running sum of the pre-move levels for the asian.
+    Each depth's children are one step over its parents' rows, merged and
+    sorted by `np.unique`, whose inverse gives the up and down child of
+    every parent.  Patched in for `pricing._grouped_lattice`, it makes the
+    DP solve every state on its own (the oracle for the grouping)."""
+    n, s = params.n_steps, params.step_vol
+    step = _AUX_STEP.get(spec.kind, lambda j, a, jj: a)
+    states, up, dn = [np.zeros((1, 2), dtype=np.int64)], [], []
+    for _ in range(n):
+        j, a = states[-1].T
+        kids = np.concatenate([np.stack([jj, step(j, a, jj)], axis=1) for jj in (j + 1, j - 1)])
+        nxt, inverse = np.unique(kids, axis=0, return_inverse=True)
+        u, w = inverse.reshape(2, -1)
+        up.append(u)
+        dn.append(w)
+        states.append(nxt)
+    prices = [params.p0 + s * st[:, 0].astype(float) for st in states]
+    aux = states[n][:, 1].astype(float)
+    payoff = payoff_from_summaries(spec, terminal=prices[n], rise=s * aux, average=params.p0 + s * aux / n)
+    return LevelAuxLattice(states, up, dn, [np.zeros(len(u), dtype=bool) for u in up], payoff, prices)
+
+
 # the library's clip of the tilted walk's up-probabilities
 Q_MIN = 1e-6
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import bachelier_reference, brute_force_cost, crr_price
+from helpers import bachelier_reference, brute_force_cost, crr_price, level_aux_lattice
 from impactlab.dual import _tilt, kusuoka_lower_bound
 from impactlab.limits import HJBGrid, LimitProblem, hjb_value, limit_from_market
 from impactlab.market import MarketParams, fundamental_path, stopping_grid, terminal_wealth
@@ -19,7 +19,6 @@ from impactlab.payoffs import PayoffSpec, quadratic_claim
 from impactlab.pricing import (
     DOOB_LAMBDA_MAX,
     DPGrids,
-    _build_lattice,
     doob_quadratic_hedge,
     superreplication_cost,
 )
@@ -158,7 +157,7 @@ def test_criterion_6_martingale_exactness():
     for n in (6, 10, 12):
         p = mk(n)
         for spec in (PayoffSpec("call", strike=0.0), PayoffSpec("lookback_max")):
-            lat = _build_lattice(spec, p)
+            lat = level_aux_lattice(spec, p)
             for nu in (0.8, 1.0, 1.2):
                 alpha, q, clipped = _tilt(nu, p.sigma)
                 ok &= not clipped.any()

@@ -15,6 +15,7 @@ from helpers import (
     brute_force_cost,
     crr_price,
     interp_weights,
+    level_aux_lattice,
     payoff_on_paths,
     replay_shocks,
     stopping_indices_loop,
@@ -42,7 +43,13 @@ def mk(n=2, **kw):
 
 
 SHIPPED = os.path.join(os.path.dirname(__file__), "..", "configs", "call_study.cfg")
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 ABS_CALL = PayoffSpec("custom_terminal", table=((-8.0, 8.0), (0.0, 0.0), (8.0, 8.0)))
+# one payoff of every kind, for the lattice tests
+LATTICE_SPECS = [
+    PayoffSpec("call", strike=0.1), PayoffSpec("put", strike=-0.2), PayoffSpec("lookback_max"),
+    PayoffSpec("asian_mean", strike=0.1), ABS_CALL,
+]
 
 
 def test_price_n1_no_hedge_possible():
@@ -494,7 +501,32 @@ def test_certificate_matches_binary_search_lookups(monkeypatch):
     assert replay_all() == fast
 
 
-def _assert_same_solve(grouped, ungrouped, tol=1e-12):
+def _key_of(kind, n, d, j, a):
+    """A lattice state's group key at depth d and the lifts on its way."""
+    if kind == "lookback_max":
+        return a - j, a
+    if kind == "asian_mean":
+        return a + (n - d) * j, 0
+    return j, 0
+
+
+def _oracle_rows(spec, p, kept):
+    """Per depth, the row of `kept` (a split of the library's groups) that
+    each (level, aux) state of the oracle lattice maps to, through its group
+    key and its lifts."""
+    groups, oracle = pricing._grouped_lattice(spec, p), level_aux_lattice(spec, p)
+    rows = []
+    for d, (states, split) in enumerate(zip(oracle.states, kept.states)):
+        key, lifts = np.array([_key_of(spec.kind, p.n_steps, d, j, a) for j, a in states]).T
+        index = {(g, m): i for i, (g, m) in enumerate(split.tolist())}
+        pairs = zip(np.searchsorted(groups.states[d], key).tolist(), lifts.tolist())
+        rows.append(np.array([index[pair] for pair in pairs]))
+    return rows
+
+
+def _assert_same_solve(grouped, ungrouped, rows, tol=1e-12):
+    """`rows` maps each of the ungrouped policy's states to its row of the
+    grouped policy (`_oracle_rows`)."""
     assert grouped.cost == pytest.approx(ungrouped.cost, abs=tol)
     close = ("max_interp_residual", "x_kink_residual")
     for key, value in ungrouped.report.items():
@@ -504,10 +536,11 @@ def _assert_same_solve(grouped, ungrouped, tol=1e-12):
             continue
         expected = pytest.approx(value, abs=tol) if key in close else value
         assert grouped.report[key] == expected, key
-    assert len(grouped.policy.tables) == len(ungrouped.policy.tables)
-    for mine, theirs in zip(grouped.policy.tables, ungrouped.policy.tables):
-        assert mine.shape == theirs.shape
-        assert np.max(np.abs(mine - theirs)) <= tol
+    assert len(grouped.policy.tables) == len(ungrouped.policy.tables) == len(rows)
+    for mine, theirs, r in zip(grouped.policy.tables, ungrouped.policy.tables, rows):
+        assert mine[r].shape == theirs.shape
+        assert np.max(np.abs(mine[r] - theirs)) <= tol
+    assert np.max(np.abs(grouped.policy.lattice.payoff[rows[-1]] - ungrouped.policy.lattice.payoff)) <= tol
 
 
 @pytest.mark.parametrize(
@@ -531,39 +564,29 @@ def test_grouped_solve_matches_the_ungrouped_lattice(monkeypatch, spec):
 
     grouped = solve_all()
     assert grouped[-1].report["boundary_hits"] > 0
+    rows = [_oracle_rows(spec, p, res.policy.lattice) for (p, _), res in zip(runs, grouped)]
     # the (level, aux) lattice: every state its own group, with no lift
-    monkeypatch.setattr(pricing, "_grouped_lattice", pricing._build_lattice)
-    for mine, theirs in zip(grouped, solve_all()):
-        _assert_same_solve(mine, theirs)
+    monkeypatch.setattr(pricing, "_grouped_lattice", level_aux_lattice)
+    for mine, theirs, r in zip(grouped, solve_all(), rows):
+        _assert_same_solve(mine, theirs, r)
 
 
-def test_kept_asian_policy_past_its_lattice_fails_before_the_solve(monkeypatch):
-    # the DP takes any N, but a kept policy expands to the (level, running
-    # sum) states, which stop at N = 24: that is refused before any depth
-    monkeypatch.setattr(pricing, "_scan", lambda *args: pytest.fail("the DP ran"))
-    with pytest.raises(ValueError, match="running_sum lattice"):
-        superreplication_cost(mk(n=25), PayoffSpec("asian_mean"), keep_policy=True)
+def test_kept_asian_policy_runs_past_the_running_sum_lattice():
+    # a kept policy lives on the Z groups, so no horizon caps it: at N = 26
+    # the (level, running sum) states would number far more
+    p, spec = mk(n=26), PayoffSpec("asian_mean", strike=0.1)
+    res = superreplication_cost(p, spec, DPGrids(n_x=9, n_zeta=4), keep_policy=True)
+    sizes = [len(t) for t in res.policy.tables]
+    assert sizes == [len(keys) for keys in pricing._grouped_lattice(spec, p).states] and sum(sizes) == 4973
+    assert certificate_check(res, p, spec, n_paths=200, seed=3)["paths"] == 200
+    assert repr(_first_decision(res.policy, p)) == repr(_root_value(res.policy, p))
 
 
-def _key_of(kind, n, d, j, a):
-    """A lattice state's group key at depth d and the lifts on its way."""
-    if kind == "lookback_max":
-        return a - j, a
-    if kind == "asian_mean":
-        return a + (n - d) * j, 0
-    return j, 0
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [PayoffSpec("call", strike=0.1), PayoffSpec("put", strike=-0.2), PayoffSpec("lookback_max"),
-     PayoffSpec("asian_mean", strike=0.1), ABS_CALL],
-    ids=lambda spec: spec.kind,
-)
+@pytest.mark.parametrize("spec", LATTICE_SPECS, ids=lambda spec: spec.kind)
 def test_groups_are_a_quotient_of_the_lattice(spec):
     for n in range(1, 11):
         p = mk(n=n, p0=0.3, sigma=1.3)
-        lat, groups = pricing._build_lattice(spec, p), pricing._grouped_lattice(spec, p)
+        lat, groups = level_aux_lattice(spec, p), pricing._grouped_lattice(spec, p)
         for d, states in enumerate(lat.states):
             keys = groups.states[d]
             got = [_key_of(spec.kind, n, d, j, a) for j, a in states]
@@ -585,6 +608,39 @@ def test_groups_are_a_quotient_of_the_lattice(spec):
     assert totals == [136, 1108, 3881, 9453]
 
 
+@pytest.mark.parametrize("spec", LATTICE_SPECS, ids=lambda spec: spec.kind)
+def test_kept_states_split_the_groups_by_lifts(monkeypatch, spec):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from boundaries import lattice_sizes
+
+    for n in range(1, 11):
+        p = mk(n=n, p0=0.3, sigma=1.3)
+        groups, oracle = pricing._grouped_lattice(spec, p), level_aux_lattice(spec, p)
+        kept = pricing._build_lattice(spec, p, "auto")
+        rows = _oracle_rows(spec, p, kept)
+        for d, split in enumerate(kept.states):
+            g, m = split.T
+            if spec.kind == "lookback_max":
+                # one to one onto the (level, running max) states
+                assert sorted(rows[d].tolist()) == list(range(len(split)))
+            else:
+                # no lift: the kept states are the groups, in their order
+                assert np.array_equal(g, np.arange(len(groups.states[d]))) and not m.any()
+            if spec.kind != "asian_mean":
+                assert np.array_equal(kept.prices[d][rows[d]], oracle.prices[d])
+            if d < n:
+                # the children are the groups' children, a lift adding one
+                assert not kept.lift[d].any()
+                nxt = kept.states[d + 1]
+                assert np.array_equal(nxt[kept.up[d]], np.stack([groups.up[d][g], m + groups.lift[d][g]], axis=1))
+                assert np.array_equal(nxt[kept.dn[d]], np.stack([groups.dn[d][g], m], axis=1))
+        if spec.kind == "lookback_max":
+            assert [len(split) for split in kept.states] == lattice_sizes("running_max", n)
+            assert np.array_equal(kept.payoff[rows[n]], oracle.payoff)
+        else:
+            assert np.array_equal(kept.payoff, groups.payoff)
+
+
 def test_dp_and_certificate_search_only_at_the_root(monkeypatch):
     calls = []
     search = np.searchsorted
@@ -601,26 +657,51 @@ def test_dp_and_certificate_search_only_at_the_root(monkeypatch):
     assert len(calls) == 2  # the root's position and spread nodes
 
 
-def test_replay_first_decision_is_the_dp_root_value():
+def _first_decision(pol, p):
+    """The replay's first minimization at the root's (x0, zeta0): the DP's
+    scan, and its refinement where the DP refined."""
+    xg, z_cells = pol.x_axis, _spread_cells(pol.zeta_axis)
+    dp = replace(p, perm_impact=0.0)
+    node, x, zeta = np.zeros(1, dtype=int), np.full(1, p.x0), np.full(1, p.zeta0)
+    up, dn = pol.lattice.up[0], pol.lattice.dn[0]
+    up_t, dn_t = _branches(pol.tables[1], up, dn, pol.lattice.lift[0], p.step_vol * xg[:, None], p.step_vol)
+    value, best_j = _scan(up_t, dn_t, node, lambda j: z_cells(spread_step(zeta, xg[j] - x, dp)), x, zeta, xg, dp)
+    if pol.refine:
+        refined, _ = _refine(up_t, dn_t, node, x, zeta, _bracket(xg, best_j), z_cells, dp)
+        value = np.minimum(value, refined)
+    return float(value[0])
+
+
+def _root_value(pol, p):
+    ix0, iz0 = np.flatnonzero(pol.x_axis == p.x0)[0], np.flatnonzero(pol.zeta_axis == p.zeta0)[0]
+    return float(pol.tables[0][0, ix0, iz0])
+
+
+def test_replay_first_decision_is_the_dp_root_value(monkeypatch):
     # (x0, zeta0) is a grid state, since both are axis nodes: there the
-    # replay's first minimization, the DP's scan and refinement at one
-    # path's state, is the DP's root value to the bit
+    # replay's first minimization, the DP's scan (and refinement, where the
+    # DP refined) at one path's state, is the DP's root value to the bit;
+    # the replay of a scan-only DP prices and trades at grid nodes only
     markets = [mk(n=4, resilience=r) for r in (0.3, 0.5, 1.0)] + [mk(n=4, x0=0.37, zeta0=0.123, perm_impact=0.1)]
+    positions = []
+
+    def recorded(price, x, y, zeta, params):
+        positions.append(np.ravel(y))
+        return trade_cost(price, x, y, zeta, params)
+
     for kind in ("call", "put", "lookback_max", "asian_mean"):
         spec = PayoffSpec(kind, strike=0.1 if kind != "lookback_max" else 0.0)
         for p in markets:
-            pol = superreplication_cost(p, spec, keep_policy=True).policy
-            xg, zg, z_cells = pol.x_axis, pol.zeta_axis, _spread_cells(pol.zeta_axis)
-            dp = replace(p, perm_impact=0.0)
-            node, x, zeta = np.zeros(1, dtype=int), np.full(1, p.x0), np.full(1, p.zeta0)
-            up, dn = pol.lattice.up[0], pol.lattice.dn[0]
-            up_t, dn_t = _branches(pol.tables[1], up, dn, pol.lattice.lift[0], p.step_vol * xg[:, None], p.step_vol)
-            scan, best_j = _scan(
-                up_t, dn_t, node, lambda j: z_cells(spread_step(zeta, xg[j] - x, dp)), x, zeta, xg, dp
-            )
-            refined, _ = _refine(up_t, dn_t, node, x, zeta, _bracket(xg, best_j), z_cells, dp)
-            ix0, iz0 = np.flatnonzero(xg == p.x0)[0], np.flatnonzero(zg == p.zeta0)[0]
-            assert repr(float(np.minimum(scan, refined)[0])) == repr(float(pol.tables[0][0, ix0, iz0])), (kind, p)
+            for grids in (DPGrids(), DPGrids(refine=False)):
+                res = superreplication_cost(p, spec, grids, keep_policy=True)
+                assert res.policy.refine == grids.refine
+                assert repr(_first_decision(res.policy, p)) == repr(_root_value(res.policy, p)), (kind, p, grids)
+                if not grids.refine:
+                    positions.clear()
+                    with monkeypatch.context() as m:
+                        m.setattr(pricing, "trade_cost", recorded)
+                        certificate_check(res, p, spec)
+                    assert np.isin(np.concatenate(positions), res.policy.x_axis).all(), (kind, p)
 
 
 def test_certify_inputs_certify_at_many_seeds():
@@ -770,17 +851,12 @@ def _aux_after(kind, j, a, jj):
     return 0
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [PayoffSpec("call", strike=0.1), PayoffSpec("put", strike=-0.2), PayoffSpec("lookback_max"),
-     PayoffSpec("asian_mean", strike=0.1), ABS_CALL],
-    ids=lambda spec: spec.kind,
-)
+@pytest.mark.parametrize("spec", LATTICE_SPECS, ids=lambda spec: spec.kind)
 def test_lattice_states_children_prices_and_payoffs(spec):
     for n in range(1, 11):
         p = mk(n=n, p0=0.3, sigma=1.3)
         s = p.step_vol
-        lattice = pricing._build_lattice(spec, p)
+        lattice = level_aux_lattice(spec, p)
         assert len(lattice.states) == len(lattice.prices) == n + 1 and len(lattice.up) == len(lattice.dn) == n
         for d, states in enumerate(lattice.states):
             # the states of depth d are exactly those some d-step path reaches
