@@ -222,9 +222,9 @@ class DPGrids:
         if zm == 0.0:
             # no spread to start from and no position to trade to
             return np.array([0.0])
-        lo = max(zm * 2e-4, 1e-12)
-        g = np.concatenate([[0.0], np.geomspace(lo, zm, self.n_zeta - 1)])
-        return np.union1d(g, [params.zeta0])
+        g = np.geomspace(max(zm * 2e-4, 1e-12), zm, self.n_zeta - 1)
+        g[-1:] = zm  # the top, also as the one positive node (geomspace gives its start there)
+        return np.union1d(np.append(0.0, g), [params.zeta0])
 
 
 def _hedge_span(g: np.ndarray, spec: PayoffSpec, params: MarketParams) -> slice:
@@ -255,6 +255,7 @@ class DPPolicy:
     x_axis: np.ndarray
     zeta_axis: np.ndarray
     refine: bool  # the DP refined its scans, so the replay does too
+    params: MarketParams  # the market the DP priced; a replay in another is refused
 
 
 # Golden-section steps per one-step minimization: the bracket shrinks by at
@@ -271,40 +272,20 @@ _RESIDUAL_TOL = 0.1
 
 
 def _spread_cells(zg: np.ndarray):
-    """Cell lookup on the spread axis without a search.
+    """Cell lookup on the spread axis by binary search.
 
     `cells(z)` returns the lower cell index and weight of piecewise-linear
-    interpolation, equal to `searchsorted` clamped to the grid's cells and
-    the weight clipped to [0, 1] (flat beyond the last node).  The positive
-    nodes are geometric (plus an off-grid zeta0), so one log finds a bucket
-    of a table four times finer than the axis; the table holds the cell at
-    each bucket's start, less a margin far above the log's rounding, and
-    `steps` comparisons against the real nodes lift it to the exact cell.
-    A one-node (collapsed) axis reads cell 0 at weight 0.
+    interpolation: the last node at or below z, clamped to the axis's cells
+    (the count of inner nodes at or below z), and the weight capped at 1
+    (flat beyond the last node).  A one-node (collapsed) axis reads cell 0
+    at weight 0.
     """
-    n_z = len(zg)
-    if n_z < 2:
+    if len(zg) < 2:
         return lambda z: (np.zeros(np.shape(z), dtype=np.int64), np.zeros(np.shape(z)))
-    width = np.diff(zg)
-    upper = np.append(zg[1:-1], np.inf)  # right node of each cell; none past the last
-    z_lo = zg[1]
-    log_lo, log_hi = np.log(zg[[1, -1]])
-    # any positive scale is exact, since `steps` is measured on the table
-    n_b = 4 * n_z
-    scale = n_b / ((log_hi - log_lo) or 1.0)
-
-    def cell_at(z):
-        return np.minimum(np.count_nonzero(zg <= z[:, None], axis=1) - 1, n_z - 2)
-
-    edge = np.arange(n_b + 1)
-    start = cell_at(np.exp(log_lo + (edge[:-1] - 1e-6) / scale))
-    steps = int(np.max(cell_at(np.exp(log_lo + (edge[1:] + 1e-6) / scale)) - start))
+    inner, width = zg[1:-1], np.diff(zg)
 
     def cells(z):
-        b = ((np.log(np.maximum(z, z_lo)) - log_lo) * scale).astype(np.int64)
-        k = start[np.minimum(b, n_b - 1, out=b)]
-        for _ in range(steps):
-            k += z >= upper[k]
+        k = np.searchsorted(inner, z, side="right")
         w = (z - zg[k]) / width[k]
         return k, np.minimum(w, 1.0, out=w)
 
@@ -482,7 +463,7 @@ def superreplication_cost(
         kept = _split_by_lifts(groups, params)
         for d, (group, lifts) in enumerate(rows.T for rows in kept.states):
             tables[d] = tables[d][group] + (lifts * s)[:, None, None]
-        policy = DPPolicy(tables=tables, lattice=kept, x_axis=xg, zeta_axis=zg, refine=refine)
+        policy = DPPolicy(tables=tables, lattice=kept, x_axis=xg, zeta_axis=zg, refine=refine, params=params)
     return PriceResult(cost=cost, report=report, policy=policy)
 
 
@@ -597,13 +578,17 @@ def certificate_check(
     node, keeping the refined point where its value beats the scan's;
     wealth is then accumulated with the exact cash dynamics.  Trades are
     chosen on the DP's objective at iota = 0 and paid with the true iota.
-    `params` is the market the DP priced, its `frictionless()` copy
-    included.  `spec` is unused, since the kept lattice holds the payoff;
-    it stays because perfbench/workloads.py passes it positionally.
+    `params` must be the market the DP priced, its `frictionless()` copy
+    included: a policy replayed in another market (another sigma, r or N)
+    certifies nothing and is refused with ValueError.  `spec` is unused,
+    since the kept lattice holds the payoff; it stays because
+    perfbench/workloads.py passes it positionally.
     """
     if result.policy is None:
         raise ValueError("price result was computed without keep_policy=True")
     pol = result.policy
+    if params != pol.params:
+        raise ValueError(f"the policy was priced in {pol.params}, not in {params}")
     n = params.n_steps
     if n_paths == 0:
         if n > 20:

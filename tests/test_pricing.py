@@ -253,6 +253,40 @@ def test_spread_axis_too_short_to_measure_is_flagged():
     assert full.report["n_zeta"] == 1 and not full.report["flagged"]
 
 
+def test_spread_axis_ends_at_the_widest_spread():
+    # the top is zm, the spread the widest trade leaves, at every axis size:
+    # with one positive node too, where geomspace would give its low end
+    call = PayoffSpec("call", strike=0.1)
+    for p in (mk(n=4), mk(n=4, zeta0=0.123), mk(n=4, x0=0.37, zeta0=0.123, resilience=0.2)):
+        zm = p.zeta0 + 2.0 * max(2.0, abs(p.x0)) / (p.depth * p.resilience)
+        for n_zeta in (2, 3, 4, 5):
+            zg = DPGrids(n_zeta=n_zeta).zeta_axis(call, p)
+            assert zg[0] == 0.0 and zg[-1] == zm and np.all(np.diff(zg) > 0.0), (p, n_zeta)
+            assert len(zg) == n_zeta + (p.zeta0 > 0.0), (p, n_zeta)  # an off-grid zeta0 is inserted
+
+
+def test_replay_in_another_market_is_refused():
+    # a kept policy certifies only the market it was priced in: replayed with
+    # another sigma or N it would report a "certificate" of a price computed
+    # elsewhere, and with another r it would fail on most paths
+    call = PayoffSpec("call", strike=0.0)
+    p = mk(n=6)
+    res = superreplication_cost(p, call, keep_policy=True)
+    out = certificate_check(res, p, call)
+    assert out["paths"] == 64 and out["violations"] == 0
+    assert certificate_check(res, replace(p), call) == out  # an equal copy is the same market
+    for other in (replace(p, sigma=1.5), replace(p, n_steps=4), replace(p, resilience=0.2), replace(p, n_steps=8)):
+        with pytest.raises(ValueError, match="priced in"):
+            certificate_check(res, other, call)
+    # the frictionless copy is a market of its own, both ways round
+    free = superreplication_cost(p.frictionless(), call, keep_policy=True)
+    assert certificate_check(free, p.frictionless(), call)["violations"] == 0
+    with pytest.raises(ValueError, match="priced in"):
+        certificate_check(free, p, call)
+    with pytest.raises(ValueError, match="priced in"):
+        certificate_check(res, p.frictionless(), call)
+
+
 def test_permanent_impact_is_paid_at_the_root():
     # Every plan ends flat, so its permanent legs sum to -iota x0^2/2.
     call = PayoffSpec("call", strike=0.0)
@@ -639,22 +673,6 @@ def test_kept_states_split_the_groups_by_lifts(monkeypatch, spec):
             assert np.array_equal(kept.payoff[rows[n]], oracle.payoff)
         else:
             assert np.array_equal(kept.payoff, groups.payoff)
-
-
-def test_dp_and_certificate_search_only_at_the_root(monkeypatch):
-    calls = []
-    search = np.searchsorted
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(np, "searchsorted", counted)
-    p = mk(n=4, zeta0=0.05)
-    spec = PayoffSpec("call", strike=0.0)
-    res = superreplication_cost(p, spec, keep_policy=True)
-    certificate_check(res, p, spec, n_paths=500, seed=1)
-    assert len(calls) == 2  # the root's position and spread nodes
 
 
 def _first_decision(pol, p):
