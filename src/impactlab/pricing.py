@@ -315,25 +315,27 @@ def _bracket(xg: np.ndarray, j):
     return lo, hi, cells
 
 
-def _scan(up_t, dn_t, rows, cells, x_old, zeta, xg, params):
+def _scan(up_t, dn_t, rows, z_cells, x_old, zeta, xg, params):
     """Position scan: per state (branch-table row `rows`, x_old, zeta), the
     least over nodes xg[j] of the price-free trade cost plus the pair max
     max(up_t, dn_t) at j, taken one slab at a time and interpolated along
-    the spread axis with the cell and weight `cells(j)` gives.  `rows` is
-    an index per state, or `slice(None)` to cross every row with the
-    cells' shape.  Nodes are scanned by |x|; on near-ties (`_TIE_EPS`) the
-    first keeps the argmin.  Returns the values and argmin nodes.
+    the spread axis at the spread the trade leaves,
+    `z_cells(spread_step(zeta, xg[j] - x_old, params))`, as `_refine` reads
+    it.  `rows`, `x_old` and `zeta` broadcast to the result's shape.  Nodes
+    are scanned by |x|; on near-ties (`_TIE_EPS`) the first keeps the
+    argmin.  Returns the values and argmin nodes.
     """
     n_z = up_t.shape[2]
-    shape = np.broadcast_shapes(np.shape(x_old), np.shape(zeta))
-    if isinstance(rows, slice):
-        shape = (len(up_t),) + shape[1:]
+    shape = np.broadcast_shapes(np.shape(rows), np.shape(x_old), np.shape(zeta))
     best = np.full(shape, np.inf)
     best_j = np.zeros(shape, dtype=np.int64)
+    # each state's row in the flattened slab: one index array gathers about
+    # twice as fast as a (row, cell) pair
+    start = rows * n_z
     for j in np.argsort(np.abs(xg), kind="stable"):
-        k, w = cells(j)
-        slab = np.maximum(up_t[:, j, :], dn_t[:, j, :])
-        cand = slab[rows, k] * (1.0 - w) + slab[rows, np.minimum(k + 1, n_z - 1)] * w
+        k, w = z_cells(spread_step(zeta, xg[j] - x_old, params))
+        slab = np.maximum(up_t[:, j, :], dn_t[:, j, :]).reshape(-1)
+        cand = slab[start + k] * (1.0 - w) + slab[start + np.minimum(k + 1, n_z - 1)] * w
         # plus the trade: on the grid its position leg (1, n_x, 1) and spread
         # leg (1, n_x, n_z) meet in one full-size add inside trade_cost
         cand += trade_cost(0.0, x_old, xg[j], zeta, params)
@@ -396,6 +398,7 @@ def superreplication_cost(
     zg = grids.zeta_axis(spec, params)
     n_x, n_z = len(xg), len(zg)
     refine = grids.refine and n_x >= 3
+    z_cells = _spread_cells(zg)
 
     # Terminal layer: forced liquidation, price leg aside, then payoff.
     x_b, z_b = xg[None, :, None], zg[None, None, :]
@@ -406,10 +409,6 @@ def superreplication_cost(
         tables[n] = v
     boundary_hits, max_resid, max_resid_x = 0, 0.0, 0.0
 
-    # Spread after a trade of size |dx|, shared across depths and nodes.
-    z_cells = _spread_cells(zg)
-    zp_by_pair = [z_cells(spread_step(zg[None, :], (xg[jxp] - xg)[:, None], dp_params)) for jxp in range(n_x)]
-
     # Residuals are measured only where a hedge goes: on the nodes the
     # default axis keeps (all of that axis), so a wider explicit axis
     # cannot raise them, or the flag, through nodes no hedge visits.
@@ -419,7 +418,8 @@ def superreplication_cost(
     for depth in range(n - 1, -1, -1):
         up_t, dn_t = _branches(v, groups.up[depth], groups.dn[depth], groups.lift[depth], sx, s)
         del v  # the branches replace it (a kept table stays in `tables`)
-        best, best_j = _scan(up_t, dn_t, slice(None), zp_by_pair.__getitem__, x_b, z_b, xg, dp_params)
+        rows = np.arange(len(up_t))[:, None, None]
+        best, best_j = _scan(up_t, dn_t, rows, z_cells, x_b, z_b, xg, dp_params)
 
         # Grid-edge argmins signal a binding position bound, except where the
         # state already sits at the edge and holding it is the choice.
@@ -430,7 +430,7 @@ def superreplication_cost(
         if refine:
             bracket = _bracket(xg, best_j)
             del best_j  # the bracket replaces the argmins: one full-size array less in the search
-            refined, _ = _refine(up_t, dn_t, np.arange(len(best))[:, None, None], x_b, z_b, bracket, z_cells, dp_params)
+            refined, _ = _refine(up_t, dn_t, rows, x_b, z_b, bracket, z_cells, dp_params)
             np.minimum(best, refined, out=best)
 
         v = best
@@ -614,9 +614,7 @@ def certificate_check(
     for depth in range(n):
         up, dn = pol.lattice.up[depth], pol.lattice.dn[depth]
         up_t, dn_t = _branches(pol.tables[depth + 1], up, dn, pol.lattice.lift[depth], s * xg[:, None], s)
-        best, best_j = _scan(
-            up_t, dn_t, node, lambda j: z_cells(spread_step(zeta, xg[j] - x, dp_params)), x, zeta, xg, dp_params
-        )
+        best, best_j = _scan(up_t, dn_t, node, z_cells, x, zeta, xg, dp_params)
         best_x = xg[best_j]
         if pol.refine:
             f_mid, mid = _refine(up_t, dn_t, node, x, zeta, _bracket(xg, best_j), z_cells, dp_params)
