@@ -5,6 +5,7 @@ from .market import (
     fundamental_path,
     liquidity_cost,
     spread_closed_form,
+    spread_cost,
     spread_step,
     stopping_grid,
     terminal_wealth,
@@ -37,4 +38,4 @@ __version__ = "0.1.0"
 # Part of the results-store digest.  Bump it whenever a solver change moves
 # any computed number, so rows stored by an older solver are recomputed
 # rather than served.
-SOLVER_REVISION = 12
+SOLVER_REVISION = 13

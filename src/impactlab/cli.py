@@ -40,6 +40,7 @@ from .market import (
     iterate_cash,
     liquidity_cost,
     spread_closed_form,
+    spread_cost,
     spread_step,
     terminal_wealth,
 )
@@ -309,7 +310,7 @@ def _identity_rows(cfg: ExperimentConfig, emit) -> list:
     """Randomized dynamics-identity batteries; values are worst violations."""
     rng = np.random.default_rng(cfg.seed)
     trials = 1000
-    worst = {"spread": 0.0, "kappa": 0.0, "wealth": 0.0, "walk_square": 0.0}
+    worst = {"spread": 0.0, "potential": 0.0, "kappa": 0.0, "wealth": 0.0, "walk_square": 0.0}
     for _ in range(trials):
         n = int(rng.integers(1, 33))
         p = MarketParams(
@@ -326,7 +327,12 @@ def _identity_rows(cfg: ExperimentConfig, emit) -> list:
         trades = rng.normal(size=n)
         z = p.zeta0
         for m, dx in enumerate(trades, start=1):
+            # a trade's spread cost is the depth times half the rise of the
+            # squared spread from its decayed value u to the new one
+            cost, u = spread_cost(z, dx, p), (1.0 - p.resilience) * z
             z = spread_step(z, dx, p)
+            potential = 0.5 * p.depth * (z * z - u * u)
+            worst["potential"] = max(worst["potential"], abs(cost - potential) / max(1.0, abs(cost)))
             ref = spread_closed_form(trades, p, m)
             scale = max(1.0, abs(ref))
             worst["spread"] = max(worst["spread"], abs(z - ref) / scale)
@@ -342,7 +348,7 @@ def _identity_rows(cfg: ExperimentConfig, emit) -> list:
         lhs = float(np.dot(vals[l:m_hi], np.diff(vals[l : m_hi + 1])))
         rhs = 0.5 * (vals[m_hi] ** 2 - vals[l] ** 2 - p.sigma**2 * (m_hi - l) / n)
         worst["walk_square"] = max(worst["walk_square"], abs(lhs - rhs))
-    tol = {"spread": 1e-12, "kappa": 1e-10, "wealth": 1e-9, "walk_square": 1e-9}
+    tol = {"spread": 1e-12, "potential": 1e-10, "kappa": 1e-10, "wealth": 1e-9, "walk_square": 1e-9}
     rows = []
     for name, violation in worst.items():
         rows.append(emit("identity_suite", 0, name, violation, tol[name], violation > tol[name]))
@@ -494,16 +500,16 @@ def run_experiment(config_path, mode, seed=None, no_cache=False, out_dir=".") ->
     return (2 if any(r.flag == "WARN" for r in rows) else 0), rows
 
 
-def convergence_table(store_path, study_id, digest=None) -> tuple[str, list[dict]]:
+def convergence_table(store_path, study_id) -> tuple[str, list[dict]]:
     """Tabulate a study: price, best lower bound, limit value and gap per N.
 
-    Only the rows of one config are used: those with `digest`, by default
-    the digest of the study's most recently stored row.  Configs that share
-    a study_id never mix.
+    Only the rows of one config are used: those with the digest of the
+    study's most recently stored row.  Configs that share a study_id never
+    mix.
     """
     rows = [r for r in _store_read(store_path) if r.study_id == study_id]
     if rows:
-        digest = digest or rows[-1].digest
+        digest = rows[-1].digest
         rows = [r for r in rows if r.digest == digest]
     if not any(r.mode == "primal_dp" for r in rows):
         raise ConfigError(f"no primal rows for study {study_id!r} in {store_path}")

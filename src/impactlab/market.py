@@ -20,6 +20,7 @@ __all__ = [
     "fundamental_path",
     "spread_step",
     "spread_closed_form",
+    "spread_cost",
     "trade_cost",
     "liquidity_cost",
     "terminal_wealth",
@@ -114,8 +115,8 @@ def fundamental_path(prefix, params: MarketParams) -> np.ndarray:
 def spread_step(zeta_prev, trade, params: MarketParams):
     """One-period half-spread update (1-r)*zeta + |trade|/delta.
 
-    Scalars or broadcasting arrays.  This and `trade_cost` are the model's
-    one implementation of the spread and trade-cost formulas.
+    Scalars or broadcasting arrays.  This and `spread_cost` are the model's
+    one implementation of the spread and its trade cost.
     """
     # scalars compare directly: a numpy reduction per step would dominate
     # the r < 1 scalar loop in `_spread_path`
@@ -141,20 +142,24 @@ def spread_closed_form(trades, params: MarketParams, n: int) -> float:
     return decay**n * params.zeta0 + float(np.dot(powers, np.abs(trades[:n]))) / params.depth
 
 
+def spread_cost(zeta_prev, trade, params: MarketParams):
+    """Spread leg ((1-r) zeta_prev + |trade|/(2 delta)) |trade| of a trade's
+    cash, +0.0 in the frictionless market (`MarketParams.frictionless`): all
+    the price-free DP charges.  Scalars or broadcasting arrays."""
+    size = abs(trade)
+    return ((1.0 - params.resilience) * zeta_prev + size / (2.0 * params.depth)) * size
+
+
 def trade_cost(price, x_old, x_new, zeta, params: MarketParams):
     """Cash paid to move the position x_old -> x_new at mid price `price`
     when the half-spread before the trade's period is zeta.
 
     The trade fills gradually between the pre- and post-transaction mid
     price and spread, which is what the averaged terms encode: the mid leg
-    (price + iota (x_old + x_new)/2) dx plus the spread leg
-    ((1-r) zeta + |dx|/(2 delta)) |dx|, which is +0.0 in the frictionless
-    market (`MarketParams.frictionless`).  Scalars or broadcasting arrays.
-    """
+    (price + iota (x_old + x_new)/2) dx plus the spread leg `spread_cost`.
+    Scalars or broadcasting arrays."""
     dx = x_new - x_old
-    adx = abs(dx)
-    mid = (price + 0.5 * params.perm_impact * (x_new + x_old)) * dx
-    return mid + ((1.0 - params.resilience) * zeta + adx / (2.0 * params.depth)) * adx
+    return (price + 0.5 * params.perm_impact * (x_new + x_old)) * dx + spread_cost(zeta, dx, params)
 
 
 def _spread_path(trades: np.ndarray, params: MarketParams) -> np.ndarray:
@@ -184,10 +189,7 @@ def liquidity_cost(trades, params: MarketParams, n: int) -> tuple[float, float]:
         raise ValueError("n exceeds number of trades")
     decay = 1.0 - params.resilience
     zetas = _spread_path(trades[:n], params)
-    abs_dx = np.abs(trades[:n])
-    direct = decay * float(np.dot(zetas[:-1], abs_dx)) + float(np.dot(abs_dx, abs_dx)) / (
-        2.0 * params.depth
-    )
+    direct = float(np.sum(spread_cost(zetas[:-1], trades[:n], params)))
     if n == 0:
         return 0.0, 0.0
     if math.isinf(params.depth):

@@ -14,12 +14,12 @@ The explicit quadratic-claim hedge lives here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .market import MarketParams, as_shocks, fundamental_path, spread_step, stopping_grid, trade_cost
+from .market import MarketParams, as_shocks, fundamental_path, spread_cost, spread_step, stopping_grid, trade_cost
 from .payoffs import PayoffSpec, payoff_from_summaries
 
 __all__ = [
@@ -317,13 +317,13 @@ def _bracket(xg: np.ndarray, j):
 
 def _scan(up_t, dn_t, rows, z_cells, x_old, zeta, xg, params):
     """Position scan: per state (branch-table row `rows`, x_old, zeta), the
-    least over nodes xg[j] of the price-free trade cost plus the pair max
+    least over nodes xg[j] of the trade's `spread_cost` plus the pair max
     max(up_t, dn_t) at j, taken one slab at a time and interpolated along
-    the spread axis at the spread the trade leaves,
-    `z_cells(spread_step(zeta, xg[j] - x_old, params))`, as `_refine` reads
-    it.  `rows`, `x_old` and `zeta` broadcast to the result's shape.  Nodes
-    are scanned by |x|; on near-ties (`_TIE_EPS`) the first keeps the
-    argmin.  Returns the values and argmin nodes.
+    the spread axis at the spread the trade xg[j] - x_old leaves,
+    `z_cells(spread_step(zeta, trade, params))`, as `_refine` reads it.
+    `rows`, `x_old` and `zeta` broadcast to the result's shape.  Nodes are
+    scanned by |x|; on near-ties (`_TIE_EPS`) the first keeps the argmin.
+    Returns the values and argmin nodes.
     """
     n_z = up_t.shape[2]
     shape = np.broadcast_shapes(np.shape(rows), np.shape(x_old), np.shape(zeta))
@@ -333,12 +333,11 @@ def _scan(up_t, dn_t, rows, z_cells, x_old, zeta, xg, params):
     # twice as fast as a (row, cell) pair
     start = rows * n_z
     for j in np.argsort(np.abs(xg), kind="stable"):
-        k, w = z_cells(spread_step(zeta, xg[j] - x_old, params))
+        trade = xg[j] - x_old
+        k, w = z_cells(spread_step(zeta, trade, params))
         slab = np.maximum(up_t[:, j, :], dn_t[:, j, :]).reshape(-1)
         cand = slab[start + k] * (1.0 - w) + slab[start + np.minimum(k + 1, n_z - 1)] * w
-        # plus the trade: on the grid its position leg (1, n_x, 1) and spread
-        # leg (1, n_x, n_z) meet in one full-size add inside trade_cost
-        cand += trade_cost(0.0, x_old, xg[j], zeta, params)
+        cand += spread_cost(zeta, trade, params)
         take = cand < best - _TIE_EPS
         np.minimum(best, cand, out=best)
         best_j[take] = j
@@ -366,7 +365,7 @@ def superreplication_cost(
 
     State per depth: (group of `_grouped_lattice`, position, spread), with
     the spread handled by piecewise-linear interpolation.  At iota = 0 a
-    trade's cash is P (y - x) + trade_cost(0, x, y, zeta), so the value is
+    trade's cash is P (y - x) + spread_cost(zeta, y - x), so the value is
     V = -x P + W, and the DP solves W: the up branch reads W (lifted by s
     first on a new max) less s y, the down branch W plus s y.  Each
     minimization scans the position grid (`_scan`) and optionally refines
@@ -391,7 +390,6 @@ def superreplication_cost(
     """
     grids = grids or DPGrids()
     groups = _grouped_lattice(spec, params)
-    dp_params = replace(params, perm_impact=0.0)
     n = params.n_steps
     s = params.step_vol
     xg = grids.x_axis(spec, params)
@@ -402,7 +400,7 @@ def superreplication_cost(
 
     # Terminal layer: forced liquidation, price leg aside, then payoff.
     x_b, z_b = xg[None, :, None], zg[None, None, :]
-    v = trade_cost(0.0, x_b, 0.0, z_b, dp_params) + groups.payoff[:, None, None]
+    v = spread_cost(z_b, -x_b, params) + groups.payoff[:, None, None]
 
     tables = [None] * (n + 1)
     if keep_policy:
@@ -419,7 +417,7 @@ def superreplication_cost(
         up_t, dn_t = _branches(v, groups.up[depth], groups.dn[depth], groups.lift[depth], sx, s)
         del v  # the branches replace it (a kept table stays in `tables`)
         rows = np.arange(len(up_t))[:, None, None]
-        best, best_j = _scan(up_t, dn_t, rows, z_cells, x_b, z_b, xg, dp_params)
+        best, best_j = _scan(up_t, dn_t, rows, z_cells, x_b, z_b, xg, params)
 
         # Grid-edge argmins signal a binding position bound, except where the
         # state already sits at the edge and holding it is the choice.
@@ -430,7 +428,7 @@ def superreplication_cost(
         if refine:
             bracket = _bracket(xg, best_j)
             del best_j  # the bracket replaces the argmins: one full-size array less in the search
-            refined, _ = _refine(up_t, dn_t, rows, x_b, z_b, bracket, z_cells, dp_params)
+            refined, _ = _refine(up_t, dn_t, rows, x_b, z_b, bracket, z_cells, params)
             np.minimum(best, refined, out=best)
 
         v = best
@@ -533,7 +531,7 @@ def _refine(up_t, dn_t, rows, x_old, zeta, bracket, z_cells, params):
         # that `_branch_max` drops once looked up: the trade's and the
         # interpolation's temporaries never coexist
         value = _branch_max(up_t, dn_t, rows, x_cells, z_cells, xp, spread_step(zeta, xp - x_old, params))
-        value += trade_cost(0.0, x_old, xp, zeta, params)
+        value += spread_cost(zeta, xp - x_old, params)
         return value
 
     return _golden_min(objective, lo, hi)
@@ -577,7 +575,7 @@ def certificate_check(
     golden-section refinement (`_refine`) on the branch tables of the path's
     node, keeping the refined point where its value beats the scan's;
     wealth is then accumulated with the exact cash dynamics.  Trades are
-    chosen on the DP's objective at iota = 0 and paid with the true iota.
+    chosen on the DP's objective (`spread_cost`) and paid by `trade_cost`.
     `params` must be the market the DP priced, its `frictionless()` copy
     included: a policy replayed in another market (another sigma, r or N)
     certifies nothing and is refused with ValueError.  `spec` is unused,
@@ -602,7 +600,6 @@ def certificate_check(
 
     xg, zg = pol.x_axis, pol.zeta_axis
     z_cells = _spread_cells(zg)
-    dp_params = replace(params, perm_impact=0.0)
     s = params.step_vol
 
     node = np.zeros(count, dtype=int)
@@ -614,10 +611,10 @@ def certificate_check(
     for depth in range(n):
         up, dn = pol.lattice.up[depth], pol.lattice.dn[depth]
         up_t, dn_t = _branches(pol.tables[depth + 1], up, dn, pol.lattice.lift[depth], s * xg[:, None], s)
-        best, best_j = _scan(up_t, dn_t, node, z_cells, x, zeta, xg, dp_params)
+        best, best_j = _scan(up_t, dn_t, node, z_cells, x, zeta, xg, params)
         best_x = xg[best_j]
         if pol.refine:
-            f_mid, mid = _refine(up_t, dn_t, node, x, zeta, _bracket(xg, best_j), z_cells, dp_params)
+            f_mid, mid = _refine(up_t, dn_t, node, x, zeta, _bracket(xg, best_j), z_cells, params)
             best_x = np.where(f_mid < best, mid, best_x)
         del up_t, dn_t
         cash -= trade_cost(price, x, best_x, zeta, params)

@@ -44,7 +44,7 @@ def test_criterion_1_algebraic_identity_suite(tmp_path):
     config.write_text("[run]\nseed = 20240811\n")
     code, rows = run_experiment(config, mode="identity_suite", out_dir=tmp_path)
     elapsed = time.time() - t0
-    tol = {"spread": 1e-12, "kappa": 1e-10, "wealth": 1e-9, "walk_square": 1e-9}
+    tol = {"spread": 1e-12, "potential": 1e-10, "kappa": 1e-10, "wealth": 1e-9, "walk_square": 1e-9}
     worst = {r.label: r.value for r in rows}
     ok = (
         code == 0

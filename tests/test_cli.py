@@ -217,7 +217,7 @@ def test_identity_suite_passes(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     code, rows = run_experiment(cfg, mode="identity_suite", out_dir=str(tmp_path / "out"))
     assert code == 0
-    assert {r.label for r in rows} == {"spread", "kappa", "wealth", "walk_square"}
+    assert {r.label for r in rows} == {"spread", "potential", "kappa", "wealth", "walk_square"}
     assert all(r.flag == "" for r in rows)
 
 
@@ -357,10 +357,8 @@ def test_convergence_table_never_mixes_configs(tmp_path):
         return [(rec["n"], rec["price"], rec["lower_bound"], rec["limit"]) for rec in records]
 
     assert expected(deep_rows) != expected(rows)
-    # by default the most recently stored config
+    # the most recently stored config
     assert tabulated(convergence_table(store, "unit")[1]) == expected(deep_rows)
-    # a re-run served from the store appends nothing; its digest selects it
-    assert tabulated(convergence_table(store, "unit", rows[0].digest)[1]) == expected(rows)
 
 
 def test_leftover_lock_file_does_not_block(tmp_path):

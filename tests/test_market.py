@@ -21,6 +21,7 @@ from impactlab.market import (
     iterate_cash,
     liquidity_cost,
     spread_closed_form,
+    spread_cost,
     spread_step,
     stopping_grid,
     terminal_wealth,
@@ -215,6 +216,37 @@ def test_kernels_broadcast_like_scalar_calls():
         assert spread[i, j, k] == spread_step(float(zeta[0, j, k]), float(x_new[0, j, k] - x_old[i, j, 0]), p)
     with pytest.raises(ValueError):
         spread_step(np.array([0.2, -1e-3]), 1.0, p)
+
+
+def test_trade_cost_is_its_mid_leg_plus_spread_cost_to_the_bit():
+    # the spread leg has one implementation; x_old and x_new both hold
+    # +0.0 and -0.0, so +0.0 and -0.0 trades occur, and zeta holds 0
+    rng = np.random.default_rng(37)
+    price = rng.normal(size=(3, 1, 1))
+    zeta = np.array([0.0, 0.4, 1.3])[:, None, None]
+    x_old = np.array([0.0, -0.0, 0.7, -1.1])[None, :, None]
+    x_new = np.array([0.0, -0.0, 0.7, -1.1, 2.3])[None, None, :]
+    trade = x_new - x_old
+    assert np.signbit(trade[0, :2, :2]).any()
+    for p in (mk(resilience=0.3, depth=1.7, perm_impact=0.2), mk(perm_impact=0.2).frictionless()):
+        mid = (price + 0.5 * p.perm_impact * (x_new + x_old)) * trade
+        spread = spread_cost(zeta, trade, p)
+        assert spread.shape == (3, 4, 5) and not np.signbit(spread).any()
+        assert trade_cost(price, x_old, x_new, zeta, p).tobytes() == (mid + spread).tobytes()
+    assert not spread.any()  # the frictionless spread leg is +0.0
+
+
+def test_liquidity_cost_direct_form_sums_spread_cost():
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        r = rng.choice([rng.uniform(0.05, 1.0), 1.0])
+        p = mk(resilience=r, depth=rng.uniform(0.2, 5.0), zeta0=rng.uniform(0.0, 2.0))
+        trades = rng.normal(size=8)
+        for params in (p, p.frictionless()):
+            for n in (0, 1, 5, 8):
+                zetas = market._spread_path(trades[:n], params)
+                direct, _ = liquidity_cost(trades, params, n)
+                assert direct == float(np.sum(spread_cost(zetas[:-1], trades[:n], params)))
 
 
 def test_liquidity_cost_zero_trades():

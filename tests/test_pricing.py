@@ -565,6 +565,33 @@ def test_certificate_matches_binary_search_lookups(monkeypatch):
     assert replay_all() == fast
 
 
+def test_dp_and_replay_match_the_perm_free_trade_cost_route(monkeypatch):
+    # the DP and its replay's scans charge `spread_cost` alone; the route
+    # they once took, `trade_cost` at price 0 in a copy of the market without
+    # permanent impact, gives the same floats everywhere
+    runs = []
+    for kind in ("call", "put", "lookback_max", "asian_mean"):
+        spec = PayoffSpec(kind, strike=0.1 if kind != "lookback_max" else 0.0)
+        for r in (0.2, 0.5, 1.0):
+            for endowed in ({}, {"p0": 0.3, "x0": 0.37, "zeta0": 0.123, "perm_impact": 0.1}):
+                runs.append((mk(n=4, resilience=r, **endowed), spec))
+
+    def solve_all():
+        out = []
+        for p, spec in runs:
+            res = superreplication_cost(p, spec, keep_policy=True)
+            out.append(repr((res.cost, res.report)))
+            out.append(b"".join(table.tobytes() for table in res.policy.tables))
+            out.append(repr(certificate_check(res, p, spec)))
+        return out
+
+    one_leg = solve_all()
+    monkeypatch.setattr(
+        pricing, "spread_cost", lambda z, a, p: trade_cost(0.0, 0.0, a, z, replace(p, perm_impact=0.0))
+    )
+    assert solve_all() == one_leg
+
+
 def _key_of(kind, n, d, j, a):
     """A lattice state's group key at depth d and the lifts on its way."""
     if kind == "lookback_max":
