@@ -177,6 +177,13 @@ def _spread_path(trades: np.ndarray, params: MarketParams) -> np.ndarray:
     return out
 
 
+def _direct_cost(trades: np.ndarray, params: MarketParams) -> tuple[float, np.ndarray]:
+    """The executed spread costs of `trades` summed trade by trade, and the
+    half-spreads zeta_0..zeta_n they leave (`_spread_path`)."""
+    zetas = _spread_path(trades, params)
+    return float(np.sum(spread_cost(zetas[:-1], trades, params))), zetas
+
+
 def liquidity_cost(trades, params: MarketParams, n: int) -> tuple[float, float]:
     """Cumulative liquidity cost after n trades, both representations.
 
@@ -188,8 +195,7 @@ def liquidity_cost(trades, params: MarketParams, n: int) -> tuple[float, float]:
     if n > len(trades):
         raise ValueError("n exceeds number of trades")
     decay = 1.0 - params.resilience
-    zetas = _spread_path(trades[:n], params)
-    direct = float(np.sum(spread_cost(zetas[:-1], trades[:n], params)))
+    direct, zetas = _direct_cost(trades[:n], params)
     if n == 0:
         return 0.0, 0.0
     if math.isinf(params.depth):
@@ -241,7 +247,7 @@ def terminal_wealth(positions, shocks, params: MarketParams) -> float:
     dx = np.diff(x_full)
     trade_leg = float(np.dot(prices[:-1], dx))
     perm_leg = 0.5 * params.perm_impact * (positions[-1] ** 2 - params.x0**2) if n else 0.0
-    kappa, _ = liquidity_cost(dx, params, n)
+    kappa, _ = _direct_cost(dx, params)
     return params.xi0 - trade_leg - perm_leg - kappa
 
 

@@ -269,6 +269,9 @@ _TIE_EPS = 1e-9
 # flagged; calibrated so that visibly coarse spread grids trip it while
 # converged ones stay an order of magnitude below.
 _RESIDUAL_TOL = 0.1
+# `superreplication_cost` solves a depth's groups in blocks whose
+# (position, spread) tables take about this many bytes.
+_BLOCK_BYTES = 1 << 16
 
 
 def _spread_cells(zg: np.ndarray):
@@ -376,6 +379,13 @@ def superreplication_cost(
     never raise a value, since each state keeps the smaller of its scan
     and refined values (`np.minimum(best, refined)`).
 
+    Each depth is solved a block of groups at a time, about `_BLOCK_BYTES`
+    per table-sized array: branches, scan, boundary hits, refinement and
+    residuals are elementwise per group (a max over blocks is the max over
+    the depth), so the working set is two full tables, this depth's and
+    the next, plus one block's temporaries, and no value depends on the
+    block size.
+
     Permanent impact is solved exactly at the root.  Every plan ends flat,
     so its permanent legs iota (x_old + x_new)/2 dx sum to -iota x0^2/2 on
     every path: the DP solves at iota = 0 and the root subtracts
@@ -412,31 +422,36 @@ def superreplication_cost(
     # cannot raise them, or the flag, through nodes no hedge visits.
     hedged = _hedge_span(xg, spec, params)
     sx = s * xg[:, None]
+    own = np.arange(n_x)[None, :, None]
 
+    per = max(1, _BLOCK_BYTES // (8 * n_x * n_z))
     for depth in range(n - 1, -1, -1):
-        up_t, dn_t = _branches(v, groups.up[depth], groups.dn[depth], groups.lift[depth], sx, s)
-        del v  # the branches replace it (a kept table stays in `tables`)
-        rows = np.arange(len(up_t))[:, None, None]
-        best, best_j = _scan(up_t, dn_t, rows, z_cells, x_b, z_b, xg, params)
+        up, dn, lift = groups.up[depth], groups.dn[depth], groups.lift[depth]
+        nxt = np.empty((len(up), n_x, n_z))
+        for start in range(0, len(up), per):
+            blk = slice(start, start + per)
+            up_t, dn_t = _branches(v, up[blk], dn[blk], lift[blk], sx, s)
+            rows = np.arange(len(up_t))[:, None, None]
+            best, best_j = _scan(up_t, dn_t, rows, z_cells, x_b, z_b, xg, params)
 
-        # Grid-edge argmins signal a binding position bound, except where the
-        # state already sits at the edge and holding it is the choice.
-        own = np.arange(n_x)[None, :, None]
-        at_edge = (best_j == 0) | (best_j == n_x - 1)
-        boundary_hits += int(np.count_nonzero(at_edge & (best_j != own)))
+            # Grid-edge argmins signal a binding position bound, except where
+            # the state already sits at the edge and holding it is the choice.
+            at_edge = (best_j == 0) | (best_j == n_x - 1)
+            boundary_hits += int(np.count_nonzero(at_edge & (best_j != own)))
 
-        if refine:
-            bracket = _bracket(xg, best_j)
-            del best_j  # the bracket replaces the argmins: one full-size array less in the search
-            refined, _ = _refine(up_t, dn_t, rows, x_b, z_b, bracket, z_cells, params)
-            np.minimum(best, refined, out=best)
+            if refine:
+                bracket = _bracket(xg, best_j)
+                del best_j  # the bracket replaces the argmins: one block-size array less in the search
+                refined, _ = _refine(up_t, dn_t, rows, x_b, z_b, bracket, z_cells, params)
+                np.minimum(best, refined, out=best)
 
-        v = best
+            rz, rx = _interp_residual(best[:, hedged], xg[hedged], zg)
+            max_resid = max(max_resid, rz)
+            max_resid_x = max(max_resid_x, rx)
+            nxt[blk] = best
+        v = nxt
         if keep_policy:
             tables[depth] = v
-        rz, rx = _interp_residual(v[:, hedged], xg[hedged], zg)
-        max_resid = max(max_resid, rz)
-        max_resid_x = max(max_resid_x, rx)
 
     ix0 = int(np.searchsorted(xg, params.x0))
     iz0 = int(np.searchsorted(zg, params.zeta0)) if n_z > 1 else 0

@@ -162,9 +162,6 @@ def test_frictionless_trade_cost_is_the_mid_leg_to_the_bit():
         zeta = rng.uniform(0.0, 2.0, size=(1, 4, 5))
         mid = (price + 0.5 * p.perm_impact * (x_new + x_old)) * (x_new - x_old)
         assert trade_cost(price, x_old, x_new, zeta, p).tobytes() == mid.tobytes()
-    # cross-check with the wealth oracle: one-trade strategy on any path
-    p1 = MarketParams(p0=100.0, sigma=1.0, n_steps=1, depth=1.0, resilience=0.5, perm_impact=2.0, x0=1.0)
-    assert terminal_wealth([0.0], [1], p1) == pytest.approx(100.5)
 
 
 def test_kernels_fold_to_terminal_wealth():
@@ -303,6 +300,22 @@ def test_terminal_wealth_buy_and_hold_frictionless_limit():
     pos[-1] = 0.0  # liquidate at the last trade, executed at P_{N-1}
     gain = float(np.dot(pos, np.diff(fundamental_path(shocks, p))))
     assert terminal_wealth(pos, shocks, p) == pytest.approx(gain, abs=1e-9)
+
+
+def test_terminal_wealth_charges_the_direct_liquidity_cost_to_the_bit():
+    # the summation identity's liquidity charge is `liquidity_cost`'s direct
+    # form, computed once, in memoryless, frictionless and endowed markets
+    rng = np.random.default_rng(33)
+    for resilience in (0.3, 1.0):
+        for p in (mk(resilience=resilience, perm_impact=0.2, x0=0.37, zeta0=0.123, xi0=1.5),
+                  mk(resilience=resilience).frictionless()):
+            shocks = rng.choice([-1, 1], size=p.n_steps)
+            pos = rng.normal(size=p.n_steps)
+            dx = np.diff(np.concatenate([[p.x0], pos]))
+            trade_leg = float(np.dot(fundamental_path(shocks, p)[:-1], dx))
+            perm_leg = 0.5 * p.perm_impact * (pos[-1] ** 2 - p.x0**2)
+            direct, _ = liquidity_cost(dx, p, p.n_steps)
+            assert terminal_wealth(pos, shocks, p) == p.xi0 - trade_leg - perm_leg - direct
 
 
 def test_wealth_identity_randomized():

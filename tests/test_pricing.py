@@ -256,6 +256,51 @@ def test_dp_memory_does_not_grow_with_position_pairs():
     assert peak < 10 * 2**20
 
 
+def test_dp_block_size_moves_no_bit(monkeypatch):
+    # each depth is solved a block of groups at a time; one group per block
+    # and one block per depth give the shipped block size's floats
+    runs = []
+    for kind in ("call", "put", "lookback_max", "asian_mean"):
+        spec = PayoffSpec(kind, strike=0.1 if kind != "lookback_max" else 0.0)
+        for r in (0.2, 0.5, 1.0):
+            for endowed in ({}, {"x0": 0.37, "zeta0": 0.123, "perm_impact": 0.1}):
+                runs.append((mk(n=4, resilience=r, **endowed), spec, None))
+        for grids in (DPGrids(refine=False), DPGrids(x_grid=np.linspace(-1.5, 2.5, 33)), DPGrids(n_zeta=3)):
+            runs.append((mk(n=4), spec, grids))
+        runs.append((mk(n=4, zeta0=0.123).frictionless(), spec, None))
+
+    def solve_all():
+        out = []
+        for p, spec, grids in runs:
+            res = superreplication_cost(p, spec, grids, keep_policy=True)
+            out.append(repr((res.cost, res.report)))
+            out.append(b"".join(table.tobytes() for table in res.policy.tables))
+            out.append(repr(certificate_check(res, p, spec)))
+        return out
+
+    shipped = solve_all()
+    for block_bytes in (1, 1 << 62):
+        monkeypatch.setattr(pricing, "_BLOCK_BYTES", block_bytes)
+        assert solve_all() == shipped
+
+
+def test_dp_working_set_does_not_grow_with_the_depth(monkeypatch):
+    # the asian has hundreds of groups per depth at N = 10: solved a block at
+    # a time, the DP holds two tables and one block's temporaries, against
+    # the scan's and the search's temporaries over a whole depth
+    def peak():
+        tracemalloc.start()
+        try:
+            superreplication_cost(mk(n=10), PayoffSpec("asian_mean", strike=0.1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    blocked = peak()
+    monkeypatch.setattr(pricing, "_BLOCK_BYTES", 1 << 62)
+    assert blocked <= 0.5 * peak()
+
+
 def test_frictionless_dp_has_one_spread_node():
     # the frictionless copy of a market with memory and a standing spread:
     # full resilience leaves the spread axis one node, and the replay in the
