@@ -176,11 +176,8 @@ class ExperimentConfig:
             raise ConfigError(f"[market] {exc}") from exc
 
     def payoff(self) -> PayoffSpec:
-        kind = self.get("payoff", "kind")
         try:
-            if kind in ("call", "put", "asian_mean"):
-                return PayoffSpec(kind, strike=self.get("payoff", "strike"))
-            return PayoffSpec(kind)
+            return PayoffSpec(self.get("payoff", "kind"), strike=self.get("payoff", "strike"))
         except ValueError as exc:
             raise ConfigError(f"[payoff] {exc}") from exc
 

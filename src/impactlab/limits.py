@@ -385,7 +385,7 @@ def limit_value_mc(problem: LimitProblem, family: PolicyFamily, cfg: MCConfig | 
     n_paths, n_fine = cfg.n_paths, cfg.n_steps
     n_coarse = n_fine // 2
     thetas = np.array(family.thetas, dtype=float)[:, None]
-    kind = problem.payoff.kind
+    summary = problem.payoff.summary
     rng = np.random.default_rng(cfg.seed)
     width = min(n_paths, max(1, _PATH_BLOCK_BYTES // ((n_fine + n_coarse) * 8)))
     rows = min(width, max(1, _DRAW_BLOCK_BYTES // (2 * n_fine * 8)))
@@ -414,8 +414,8 @@ def limit_value_mc(problem: LimitProblem, family: PolicyFamily, cfg: MCConfig | 
         dt = 1.0 / len(zz)
         p = np.full(vals.shape, problem.p0)
         # only the summary the payoff reads is kept
-        run_max = p.copy() if kind == "lookback_max" else None
-        run_avg = np.zeros(vals.shape) if kind == "asian_mean" else None
+        run_max = p.copy() if summary == "rise" else None
+        run_avg = np.zeros(vals.shape) if summary == "average" else None
         step = np.empty(vals.shape)
         penalty = np.zeros((len(thetas), 1))
         # A step costs ufunc calls more than arithmetic, so it works in

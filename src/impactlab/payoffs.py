@@ -22,28 +22,29 @@ __all__ = [
     "quadratic_claim",
 ]
 
-_KINDS = ("call", "put", "lookback_max", "asian_mean", "custom_terminal")
+# each kind and the one path statistic it reads
+_SUMMARY = dict(call="terminal", put="terminal", custom_terminal="terminal", lookback_max="rise", asian_mean="average")
 
 
 @dataclass(frozen=True)
 class PayoffSpec:
-    """A payoff functional h with its declared regularity constants.
+    """A payoff functional h and what follows from its kind.
 
     kind: one of call/put (strike K on the terminal value), lookback_max
     (running max above the start), asian_mean (strike on the time average),
     or custom_terminal (piecewise-linear table on the terminal value,
-    extrapolated flat).
-    lipschitz_l: Lipschitz constant in the sup norm; a table steeper than it
-    is rejected.
+    extrapolated flat).  The lookback ignores the strike.  The path
+    statistic a payoff reads (`summary`), its slopes (`slope_range`) and its
+    Lipschitz constant in the sup norm (`lipschitz_l`, the steepest slope)
+    all follow from these fields; no other module dispatches on the kind.
     """
 
     kind: str
     strike: float = 0.0
-    lipschitz_l: float = 1.0
     table: tuple = ()  # ((p, h(p)), ...) for custom_terminal
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _SUMMARY:
             raise ValueError(f"unknown payoff kind {self.kind!r}")
         if self.kind == "custom_terminal":
             if len(self.table) < 2:
@@ -53,16 +54,16 @@ class PayoffSpec:
                 raise ValueError("table abscissae must be strictly increasing")
             if np.any(pts[:, 1] < 0):
                 raise ValueError("payoff table must be nonnegative")
-            steepest = float(np.max(np.abs(self._table_slopes())))
-            # the relative slack forgives rounding in the table's differences
-            if steepest > self.lipschitz_l * (1.0 + 1e-9):
-                raise ValueError(
-                    f"payoff table slope {steepest:g} exceeds the declared lipschitz_l {self.lipschitz_l:g}"
-                )
 
-    def _table_slopes(self) -> np.ndarray:
-        pts = np.asarray(self.table, dtype=float)
-        return np.diff(pts[:, 1]) / np.diff(pts[:, 0])
+    @property
+    def summary(self) -> str:
+        """The path statistic the payoff reads: "terminal", "rise" or
+        "average" (see `payoff_from_summaries`)."""
+        return _SUMMARY[self.kind]
+
+    @property
+    def path_dependent(self) -> bool:
+        return self.summary != "terminal"
 
     @property
     def slope_range(self) -> tuple[float, float]:
@@ -75,9 +76,16 @@ class PayoffSpec:
         if self.kind == "put":
             return -1.0, 0.0
         if self.kind == "custom_terminal":
-            slopes = self._table_slopes()
+            pts = np.asarray(self.table, dtype=float)
+            slopes = np.diff(pts[:, 1]) / np.diff(pts[:, 0])
             return min(0.0, float(slopes.min())), max(0.0, float(slopes.max()))
         return 0.0, 1.0
+
+    @property
+    def lipschitz_l(self) -> float:
+        """Lipschitz constant in the sup norm: the steepest slope."""
+        lo, hi = self.slope_range
+        return max(hi, -lo)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -96,10 +104,6 @@ class PayoffSpec:
             return np.interp(p, pts[:, 0], pts[:, 1])
         raise ValueError(f"{self.kind} is not a terminal-value payoff")
 
-    @property
-    def path_dependent(self) -> bool:
-        return self.kind in ("lookback_max", "asian_mean")
-
 
 def evaluate_payoff(spec: PayoffSpec, path: np.ndarray) -> float:
     """Payoff of one full path of N+1 prices; its time average is the mean
@@ -113,18 +117,18 @@ def payoff_from_summaries(spec: PayoffSpec, terminal=None, rise=None, average=No
     """Payoffs of a batch of paths from per-path summaries.
 
     terminal: the final value; rise: the running max minus the start value;
-    average: the time average.  Each kind reads one summary (lookback_max
-    the rise, asian_mean the average, the rest the terminal value); the
-    others may be omitted.  `evaluate_payoff` reads a single path through it.
+    average: the time average.  Each payoff reads the one named by its
+    `summary`; the others may be omitted.  `evaluate_payoff` reads a single
+    path through it.
     """
-    summary = {"lookback_max": rise, "asian_mean": average}.get(spec.kind, terminal)
-    if summary is None:
+    value = {"terminal": terminal, "rise": rise, "average": average}[spec.summary]
+    if value is None:
         raise ValueError(f"no path summary given for the {spec.kind} payoff")
-    if spec.kind == "lookback_max":
-        return np.maximum(rise, 0.0)
-    if spec.kind == "asian_mean":
-        return np.maximum(average - spec.strike, 0.0)
-    return np.asarray(spec.terminal_fn(terminal), dtype=float)
+    if spec.summary == "rise":
+        return np.maximum(value, 0.0)
+    if spec.summary == "average":
+        return np.maximum(value - spec.strike, 0.0)
+    return np.asarray(spec.terminal_fn(value), dtype=float)
 
 
 def quadratic_claim(path: np.ndarray, stops: np.ndarray, params: MarketParams) -> float:

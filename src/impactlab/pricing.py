@@ -69,13 +69,8 @@ class Strategy:
 # ---------------------------------------------------------------------------
 # payoff lattices
 
-_AUG_BY_KIND = {
-    "call": "none",
-    "put": "none",
-    "custom_terminal": "none",
-    "lookback_max": "running_max",
-    "asian_mean": "running_sum",
-}
+# the lattice's aux by the path statistic the payoff reads (`PayoffSpec.summary`)
+_AUG_BY_SUMMARY = {"terminal": "none", "rise": "running_max", "average": "running_sum"}
 
 
 @dataclass
@@ -109,7 +104,7 @@ def _grouped_lattice(spec: PayoffSpec, params: MarketParams) -> _Lattice:
     keys are one step over its parents', merged.
     """
     n, s = params.n_steps, params.step_vol
-    step = _KEY_STEP[_AUG_BY_KIND[spec.kind]]
+    step = _KEY_STEP[_AUG_BY_SUMMARY[spec.summary]]
     keys, up, dn, lift = [np.zeros(1, dtype=np.int64)], [], [], []
     for d in range(n):
         k_up, k_dn, lifted = step(keys[-1], n - d - 1)
@@ -171,19 +166,20 @@ def _build_lattice(spec: PayoffSpec, params: MarketParams, augmentation: str = "
 class DPGrids:
     """Discretization of the position and spread axes.
 
-    `n_x` nodes on [-2L, 2L], L = max(1, lipschitz_l), set the position
-    spacing.  The DP keeps only those that reach half a unit beyond the
-    payoff's slope range stretched to x0, with their exact values (41 of
-    81, on [-0.5, 1.5], for a call held from flat); the report's `n_x`
-    counts the nodes kept.  An explicit `x_grid` is used whole (the
-    oracle-comparison tests share it with the brute force).  `n_zeta` nodes
-    span the spread axis, 0 and geometric up to the spread the widest trade
-    leaves; at full resilience, and so in the frictionless market
+    `n_x` nodes on [-2L, 2L], L the larger of 1 and the payoff's steepest
+    slope (`PayoffSpec.lipschitz_l`), set the position spacing.  The DP
+    keeps only those that reach half a unit beyond the payoff's slope range
+    stretched to x0, with their exact values (41 of 81, on [-0.5, 1.5], for
+    a call held from flat); the report's `n_x` counts the nodes kept.  An
+    explicit `x_grid` is used whole (the oracle-comparison tests share it
+    with the brute force).  `n_zeta` nodes span the spread axis, 0 and
+    geometric up to the spread the widest trade leaves; at full
+    resilience, and so in the frictionless market
     (`MarketParams.frictionless`), the spread axis is the one node 0.  Both
     axes always contain 0; the initial position and (below full resilience)
     spread are inserted so the root value needs no interpolation.  `refine`
     turns on golden-section refinement of each minimization.  The price
-    lattice is not a setting: the payoff's kind fixes it.
+    lattice is not a setting: the payoff's `summary` fixes it.
     """
 
     n_x: int = 81
@@ -465,7 +461,7 @@ def superreplication_cost(
     report = {
         "n_x": n_x,
         "n_zeta": n_z,
-        "augmentation": _AUG_BY_KIND[spec.kind],
+        "augmentation": _AUG_BY_SUMMARY[spec.summary],
         "max_interp_residual": max_resid,
         "x_kink_residual": max_resid_x,
         "boundary_hits": boundary_hits,

@@ -499,6 +499,25 @@ def test_cli_smoke_matrix(tmp_path, capsys, command, kind):
         assert [line.split()[1] for line in out.splitlines()] == [solver]
 
 
+def test_lookback_ignores_the_configured_strike(tmp_path):
+    # the config's strike reaches every payoff; the lookback reads none, so
+    # its rows are those of strike 0 (only the digest, which covers every
+    # config value, differs)
+    def rows(strike):
+        body = SMOKE.replace("kind = call", "kind = lookback_max").replace("strike = 0.0", f"strike = {strike}")
+        cfg = write_cfg(tmp_path, body, name=f"lookback-{strike}.cfg")
+        assert ExperimentConfig.load(cfg).payoff().strike == strike
+        out = []
+        for mode in ("primal_dp", "dual_bound", "limit"):
+            _, got = run_experiment(cfg, mode=mode, out_dir=str(tmp_path / "out"))
+            out += [(r.mode, r.n, r.label, repr(r.value), repr(r.err), r.flag) for r in got]
+        return out
+
+    base = rows(0.0)
+    assert {row[0] for row in base} == {"primal_dp", "dual_bound", "limit_mc"}
+    assert rows(0.3) == base
+
+
 @pytest.mark.parametrize(
     "command, section, line, key",
     [

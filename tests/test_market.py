@@ -166,7 +166,8 @@ def test_frictionless_trade_cost_is_the_mid_leg_to_the_bit():
 
 def test_kernels_fold_to_terminal_wealth():
     # Folding the one-trade kernels along a path reproduces the summation
-    # identity, which builds the cost from `liquidity_cost` instead.
+    # identity, which charges the direct liquidity sum `market._direct_cost`
+    # instead.
     rng = np.random.default_rng(19)
     for _ in range(300):
         n = int(rng.integers(1, 33))

@@ -41,13 +41,28 @@ def test_custom_terminal_table():
     assert evaluate_payoff(spec, np.array([0.0, 0.5])) == pytest.approx(0.5)
 
 
-def test_custom_terminal_rejects_table_steeper_than_lipschitz():
-    steep = ((-8.0, 0.0), (0.0, 0.0), (8.0, 24.0))  # slope 3
-    with pytest.raises(ValueError, match=r"slope 3 exceeds the declared lipschitz_l 1\b"):
-        PayoffSpec("custom_terminal", table=steep)
-    assert PayoffSpec("custom_terminal", table=steep, lipschitz_l=3.0).slope_range == (0.0, 3.0)
-    # slopes equal to the constant up to rounding are accepted
-    PayoffSpec("custom_terminal", table=((0.1, 0.0), (0.3, 0.2)))
+def test_custom_terminal_lipschitz_is_its_steepest_slope():
+    steep = PayoffSpec("custom_terminal", table=((-8.0, 0.0), (0.0, 0.0), (8.0, 24.0)))  # slope 3
+    assert steep.slope_range == (0.0, 3.0) and steep.lipschitz_l == 3.0
+    # a slope of 1 up to rounding gives a constant of 1 up to rounding
+    assert PayoffSpec("custom_terminal", table=((0.1, 0.0), (0.3, 0.2))).lipschitz_l == pytest.approx(1.0, rel=1e-15)
+
+
+def test_summary_and_lipschitz_by_kind():
+    tent = ((-1.0, 0.0), (0.0, 1.0), (1.0, 0.25))
+    cases = [
+        (PayoffSpec("call", strike=0.3), "terminal", 1.0),
+        (PayoffSpec("put", strike=0.3), "terminal", 1.0),
+        (PayoffSpec("custom_terminal", table=tent), "terminal", 1.0),
+        (PayoffSpec("lookback_max"), "rise", 1.0),
+        (PayoffSpec("asian_mean", strike=0.3), "average", 1.0),
+    ]
+    for spec, summary, lipschitz in cases:
+        assert spec.summary == summary, spec.kind
+        assert spec.path_dependent == (summary != "terminal"), spec.kind
+        assert spec.lipschitz_l == lipschitz, spec.kind
+    rising = PayoffSpec("custom_terminal", table=((-1.0, 1.0), (1.0, 2.0)))
+    assert rising.lipschitz_l == 0.5
 
 
 def test_slope_range_by_kind():

@@ -256,6 +256,19 @@ def test_dp_memory_does_not_grow_with_position_pairs():
     assert peak < 10 * 2**20
 
 
+def _dp_fingerprint(runs):
+    """Every bit the DP and its exhaustive replay give on `runs` of (market,
+    payoff, grids): the repr of cost and report, the kept tables' bytes and
+    the certificate's repr."""
+    out = []
+    for p, spec, grids in runs:
+        res = superreplication_cost(p, spec, grids, keep_policy=True)
+        out.append(repr((res.cost, res.report)))
+        out.append(b"".join(table.tobytes() for table in res.policy.tables))
+        out.append(repr(certificate_check(res, p, spec)))
+    return out
+
+
 def test_dp_block_size_moves_no_bit(monkeypatch):
     # each depth is solved a block of groups at a time; one group per block
     # and one block per depth give the shipped block size's floats
@@ -269,19 +282,10 @@ def test_dp_block_size_moves_no_bit(monkeypatch):
             runs.append((mk(n=4), spec, grids))
         runs.append((mk(n=4, zeta0=0.123).frictionless(), spec, None))
 
-    def solve_all():
-        out = []
-        for p, spec, grids in runs:
-            res = superreplication_cost(p, spec, grids, keep_policy=True)
-            out.append(repr((res.cost, res.report)))
-            out.append(b"".join(table.tobytes() for table in res.policy.tables))
-            out.append(repr(certificate_check(res, p, spec)))
-        return out
-
-    shipped = solve_all()
+    shipped = _dp_fingerprint(runs)
     for block_bytes in (1, 1 << 62):
         monkeypatch.setattr(pricing, "_BLOCK_BYTES", block_bytes)
-        assert solve_all() == shipped
+        assert _dp_fingerprint(runs) == shipped
 
 
 def test_dp_working_set_does_not_grow_with_the_depth(monkeypatch):
@@ -392,7 +396,7 @@ AXIS_SPECS = [
     PayoffSpec("asian_mean", strike=0.1),
     ABS_CALL,
 ]
-STEEP = PayoffSpec("custom_terminal", table=((-8.0, 0.0), (0.0, 0.0), (8.0, 24.0)), lipschitz_l=3.0)
+STEEP = PayoffSpec("custom_terminal", table=((-8.0, 0.0), (0.0, 0.0), (8.0, 24.0)))
 
 
 def _full_x_nodes(spec, n_x=81):
@@ -461,7 +465,8 @@ def test_payoff_sized_axis_prices_as_the_full_axis():
 
 
 def test_steep_table_prices_on_its_declared_axis():
-    # slope 3 needs lipschitz_l = 3; its [-6, 6] nodes then cover [0, 3]
+    # slope 3 gives lipschitz_l = 3, with nothing declared; its [-6, 6]
+    # nodes then cover [0, 3]
     p = mk(n=4)
     res = superreplication_cost(p, STEEP)
     assert res.report["boundary_hits"] == 0
@@ -619,22 +624,13 @@ def test_dp_and_replay_match_the_perm_free_trade_cost_route(monkeypatch):
         spec = PayoffSpec(kind, strike=0.1 if kind != "lookback_max" else 0.0)
         for r in (0.2, 0.5, 1.0):
             for endowed in ({}, {"p0": 0.3, "x0": 0.37, "zeta0": 0.123, "perm_impact": 0.1}):
-                runs.append((mk(n=4, resilience=r, **endowed), spec))
+                runs.append((mk(n=4, resilience=r, **endowed), spec, None))
 
-    def solve_all():
-        out = []
-        for p, spec in runs:
-            res = superreplication_cost(p, spec, keep_policy=True)
-            out.append(repr((res.cost, res.report)))
-            out.append(b"".join(table.tobytes() for table in res.policy.tables))
-            out.append(repr(certificate_check(res, p, spec)))
-        return out
-
-    one_leg = solve_all()
+    one_leg = _dp_fingerprint(runs)
     monkeypatch.setattr(
         pricing, "spread_cost", lambda z, a, p: trade_cost(0.0, 0.0, a, z, replace(p, perm_impact=0.0))
     )
-    assert solve_all() == one_leg
+    assert _dp_fingerprint(runs) == one_leg
 
 
 def _key_of(kind, n, d, j, a):
@@ -781,13 +777,12 @@ def _first_decision(pol, p):
     """The replay's first minimization at the root's (x0, zeta0): the DP's
     scan, and its refinement where the DP refined."""
     xg, z_cells = pol.x_axis, _spread_cells(pol.zeta_axis)
-    dp = replace(p, perm_impact=0.0)
     node, x, zeta = np.zeros(1, dtype=int), np.full(1, p.x0), np.full(1, p.zeta0)
     up, dn = pol.lattice.up[0], pol.lattice.dn[0]
     up_t, dn_t = _branches(pol.tables[1], up, dn, pol.lattice.lift[0], p.step_vol * xg[:, None], p.step_vol)
-    value, best_j = _scan(up_t, dn_t, node, z_cells, x, zeta, xg, dp)
+    value, best_j = _scan(up_t, dn_t, node, z_cells, x, zeta, xg, p)
     if pol.refine:
-        refined, _ = _refine(up_t, dn_t, node, x, zeta, _bracket(xg, best_j), z_cells, dp)
+        refined, _ = _refine(up_t, dn_t, node, x, zeta, _bracket(xg, best_j), z_cells, p)
         value = np.minimum(value, refined)
     return float(value[0])
 
