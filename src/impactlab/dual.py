@@ -44,7 +44,7 @@ import numpy as np
 # as module attributes: perfbench/boundaries.py wraps them in this namespace.
 from .market import MarketParams, fundamental_path  # noqa: F401
 from .payoffs import PayoffSpec, evaluate_payoff, payoff_from_summaries  # noqa: F401
-from .pricing import _grouped_lattice
+from .pricing import _group_payoff, _lattice_depths
 
 __all__ = ["constant_profile", "kusuoka_lower_bound"]
 
@@ -101,7 +101,9 @@ def _penalty(params: MarketParams, alpha) -> float:
 
 
 def _exact_mean(spec: PayoffSpec, params: MarketParams, q, clipped):
-    """E_Q[H] by one forward pass of Q-mass over the DP's grouped lattice.
+    """E_Q[H] by one forward pass of Q-mass over the DP's grouped lattice,
+    read one depth at a time (`_lattice_depths`), so the pass holds one
+    depth's groups, not the lattice.
 
     mass[i] holds the mass of a depth's groups entered by a down (i = 0) or
     an up (i = 1) move; each depth after the first sends q[i] of it to the
@@ -111,32 +113,31 @@ def _exact_mean(spec: PayoffSpec, params: MarketParams, q, clipped):
     (E_Q[H], clip_q), where clip_q counts the (depth, group, last move)
     entries that carry mass and read a clipped q.
     """
-    groups = _grouped_lattice(spec, params)
     lift = 0.0
     clip_q = 0
-    for d in range(params.n_steps):
+    for d, (up, dn, lifted, keys) in enumerate(_lattice_depths(spec, params)):
         if d == 0:
             to_up = to_dn = np.full(1, 0.5)
         else:
             clip_q += int(np.count_nonzero(mass[clipped]))
             to_up, to_dn = q @ mass, (1.0 - q) @ mass
-        lift += params.step_vol * np.sum(to_up[groups.lift[d]])
-        width = len(groups.states[d + 1])
-        mass = np.stack([np.bincount(groups.dn[d], to_dn, width), np.bincount(groups.up[d], to_up, width)])
-    return float(mass.sum(axis=0) @ groups.payoff) + lift, clip_q
+        lift += params.step_vol * np.sum(to_up[lifted])
+        width = len(keys)
+        mass = np.stack([np.bincount(dn, to_dn, width), np.bincount(up, to_up, width)])
+    return float(mass.sum(axis=0) @ _group_payoff(spec, params, keys)) + lift, clip_q
 
 
 def _sample(spec: PayoffSpec, params: MarketParams, q, clipped, n_paths: int, seed: int):
     """Payoffs of `n_paths` tilted walks drawn with `seed`, and clip_q, the
     count of (path, period) draws that read a clipped q.  Each walk keeps
-    its last price, running max and running integral, so memory is
-    O(n_paths)."""
+    its sum of moves and only the statistic its payoff reads
+    (`spec.summary`): the running max or the running integral of the price
+    p0 + s * moves, so memory is O(n_paths)."""
     n, s = params.n_steps, params.step_vol
     rng = np.random.default_rng(seed)
     cum = np.zeros(n_paths)
-    run_max = np.full(n_paths, params.p0)
-    run_int = np.zeros(n_paths)
-    last_price = np.full(n_paths, params.p0)
+    run_max = np.full(n_paths, params.p0) if spec.summary == "rise" else None
+    run_int = np.zeros(n_paths) if spec.summary == "average" else None
     up, clip_q = None, 0
     for _ in range(n):
         if up is None:
@@ -146,11 +147,14 @@ def _sample(spec: PayoffSpec, params: MarketParams, q, clipped, n_paths: int, se
             q_rows = q[side]
             clip_q += int(np.count_nonzero(clipped[side]))
         up = rng.random(n_paths) < q_rows
-        run_int += last_price / n
+        if run_int is not None:
+            run_int += (params.p0 + s * cum) / n  # the price before the move
         cum += np.where(up, 1.0, -1.0)
-        last_price = params.p0 + s * cum
-        run_max = np.maximum(run_max, last_price)
-    h = payoff_from_summaries(spec, terminal=last_price, rise=run_max - params.p0, average=run_int)
+        if run_max is not None:
+            np.maximum(run_max, params.p0 + s * cum, out=run_max)
+    last_price = params.p0 + s * cum
+    rise = run_max - params.p0 if run_max is not None else None
+    h = payoff_from_summaries(spec, terminal=last_price, rise=rise, average=run_int)
     return h, clip_q
 
 

@@ -92,14 +92,19 @@ def as_shocks(seq) -> np.ndarray:
     arr = np.asarray(seq, dtype=int)
     if arr.ndim != 1:
         raise ValueError("shock sequence must be one-dimensional")
-    if arr.size and not np.all(np.abs(arr) == 1):
+    if arr.size and not (np.abs(arr) == 1).all():
         raise ValueError("shocks must all be +1 or -1")
     return arr
 
 
 def _price_walk(shocks: np.ndarray, params: MarketParams) -> np.ndarray:
     """Fundamental price before the first shock and after each one."""
-    return params.p0 + params.step_vol * np.concatenate([[0.0], np.cumsum(shocks)])
+    out = np.empty(len(shocks) + 1)
+    out[0] = 0.0
+    np.add.accumulate(shocks, out=out[1:])
+    out *= params.step_vol
+    out += params.p0
+    return out
 
 
 def fundamental_path(prefix, params: MarketParams) -> np.ndarray:
@@ -243,8 +248,9 @@ def terminal_wealth(positions, shocks, params: MarketParams) -> float:
     if len(positions) != n:
         raise ValueError("strategy must give one position per shock")
     prices = _price_walk(shocks, params)
-    x_full = np.concatenate([[params.x0], positions])
-    dx = np.diff(x_full)
+    dx = positions.copy()  # the trades X_m - X_{m-1}, from X_0 = x0
+    dx[1:] -= positions[:-1]
+    dx[:1] -= params.x0
     trade_leg = float(np.dot(prices[:-1], dx))
     perm_leg = 0.5 * params.perm_impact * (positions[-1] ** 2 - params.x0**2) if n else 0.0
     kappa, _ = _direct_cost(dx, params)
@@ -266,10 +272,10 @@ def stopping_grid(path: np.ndarray, epsilon: float, params: MarketParams) -> np.
     if len(path) != n + 1:
         raise ValueError(f"path has {len(path)} prices, expected n_steps + 1 = {n + 1}")
     cap_time = 1.0 - n ** (-2.0 / 3.0)
-    n_cap = int(np.floor(n * cap_time + _HIT_TOL))
+    n_cap = math.floor(n * cap_time + _HIT_TOL)
     values = path[: n_cap + 1].tolist()
     price_tol = epsilon * (1.0 - _HIT_TOL)
-    time_hit = int(np.ceil(epsilon**2 * n * (1.0 - _HIT_TOL)))
+    time_hit = math.ceil(epsilon**2 * n * (1.0 - _HIT_TOL))
     # one forward pass: stop at the first price hit, time hit or the cap
     # after each anchor (time_hit >= 1, so no stop is skipped)
     indices = [0]

@@ -135,6 +135,9 @@ def quadratic_claim(path: np.ndarray, stops: np.ndarray, params: MarketParams) -
     """Squared frozen-path excursion plus squared stop increments plus
     elapsed stop times, at the stop indices `stops` of `stopping_grid`."""
     stop_vals = path[stops]
-    dts = np.diff(stops) / params.n_steps
+    dev = stop_vals - params.p0
     dps = np.diff(stop_vals)
-    return float(np.max((stop_vals - params.p0) ** 2) + np.sum(dps**2) + np.sum(dts))
+    dts = np.diff(stops) / params.n_steps
+    np.square(dev, out=dev)
+    np.square(dps, out=dps)
+    return float(np.maximum.reduce(dev) + np.add.reduce(dps) + np.add.reduce(dts))

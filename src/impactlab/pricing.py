@@ -93,32 +93,48 @@ _KEY_STEP = {
 }
 
 
-def _grouped_lattice(spec: PayoffSpec, params: MarketParams) -> _Lattice:
+def _lattice_depths(spec: PayoffSpec, params: MarketParams):
     """The price lattice's states merged by the integer key (`_KEY_STEP`)
     that their price-free value W = V + x P depends on, up to s per lift on
-    the way to them.  A path's state is its level j (price p0 + s j) and an
-    aux a: 0 for a terminal payoff, the running max for the lookback and
-    the running sum A of the pre-move levels for the asian.  The lookback's
-    state (j, a) is worth its drawdown's W plus a s.  A group's payoff is
-    its reference state's (running max p0 for the lookback).  Each depth's
-    keys are one step over its parents', merged.
+    the way to them, one depth at a time.  A path's state is its level j
+    (price p0 + s j) and an aux a: 0 for a terminal payoff, the running max
+    for the lookback and the running sum A of the pre-move levels for the
+    asian.  The lookback's state (j, a) is worth its drawdown's W plus a s.
+    Each depth's keys are one step over its parents', merged.  For each
+    depth d < N, yields depth d's up and down child indices, its lift mask
+    and the sorted keys of depth d + 1, and keeps no earlier depth: a pass
+    that reads each depth once holds one depth at a time.
     """
-    n, s = params.n_steps, params.step_vol
+    n = params.n_steps
     step = _KEY_STEP[_AUG_BY_SUMMARY[spec.summary]]
-    keys, up, dn, lift = [np.zeros(1, dtype=np.int64)], [], [], []
+    keys = np.zeros(1, dtype=np.int64)
     for d in range(n):
-        k_up, k_dn, lifted = step(keys[-1], n - d - 1)
+        k_up, k_dn, lifted = step(keys, n - d - 1)
         kids = np.concatenate([k_up, k_dn])
         lo = kids.min()
         seen = np.bincount(kids - lo) > 0  # keys are small integers: no sort
         u, w = (np.cumsum(seen) - 1)[kids - lo].reshape(2, -1)
+        keys = np.flatnonzero(seen) + lo
+        yield u, w, lifted, keys
+
+
+def _group_payoff(spec: PayoffSpec, params: MarketParams, keys: np.ndarray) -> np.ndarray:
+    """The payoff of each depth-N group of `_lattice_depths` by its key:
+    its reference state's (running max p0 for the lookback)."""
+    n, s = params.n_steps, params.step_vol
+    key = keys.astype(float)
+    return payoff_from_summaries(spec, terminal=params.p0 + s * key, rise=0.0 * key, average=params.p0 + s * key / n)
+
+
+def _grouped_lattice(spec: PayoffSpec, params: MarketParams) -> _Lattice:
+    """Every depth of `_lattice_depths`, collected, with the groups' payoff."""
+    keys, up, dn, lift = [np.zeros(1, dtype=np.int64)], [], [], []
+    for u, w, lifted, nxt in _lattice_depths(spec, params):
         up.append(u)
         dn.append(w)
         lift.append(lifted)
-        keys.append(np.flatnonzero(seen) + lo)
-    key = keys[n].astype(float)
-    payoff = payoff_from_summaries(spec, terminal=params.p0 + s * key, rise=0.0 * key, average=params.p0 + s * key / n)
-    return _Lattice(keys, up, dn, lift, payoff, None)
+        keys.append(nxt)
+    return _Lattice(keys, up, dn, lift, _group_payoff(spec, params, keys[-1]), None)
 
 
 def _split_by_lifts(groups: _Lattice, params: MarketParams) -> _Lattice:
@@ -203,7 +219,7 @@ class DPGrids:
             # without the margin the argmin sits on the edge as the true
             # optimum.  The boundary-hit diagnostic guards the range.
             g = g[_hedge_span(g, spec, params)]
-        return np.union1d(g, [0.0, params.x0])
+        return _sorted_union(g, [0.0, params.x0])
 
     def zeta_axis(self, spec: PayoffSpec, params: MarketParams) -> np.ndarray:
         """The spread axis: the one node 0 at full resilience, where the
@@ -220,7 +236,18 @@ class DPGrids:
             return np.array([0.0])
         g = np.geomspace(max(zm * 2e-4, 1e-12), zm, self.n_zeta - 1)
         g[-1:] = zm  # the top, also as the one positive node (geomspace gives its start there)
-        return np.union1d(np.append(0.0, g), [params.zeta0])
+        return _sorted_union(np.append(0.0, g), [params.zeta0])
+
+
+def _sorted_union(*parts) -> np.ndarray:
+    """`np.union1d` of `parts` without its masked-array check, which imports
+    numpy.ma: the same sort, then the first of each run of equal values, so
+    the same bytes (which of 0.0 and -0.0 survives is the sort's choice)."""
+    a = np.sort(np.concatenate(parts, axis=None))
+    keep = np.empty(len(a), dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def _hedge_span(g: np.ndarray, spec: PayoffSpec, params: MarketParams) -> slice:
@@ -285,7 +312,8 @@ def _spread_cells(zg: np.ndarray):
 
     def cells(z):
         k = np.searchsorted(inner, z, side="right")
-        w = (z - zg[k]) / width[k]
+        w = z - zg[k]
+        w /= width[k]
         return k, np.minimum(w, 1.0, out=w)
 
     return cells
@@ -309,7 +337,9 @@ def _bracket(xg: np.ndarray, j):
 
     def cells(x):
         k = base + (x >= middle)
-        return k, (x - xg[k]) / width[k]
+        w = x - xg[k]
+        w /= width[k]
+        return k, w
 
     return lo, hi, cells
 
@@ -483,7 +513,8 @@ def _branch_max(up_t, dn_t, rows, x_cells, z_cells, xp, zp):
     `dn_t`; the lookups `x_cells`/`z_cells` give the cells and weights of
     `xp`/`zp`, and the flat cell index is computed once for both branches.
     `rows` and `xp` broadcast against `zp`, which has the shape of the
-    result.
+    result.  Each branch interpolates in place, into the corners it
+    gathers: along the spread axis, then along the position axis.
     """
     n_z = up_t.shape[2]
     jx, wx = x_cells(xp)
@@ -494,12 +525,19 @@ def _branch_max(up_t, dn_t, rows, x_cells, z_cells, xp, zp):
     del jx, kz, zp
     wx1, wz1 = 1.0 - wx, 1.0 - wz
 
+    def lerp(c, t, w1, w):
+        # c * w1 + t * w, into c
+        c *= w1
+        t *= w
+        c += t
+        return c
+
     def branch(flat):
-        c00, c10 = flat[cell], flat[n_z:][cell]
+        c0, c1 = flat[cell], flat[n_z:][cell]  # at the cell's lower and upper position node
         if n_z > 1:
-            c00 = c00 * wz1 + flat[1:][cell] * wz
-            c10 = c10 * wz1 + flat[n_z + 1 :][cell] * wz
-        return c00 * wx1 + c10 * wx
+            lerp(c0, flat[1:][cell], wz1, wz)
+            lerp(c1, flat[n_z + 1 :][cell], wz1, wz)
+        return lerp(c0, c1, wx1, wx)
 
     up = branch(up_t.reshape(-1))
     return np.maximum(up, branch(dn_t.reshape(-1)), out=up)
@@ -511,8 +549,8 @@ def _golden_min(objective, lo, hi):
     One new evaluation per step, GOLDEN_STEPS steps; returns the objective
     at the final bracket midpoint and that midpoint.
     """
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
+    gap = _INV_PHI * (hi - lo)
+    c, d = hi - gap, lo + gap
     fc, fd = objective(c), objective(d)
     for step in range(GOLDEN_STEPS):
         left = fc <= fd
@@ -520,7 +558,8 @@ def _golden_min(objective, lo, hi):
         if step == GOLDEN_STEPS - 1:
             break
         # the surviving interior point keeps its value; one new point
-        x = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
+        gap = _INV_PHI * (hi - lo)
+        x = np.where(left, hi - gap, lo + gap)
         fx = objective(x)
         c, d = np.where(left, x, d), np.where(left, c, x)
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)

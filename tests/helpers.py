@@ -204,6 +204,25 @@ def certificate_martingale_gaps(cert: DualCertificate, params: MarketParams) -> 
     return worst
 
 
+def collected_lattice_mean(groups, params: MarketParams, q, clipped):
+    """E_Q[H] and clip_q by the dual's forward pass of Q-mass over a grouped
+    lattice held whole (every depth's `up`, `dn`, `lift` and `states`, and
+    the groups' `payoff`, as `pricing._grouped_lattice` collects them): the
+    oracle for the library's pass, which reads one depth at a time."""
+    lift = 0.0
+    clip_q = 0
+    for d in range(params.n_steps):
+        if d == 0:
+            to_up = to_dn = np.full(1, 0.5)
+        else:
+            clip_q += int(np.count_nonzero(mass[clipped]))
+            to_up, to_dn = q @ mass, (1.0 - q) @ mass
+        lift += params.step_vol * np.sum(to_up[groups.lift[d]])
+        width = len(groups.states[d + 1])
+        mass = np.stack([np.bincount(groups.dn[d], to_dn, width), np.bincount(groups.up[d], to_up, width)])
+    return float(mass.sum(axis=0) @ groups.payoff) + lift, clip_q
+
+
 def bachelier_reference(kind: str, p0: float, strike: float, sigma: float, t: float) -> float:
     """Closed-form vanilla price under arithmetic Brownian motion."""
     if sigma <= 0 or t <= 0:

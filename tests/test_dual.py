@@ -10,16 +10,17 @@ from helpers import (
     bachelier_reference,
     brute_force_cost,
     certificate_martingale_gaps,
+    collected_lattice_mean,
     ks_distance_to_normal,
     kusuoka_certificate,
     matrix_bound,
     tilted_matrix,
 )
-from impactlab.dual import _sample, _tilt, kusuoka_lower_bound
+from impactlab.dual import _exact_mean, _sample, _tilt, kusuoka_lower_bound
 from impactlab.limits import penalty_weight
 from impactlab.market import MarketParams
 from impactlab.payoffs import PayoffSpec
-from impactlab.pricing import superreplication_cost
+from impactlab.pricing import _grouped_lattice, superreplication_cost
 
 
 def mk(n=2, **kw):
@@ -182,6 +183,36 @@ def test_lattice_pass_equals_the_tree(kind, endowment):
                 bound, _ = matrix_bound(*tilted_matrix(spec, p, kusuoka_certificate(nu, p))[:3], p)
                 assert rec["mode"] == "exact" and rec["certified"]
                 assert abs(rec["bound"] - bound) <= 1e-12, (r, n, nu, rec["bound"], bound)
+
+
+@pytest.mark.parametrize("endowment", [{}, ENDOWED], ids=["flat", "endowed"])
+@pytest.mark.parametrize("kind", ["call", "put", "custom_terminal", "lookback_max", "asian_mean"])
+def test_streamed_pass_equals_the_collected_lattice_pass(kind, endowment):
+    # The exact pass reads the grouped lattice one depth at a time; the
+    # same pass over the lattice collected whole gives the same E_Q[H] and
+    # clip_q, repr for repr, also where both probabilities clip (nu = 2000).
+    spec = _spec(kind)
+    for nu in (0.8, 1.6, 2000.0):
+        _, q, clipped = _tilt(nu, 1.0)
+        for n in range(1, (24 if kind == "asian_mean" else 64) + 1):
+            p = mk(n=n, **endowment)
+            want = collected_lattice_mean(_grouped_lattice(spec, p), p, q, clipped)
+            assert repr(_exact_mean(spec, p, q, clipped)) == repr(want), (nu, n)
+
+
+def test_exact_pass_holds_one_depth_of_the_lattice():
+    # At N = 2048 the call's lattice collected whole takes about 51 MiB
+    # (25 bytes per group); the pass holds one depth's groups at a time.
+    spec = PayoffSpec("call", strike=0.0)
+    kusuoka_lower_bound(1.2, spec, mk(n=8), n_list=[8])  # one-time allocations
+    tracemalloc.start()
+    try:
+        (rec,) = kusuoka_lower_bound(1.2, spec, mk(n=2048), n_list=[2048], exact_max_n=2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec["mode"] == "exact" and rec["certified"]
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("mode", ["exact", "mc"])

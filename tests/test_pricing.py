@@ -2,6 +2,9 @@
 
 import math
 import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from dataclasses import replace
 
@@ -387,6 +390,51 @@ def test_zeta_axis_without_position_span():
     assert np.array_equal(grids.zeta_axis(PayoffSpec("call"), p), [0.0])
     res = superreplication_cost(p, PayoffSpec("call", strike=0.0), grids)
     assert res.cost == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+
+def test_axes_are_the_bytes_of_union1d(monkeypatch):
+    # the axes' sorted union gives np.union1d's bytes: the same one of 0.0
+    # and -0.0, and an initial state on a node or at the axis top merged
+    # into it
+    call = PayoffSpec("call")
+    cases = [(DPGrids(), mk(n=4, x0=x0)) for x0 in (0.0, 0.37, -0.0, float(DPGrids()._nodes(call)[45]))]
+    cases += [(DPGrids(), mk(n=4, zeta0=z0)) for z0 in (0.0, 0.123)]
+    cases += [
+        (DPGrids(x_grid=[0.0]), mk(n=4, zeta0=0.3)),  # no position span: zeta0 is the axis top
+        (DPGrids(x_grid=[-1.0, -0.0, 0.5, 2.0]), mk(n=4, x0=0.5)),
+        (DPGrids(x_grid=np.linspace(-1.5, 2.5, 33)), mk(n=4, x0=-0.0, zeta0=0.05)),
+    ]
+    ours = [(g.x_axis(call, p), g.zeta_axis(call, p)) for g, p in cases]
+    monkeypatch.setattr(pricing, "_sorted_union", np.union1d)
+    for (xg, zg), (g, p) in zip(ours, cases):
+        for got, want in ((xg, g.x_axis(call, p)), (zg, g.zeta_axis(call, p))):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (g, p)
+
+
+def test_solvers_never_load_numpy_ma():
+    # np.union1d's masked-array check imports numpy.ma (9-17 ms and up to
+    # 1.6 MiB of peak RSS); a kept-policy DP, its replay and an exact bound
+    # need none of it
+    code = textwrap.dedent(
+        """
+        import sys
+        from impactlab.dual import kusuoka_lower_bound
+        from impactlab.market import MarketParams
+        from impactlab.payoffs import PayoffSpec
+        from impactlab.pricing import certificate_check, superreplication_cost
+
+        p = MarketParams(p0=0.0, sigma=1.0, n_steps=4, depth=1.0, resilience=0.5, x0=0.37, zeta0=0.123)
+        spec = PayoffSpec("lookback_max")
+        res = superreplication_cost(p, spec, keep_policy=True)
+        certificate_check(res, p, spec, n_paths=200, seed=1)
+        kusuoka_lower_bound(1.2, spec, p, n_list=[4])
+        print("numpy.ma" in sys.modules)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(pricing.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["False"]
 
 
 AXIS_SPECS = [
